@@ -410,8 +410,9 @@ let td_variants scale =
 
 let low_memory scale =
   H.print_header "E12: low-memory modes (Sec. 5.1, assumptions (1) and (2))"
-    "Streamed (blocked) candidate intersection and the external-memory \
-     bottom-up stack vs the in-memory defaults.";
+    "The one candidate path without a list cache (cursors over the stored \
+     payloads, decoding only the blocks they land on) and the \
+     external-memory bottom-up stack on top of it.";
   let size = List.nth scale.sizes (List.length scale.sizes - 1) in
   H.with_collection ~name:"lowmem"
     (synthetic Datagen.Synthetic.Wide (Datagen.Synthetic.Zipfian 0.7) ~seed:16 size)
@@ -420,11 +421,7 @@ let low_memory scale =
       let spill_path = H.scratch_path "lowmem.stk" in
       let rows =
         [
-          [ "materialized (default)"; H.ms (H.measure_workload inv queries) ];
-          [
-            "streamed lists";
-            H.ms (H.measure_workload ~config:{ E.default with E.streamed = true } inv queries);
-          ];
+          [ "payload cursors (default)"; H.ms (H.measure_workload inv queries) ];
           [
             "external stack";
             H.ms
@@ -463,7 +460,7 @@ let td_ordering scale =
 
 let codec_ablation scale =
   H.print_header "E14: postings codec ablation"
-    "Varint/delta (default) vs columnar frame-of-reference bitpacking: \
+    "Block-partitioned (default) vs plain delta/varint postings payloads: \
      index size and query time on the same collection.";
   let size = List.nth scale.sizes (List.length scale.sizes - 1) in
   let values =
@@ -482,7 +479,6 @@ let codec_ablation scale =
         [ label; H.i (!postings_bytes / 1024); H.ms t ])
       [
         ("varint", Invfile.Plist.Varint);
-        ("bitpacked", Invfile.Plist.Bitpacked);
         ("blocked", Invfile.Plist.Blocked);
       ]
   in
@@ -930,9 +926,9 @@ let intersect scale =
   H.print_header "E23: intersection kernels (galloping, blocked skipping)"
     "Micro-benchmark of the list-intersection kernels over synthetic \
      postings: two-pointer merge on materialized arrays (the Plist_ref \
-     oracle), galloping Plist.inter, decode-then-merge over 'V' payloads \
-     (the pre-blocked streamed path), and the block-skipping streamed \
-     intersection over 'C' payloads. Sweeps the length ratio of the two \
+     oracle), Plist_stream galloping over in-memory cursors (cached \
+     lists), decode-then-merge over 'V' payloads, and Plist_stream's \
+     block skipping over 'C' payload cursors. Sweeps the length ratio of the two \
      lists and the density of the big one; every kernel's result is \
      checked against the oracle before timing. Summary written to \
      BENCH_intersect.json; acceptance is headline_speedup >= 5 (varint \
@@ -1000,15 +996,21 @@ let intersect scale =
                   (Printf.sprintf "E23: %s kernel diverges from the oracle (%s 1:%d)"
                      name density ratio)
             in
-            check "gallop" (L.inter small big);
+            let gallop () =
+              St.inter_many [ St.cursor_of_plist small; St.cursor_of_plist big ]
+            in
+            let blocked () =
+              St.inter_many [ St.cursor_of_bytes small_c; St.cursor_of_bytes big_c ]
+            in
+            check "gallop" (gallop ());
             check "varint" (R.inter (L.of_bytes small_v) (L.of_bytes big_v));
-            check "blocked" (St.inter_many [ small_c; big_c ]);
+            check "blocked" (blocked ());
             let t_merge = time (fun () -> R.inter small big) in
-            let t_gallop = time (fun () -> L.inter small big) in
+            let t_gallop = time gallop in
             let t_varint =
               time (fun () -> R.inter (L.of_bytes small_v) (L.of_bytes big_v))
             in
-            let t_blocked = time (fun () -> St.inter_many [ small_c; big_c ]) in
+            let t_blocked = time blocked in
             let speedup = t_varint /. t_blocked in
             if stride > 1 && ratio = 4096 then headline := speedup;
             json_rows :=
@@ -1049,7 +1051,7 @@ let intersect scale =
   close_out oc;
   Printf.printf "headline speedup (sparse 1:4096): %.1fx — %s\n" !headline
     (if !headline >= 5. then "PASS (>= 5x)" else "below the 5x target");
-  (* phase attribution: one streamed query over a blocked-codec collection,
+  (* phase attribution: one uncached query over a blocked-codec collection,
      rendered through the tracing spans so retrieval/merge time is visible *)
   let values =
     List.of_seq
@@ -1060,7 +1062,7 @@ let intersect scale =
   (match H.paper_queries ~count:2 inv with
   | q :: _ ->
     let trace = Obs.Trace.create "intersect" in
-    ignore (E.query ~config:{ E.default with E.streamed = true } ~trace inv q);
+    ignore (E.query ~trace inv q);
     print_string (Obs.Trace.render (Obs.Trace.finish trace))
   | [] -> ());
   IF.close inv
@@ -1619,7 +1621,7 @@ let all : (string * string * (scale -> unit)) list =
     ("cache-policies", "cache policies (E9)", cache_policies);
     ("backends", "storage backends (E10)", backends);
     ("td-variants", "top-down variants (E11)", td_variants);
-    ("low-memory", "streamed lists / external stack (E12)", low_memory);
+    ("low-memory", "payload cursors / external stack (E12)", low_memory);
     ("td-ordering", "top-down child ordering (E13)", td_ordering);
     ("codec", "postings codec ablation (E14)", codec_ablation);
     ("multicore", "multicore scale-up (E15)", multicore);

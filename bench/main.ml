@@ -80,8 +80,6 @@ let bechamel_suite () =
          (workload ~config:{ E.default with E.filter_index = Some fi } sw q_sw));
       (Containment.Collection.with_static_cache sw ~budget:250;
        Test.make ~name:"e8/cached-250" (workload sw q_sw));
-      Test.make ~name:"e12/streamed"
-        (workload ~config:{ E.default with E.streamed = true } uw q_uw);
       Test.make ~name:"e17/preflight"
         (workload ~config:{ E.default with E.preflight = true } sw q_sw);
     ]
@@ -112,7 +110,9 @@ let bechamel_suite () =
   let micro_tests =
     [
       Test.make ~name:"micro/plist-inter-10k"
-        (Staged.stage (fun () -> ignore (Invfile.Plist.inter l1 l2)));
+        (Staged.stage (fun () ->
+             let module St = Invfile.Plist_stream in
+             ignore (St.inter_many [ St.cursor_of_plist l1; St.cursor_of_plist l2 ])));
       Test.make ~name:"micro/plist-codec-10k"
         (Staged.stage (fun () -> ignore (Invfile.Plist.of_bytes (Invfile.Plist.to_bytes l1))));
       Test.make ~name:"micro/bloom-subset"

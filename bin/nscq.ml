@@ -142,13 +142,6 @@ let wildcards_arg =
         ~doc:"Interpret trailing-* query leaves as atom-prefix patterns
               (containment join only).")
 
-let streamed_arg =
-  Arg.(
-    value & flag
-    & info [ "streamed" ]
-        ~doc:"Intersect candidate lists straight from their encoded payloads \
-              (blocked I/O; containment join only).")
-
 let spill_arg =
   Arg.(
     value
@@ -316,14 +309,12 @@ let codec_arg =
            [
              ("blocked", Invfile.Plist.Blocked);
              ("varint", Invfile.Plist.Varint);
-             ("bitpacked", Invfile.Plist.Bitpacked);
            ])
         Invfile.Plist.Blocked
     & info [ "codec" ] ~docv:"CODEC"
         ~doc:"Postings payload format: $(b,blocked) (block-partitioned
-              varint/bitmap with a skip directory, the default),
-              $(b,varint) (plain delta/varint) or $(b,bitpacked)
-              (columnar, not streamable).")
+              varint/bitmap with a skip directory, the default) or
+              $(b,varint) (plain delta/varint).")
 
 let parse_collection ~format ~tokenize contents =
   match format with
@@ -549,7 +540,7 @@ let query_cmd =
           ~doc:"Per-request deadline for $(b,--connect) (0 = none).")
   in
   let run store connect deadline_ms backend cache algorithm join embedding anywhere
-      verify streamed spill wildcards partial explain verbose qs limit =
+      verify spill wildcards partial explain verbose qs limit =
     setup_logging verbose;
     let config =
       {
@@ -560,7 +551,6 @@ let query_cmd =
         verify;
         filter_index = None;
         td_order = Containment.Top_down.Query_order;
-        streamed;
         spill_to = spill;
         preflight = false;
         wildcards;
@@ -615,7 +605,7 @@ let query_cmd =
     Term.(
       const run $ store_opt_arg $ connect_arg $ deadline_arg $ backend_arg
       $ cache_arg $ algorithm_arg $ join_arg $ embedding_arg $ anywhere_arg
-      $ verify_arg $ streamed_arg $ spill_arg $ wildcards_arg $ partial_arg
+      $ verify_arg $ spill_arg $ wildcards_arg $ partial_arg
       $ explain_arg $ verbose_arg $ query_arg $ limit_arg)
 
 (* --- join --- *)
@@ -891,7 +881,7 @@ let trace_cmd =
           ~doc:"Per-request deadline for $(b,--connect) (0 = none).")
   in
   let run store connect deadline_ms backend cache algorithm join embedding
-      anywhere verify streamed wildcards partial verbose qs =
+      anywhere verify wildcards partial verbose qs =
     setup_logging verbose;
     let config =
       {
@@ -901,7 +891,6 @@ let trace_cmd =
         embedding;
         scope = (if anywhere then E.Anywhere else E.Roots);
         verify;
-        streamed;
         wildcards;
       }
     in
@@ -990,7 +979,7 @@ let trace_cmd =
     Term.(
       const run $ store_opt_arg $ connect_arg $ deadline_arg $ backend_arg
       $ cache_arg $ algorithm_arg $ join_arg $ embedding_arg $ anywhere_arg
-      $ verify_arg $ streamed_arg $ wildcards_arg $ partial_arg $ verbose_arg
+      $ verify_arg $ wildcards_arg $ partial_arg $ verbose_arg
       $ query_arg)
 
 (* --- explain --- *)
@@ -1037,7 +1026,7 @@ let explain_cmd =
       & info [ "json" ] ~doc:"Emit the plan as JSON instead of text.")
   in
   let run store connect deadline_ms backend cache algorithm join embedding
-      anywhere verify streamed wildcards partial json verbose qs =
+      anywhere verify wildcards partial json verbose qs =
     setup_logging verbose;
     let config =
       {
@@ -1047,7 +1036,6 @@ let explain_cmd =
         embedding;
         scope = (if anywhere then E.Anywhere else E.Roots);
         verify;
-        streamed;
         wildcards;
       }
     in
@@ -1115,7 +1103,7 @@ let explain_cmd =
     Term.(
       const run $ store_opt_arg $ connect_arg $ deadline_arg $ backend_arg
       $ cache_arg $ algorithm_arg $ join_arg $ embedding_arg $ anywhere_arg
-      $ verify_arg $ streamed_arg $ wildcards_arg $ partial_arg $ json_arg
+      $ verify_arg $ wildcards_arg $ partial_arg $ json_arg
       $ verbose_arg $ query_arg)
 
 (* --- flight --- *)
@@ -2167,15 +2155,41 @@ let shard_cmd =
        ~doc:"Sharded collections: partitioned build, status, reshard.")
     [ shard_build_cmd; shard_status_cmd; shard_reshard_cmd ]
 
+(* The store named on the command line, for error messages raised after
+   the command has opened it. *)
+let store_of_argv () =
+  let rec find = function
+    | ("-s" | "--store") :: path :: _ -> Some path
+    | a :: rest ->
+      if String.starts_with ~prefix:"--store=" a then
+        Some (String.sub a 8 (String.length a - 8))
+      else find rest
+    | [] -> None
+  in
+  find (List.tl (Array.to_list Sys.argv))
+
 let () =
   let info =
     Cmd.info "nscq" ~version:"1.0.0"
       ~doc:"Containment queries on nested sets (Ibrahim & Fletcher, EDBT 2013)."
   in
-  exit
-    (Cmd.eval
-       (Cmd.group info
-          [ generate_cmd; build_cmd; query_cmd; join_cmd; trace_cmd;
-            explain_cmd; flight_cmd; workload_cmd; stats_cmd; repl_cmd;
-            sql_cmd; serve_cmd; shard_cmd; check_cmd; repair_cmd; export_cmd;
-            merge_cmd; compact_cmd; insert_cmd; delete_cmd; flush_cmd ]))
+  let cmd =
+    Cmd.group info
+      [ generate_cmd; build_cmd; query_cmd; join_cmd; trace_cmd;
+        explain_cmd; flight_cmd; workload_cmd; stats_cmd; repl_cmd;
+        sql_cmd; serve_cmd; shard_cmd; check_cmd; repair_cmd; export_cmd;
+        merge_cmd; compact_cmd; insert_cmd; delete_cmd; flush_cmd ]
+  in
+  (* A damaged store is a one-line error (exit 1), not an internal error;
+     every other exception still reports as Cmdliner's would. *)
+  match Cmd.eval ~catch:false cmd with
+  | code -> exit code
+  | exception (IF.Malformed msg | Storage.Codec.Corrupt msg) ->
+    (match store_of_argv () with
+    | Some path -> Printf.eprintf "nscq: %s: %s\n" path msg
+    | None -> Printf.eprintf "nscq: %s\n" msg);
+    exit 1
+  | exception e ->
+    Printf.eprintf "nscq: internal error, uncaught exception:\n  %s\n"
+      (Printexc.to_string e);
+    exit Cmd.Exit.internal_error

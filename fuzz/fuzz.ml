@@ -23,7 +23,9 @@
    Codec mode is the companion to test/test_kernels.ml: random postings
    lists with lengths biased to the Plist_blocks block boundaries are
    round-tripped through every payload codec and driven through the
-   streamed kernels against the Plist_ref oracle.
+   cursor kernels — over random mixes of in-memory, 'C' and 'V' cursors,
+   as a query with some cached and some uncached atoms reads them —
+   against the Plist_ref oracle.
 
    Exits non-zero on the first divergence, printing a reproducer. *)
 
@@ -509,22 +511,22 @@ let codec_scenario rng i =
             if not (String.equal (L.to_bytes ~codec back) payload) then
               fail "payload not canonical (%d postings)" (Array.length l)
           | exception e -> fail "decode raised %s" (Printexc.to_string e)))
-        [ L.Varint; L.Bitpacked; L.Blocked ])
+        [ L.Varint; L.Blocked ])
     lists;
-  (* streamed kernels over mixed 'C'/'V' payloads vs the oracle *)
-  let payloads =
-    List.mapi
-      (fun k l -> L.to_bytes ~codec:(if k land 1 = 0 then L.Blocked else L.Varint) l)
-      lists
+  (* the kernels over a random mix of cursor sources vs the oracle *)
+  let sources = List.map (fun _ -> Random.State.int rng 3) lists in
+  let cursors () =
+    List.map2
+      (fun source l ->
+        match source with
+        | 0 -> St.cursor_of_plist l
+        | 1 -> St.cursor_of_bytes (L.to_bytes ~codec:L.Blocked l)
+        | _ -> St.cursor_of_bytes (L.to_bytes ~codec:L.Varint l))
+      sources lists
   in
-  if St.inter_many payloads <> R.inter_many lists then fail "inter_many diverged";
-  if St.union_with_counts payloads <> R.union_with_counts lists then
+  if St.inter_many (cursors ()) <> R.inter_many lists then fail "inter_many diverged";
+  if St.union_with_counts (cursors ()) <> R.union_with_counts lists then
     fail "union_with_counts diverged";
-  (match lists with
-  | a :: b :: _ ->
-    if L.inter a b <> R.inter a b then fail "inter diverged";
-    if L.union a b <> R.union a b then fail "union diverged"
-  | _ -> ());
   (* ascending skip_to probes on a blocked cursor vs the oracle's lower_bound *)
   let l = List.hd lists in
   let c = St.cursor_of_bytes (L.to_bytes ~codec:L.Blocked l) in

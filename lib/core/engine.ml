@@ -21,7 +21,6 @@ type config = {
   verify : bool;
   filter_index : Filter_index.t option;
   td_order : Top_down.order;
-  streamed : bool;
   spill_to : string option;
   preflight : bool;
   wildcards : bool;
@@ -37,7 +36,6 @@ let default =
     verify = false;
     filter_index = None;
     td_order = Top_down.Query_order;
-    streamed = false;
     spill_to = None;
     preflight = false;
     wildcards = false;
@@ -52,8 +50,7 @@ type result = {
 
 let run_algorithm config ?root_filter inv q =
   let mode () =
-    Semantics.mode_of ~streamed:config.streamed ~wildcards:config.wildcards
-      config.join config.embedding
+    Semantics.mode_of ~wildcards:config.wildcards config.join config.embedding
   in
   match config.algorithm with
   | Top_down -> Top_down.run (mode ()) ?root_filter ~order:config.td_order inv q
@@ -263,36 +260,30 @@ let query_prepared ?(config = default) ?trace inv (q : Query.t) =
   let pruned =
     match root_filter with Some f -> Intset.is_empty f | None -> false
   in
-  (* Per-atom retrieval spans: probe each distinct query atom through the
-     cached lookup path so the trace shows which lists were fetched and
-     which were already warm. Skipped in streamed mode — it bypasses the
-     decoded-list cache, so pre-materializing would change the measured
-     access pattern (and every raw read counts as a miss anyway). *)
-  let traced_retrieval =
-    Option.is_some trace && not config.streamed && not pruned
+  (* Per-atom retrieval spans: resolve each distinct query atom once into
+     the handle's per-query table, so the trace shows which lists were
+     cached and which were read from the store, and eval then reads
+     exactly those sources — the kernels and cursor kinds of an untraced
+     run, with one lookup per distinct atom. *)
+  let with_retrieval f =
+    if Option.is_none trace || pruned then f ()
+    else
+      IF.with_pinned inv (fun pin ->
+          rspan trace ~qid ph_retrieve "retrieve" (fun () ->
+              let r0 = io_snap inv in
+              List.iter
+                (fun a ->
+                  tspan trace ("atom:" ^ a) (fun () ->
+                      let b = io_snap inv in
+                      pin a;
+                      let now = io_snap inv in
+                      tattr trace "hits" (string_of_int (now.hits - b.hits));
+                      tattr trace "misses" (string_of_int (now.misses - b.misses))))
+                (distinct_atoms config [ q ]);
+              io_attrs trace r0 inv);
+          f ())
   in
-  let transient = traced_retrieval && Option.is_none (IF.cache inv) in
-  let atoms = if traced_retrieval then distinct_atoms config [ q ] else [] in
-  if transient then
-    IF.attach_cache inv
-      (Invfile.Cache.create Invfile.Cache.Lru
-         ~capacity:(max 1 (List.length atoms)));
-  Fun.protect
-    ~finally:(fun () -> if transient then IF.detach_cache inv)
-    (fun () ->
-      if traced_retrieval then
-        rspan trace ~qid ph_retrieve "retrieve" (fun () ->
-            let r0 = io_snap inv in
-            List.iter
-              (fun a ->
-                tspan trace ("atom:" ^ a) (fun () ->
-                    let b = io_snap inv in
-                    ignore (IF.lookup inv a);
-                    let now = io_snap inv in
-                    tattr trace "hits" (string_of_int (now.hits - b.hits));
-                    tattr trace "misses" (string_of_int (now.misses - b.misses))))
-              atoms;
-            io_attrs trace r0 inv);
+  with_retrieval (fun () ->
       let t0 = Unix.gettimeofday () in
       let nodes =
         rspan trace ~qid ph_eval "eval" (fun () ->
@@ -464,8 +455,7 @@ type node_plan = {
 
 let explain ?(config = default) inv value =
   let mode =
-    Semantics.mode_of ~streamed:config.streamed ~wildcards:config.wildcards
-      config.join config.embedding
+    Semantics.mode_of ~wildcards:config.wildcards config.join config.embedding
   in
   let q = Query.of_value value in
   let plans = ref [] in
@@ -495,11 +485,12 @@ let pp_plan ppf plans =
 
 let codec_label = function
   | Invfile.Plist.Varint -> "varint"
-  | Invfile.Plist.Bitpacked -> "bitpacked"
   | Invfile.Plist.Blocked -> "blocked"
 
+(* Read from the payload header alone: the list length is the 'V' count
+   or the block directory's total, so no posting is decoded. *)
 let atom_plan inv a =
-  match IF.lookup_raw inv a with
+  match (IF.store inv).Storage.Kv.get (IF.atom_key a) with
   | None ->
     { Obs.Explain.atom = a; list_len = 0; bytes = 0; codec = "-"; blocks = 0 }
   | Some payload ->
@@ -509,11 +500,12 @@ let atom_plan inv a =
       | Invfile.Plist.Blocked ->
         Invfile.Plist_blocks.n_blocks
           (Invfile.Plist_blocks.directory payload ~pos:1)
-      | Invfile.Plist.Varint | Invfile.Plist.Bitpacked -> 0
+      | Invfile.Plist.Varint -> 0
     in
     {
       Obs.Explain.atom = a;
-      list_len = Invfile.Plist.length (Invfile.Plist.of_bytes payload);
+      list_len =
+        Invfile.Plist_stream.remaining (Invfile.Plist_stream.cursor_of_bytes payload);
       bytes = String.length payload;
       codec = codec_label codec;
       blocks;
@@ -526,7 +518,6 @@ let config_kvs config =
     ("embedding", Format.asprintf "%a" Semantics.pp_embedding config.embedding);
     ("scope", match config.scope with Roots -> "roots" | Anywhere -> "anywhere");
     ("verify", string_of_bool config.verify);
-    ("streamed", string_of_bool config.streamed);
     ("preflight", string_of_bool config.preflight);
     ("minimize", string_of_bool config.minimize);
     ("wildcards", string_of_bool config.wildcards);

@@ -34,11 +34,6 @@ type config = {
       (** Bloom prefilter (Sec. 3.3), applied before the algorithm runs *)
   td_order : Top_down.order;
       (** child-processing order for the strict top-down algorithm *)
-  streamed : bool;
-      (** compute candidate lists straight from their encoded payloads
-          ({!Invfile.Plist_stream}) instead of materializing them — the
-          paper's blocked-I/O option (Sec. 5.1, assumption (1)); bypasses
-          the decoded-list cache *)
   spill_to : string option;
       (** run the bottom-up stack through {!Storage.Ext_stack} backed by
           this file — the paper's STXXL option (Sec. 5.1, assumption (2)) *)
@@ -84,12 +79,12 @@ val query :
     {!Storage.Io_stats} totals. Without [trace], nothing is recorded and
     no extra I/O happens.
 
-    The [retrieve] phase pre-probes atoms through the cached lookup path
-    (attaching a transient cache when the handle has none) so the trace
-    shows which lists were fetched cold. In [streamed] mode it is skipped
-    entirely: streaming bypasses the decoded-list cache, so cache hits
-    are structurally 0 and pre-materializing lists would distort the
-    measured access pattern.
+    The [retrieve] phase resolves each distinct atom once into a
+    per-query table on the handle ({!Invfile.Inverted_file.with_pinned}):
+    the cached list, or the undecoded payload when the cache would not
+    keep it. [eval] reads those sources, so a traced query runs the same
+    kernels on the same cursor kinds as an untraced one, with one lookup
+    per distinct atom.
     @raise Invalid_argument if the query is an atom.
     @raise Semantics.Unsupported per {!Semantics.mode_of}. *)
 

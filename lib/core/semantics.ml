@@ -14,8 +14,12 @@ type mode = {
 
 exception Unsupported of string
 
-let lookup_all inv (n : Query.node) =
-  Array.to_list (Array.map (Invfile.Inverted_file.lookup inv) n.Query.leaves)
+(* One cursor per leaf label: decoded lists where the cache holds or
+   keeps them, undecoded payloads elsewhere (Inverted_file.cursor). *)
+let cursors inv (n : Query.node) =
+  Array.to_list (Array.map (Invfile.Inverted_file.cursor inv) n.Query.leaves)
+
+let union_with_counts inv n = Invfile.Plist_stream.union_with_counts (cursors inv n)
 
 (* The candidate universe for a query node that constrains nothing (no
    leaf labels): every internal node. Normally the memoized node table;
@@ -37,23 +41,12 @@ let universe inv =
     Array.sort Invfile.Posting.compare a;
     a
 
-(* Raw encoded payloads for streamed (blocked) processing; absent atoms
-   contribute an empty encoded list. *)
-let lookup_all_raw inv (n : Query.node) =
-  Array.to_list
-    (Array.map
-       (fun a ->
-         match Invfile.Inverted_file.lookup_raw inv a with
-         | Some payload -> payload
-         | None -> Invfile.Plist.to_bytes Invfile.Plist.empty)
-       n.Query.leaves)
-
 (* q ⊆ s: the node must contain every leaf label of n — the intersection of
    Alg. 2 line 8. A node with no leaf labels constrains nothing, so its
    candidates are the whole node table (our extension; see DESIGN.md). *)
 let containment_gen inv (n : Query.node) =
   if Array.length n.Query.leaves = 0 then universe inv
-  else Invfile.Plist.inter_many (lookup_all inv n)
+  else Invfile.Plist_stream.inter_many (cursors inv n)
 
 (* Fully-homeomorphic candidates: nodes whose *subtree* contains every leaf
    label of n --- the ancestor-or-self closure of each leaf's postings,
@@ -63,7 +56,7 @@ let subtree_containment_gen inv (n : Query.node) =
   if Array.length n.Query.leaves = 0 then universe inv
   else begin
     let table = Invfile.Inverted_file.all_nodes inv in
-    let closure l =
+    let closure c =
       let ids : (int, unit) Hashtbl.t = Hashtbl.create 64 in
       let rec up id =
         if id >= 0 && not (Hashtbl.mem ids id) then begin
@@ -73,20 +66,22 @@ let subtree_containment_gen inv (n : Query.node) =
           | None -> ()
         end
       in
-      Array.iter (fun p -> up p.Invfile.Posting.node) l;
+      let rec drain () =
+        match Invfile.Plist_stream.next c with
+        | Some p ->
+          up p.Invfile.Posting.node;
+          drain ()
+        | None -> ()
+      in
+      drain ();
       Hashtbl.fold (fun id () acc -> id :: acc) ids []
       |> List.sort Int.compare
       |> List.filter_map (Invfile.Plist.find table)
       |> Array.of_list
+      |> Invfile.Plist_stream.cursor_of_plist
     in
-    Invfile.Plist.inter_many (List.map closure (lookup_all inv n))
+    Invfile.Plist_stream.inter_many (List.map closure (cursors inv n))
   end
-
-(* Blocked variant (paper Sec. 5.1, assumption (1)): intersect the encoded
-   lists without materializing them. *)
-let containment_gen_streamed inv (n : Query.node) =
-  if Array.length n.Query.leaves = 0 then universe inv
-  else Invfile.Plist_stream.inter_many (lookup_all_raw inv n)
 
 (* q = s strengthens containment with |ℓ(n)| = |ℓ(s)| (Sec. 4.1). We also
    require equal internal-child counts, which equal canonical sets always
@@ -109,9 +104,8 @@ let superset_gen inv (n : Query.node) =
   in
   if Array.length n.Query.leaves = 0 then leafless
   else begin
-    let counted = Invfile.Plist.union_with_counts (lookup_all inv n) in
     let with_leaves =
-      Array.to_list counted
+      Array.to_list (union_with_counts inv n)
       |> List.filter_map (fun (p, c) ->
              if c = p.Invfile.Posting.leaf_count then Some p else None)
     in
@@ -128,56 +122,14 @@ let similarity_threshold r n =
 (* ε-overlap: keep nodes sharing at least ε leaf values with n (Sec. 4.1). *)
 let overlap_gen eps inv (n : Query.node) =
   if Array.length n.Query.leaves < eps then Invfile.Plist.empty
-  else begin
-    let counted = Invfile.Plist.union_with_counts (lookup_all inv n) in
-    Array.to_list counted
+  else
+    Array.to_list (union_with_counts inv n)
     |> List.filter_map (fun (p, c) -> if c >= eps then Some p else None)
     |> Array.of_list
-  end
 
 let similarity_gen r inv (n : Query.node) =
   let eps = similarity_threshold r n in
   if eps = 0 then universe inv else overlap_gen eps inv n
-
-(* Streamed multiset union, for the union-based joins. *)
-let union_with_counts_streamed inv n =
-  Invfile.Plist_stream.union_with_counts (lookup_all_raw inv n)
-
-let superset_gen_streamed inv (n : Query.node) =
-  let leafless =
-    Invfile.Plist.filter_leaf_count_eq 0 (universe inv)
-  in
-  if Array.length n.Query.leaves = 0 then leafless
-  else begin
-    let with_leaves =
-      Array.to_list (union_with_counts_streamed inv n)
-      |> List.filter_map (fun (p, c) ->
-             if c = p.Invfile.Posting.leaf_count then Some p else None)
-    in
-    Invfile.Plist.of_list (with_leaves @ Array.to_list leafless)
-  end
-
-let overlap_gen_streamed eps inv (n : Query.node) =
-  if Array.length n.Query.leaves < eps then Invfile.Plist.empty
-  else
-    Array.to_list (union_with_counts_streamed inv n)
-    |> List.filter_map (fun (p, c) -> if c >= eps then Some p else None)
-    |> Array.of_list
-
-let similarity_gen_streamed r inv (n : Query.node) =
-  let eps = similarity_threshold r n in
-  if eps = 0 then universe inv
-  else overlap_gen_streamed eps inv n
-
-let streamed_of join mode =
-  (* Swap each generator for its streamed version (node-table generators
-     and the equality filter chain are unchanged). *)
-  match join with
-  | Containment -> { mode with gen = containment_gen_streamed }
-  | Superset -> { mode with gen = superset_gen_streamed }
-  | Overlap eps -> { mode with gen = overlap_gen_streamed eps }
-  | Similarity r -> { mode with gen = similarity_gen_streamed r }
-  | Equality -> mode
 
 (* Prefix wildcards: a query leaf ending in '*' matches any atom with that
    prefix. Its candidate list is the union of the matching atoms' lists. *)
@@ -188,29 +140,27 @@ let pattern_prefix a = String.sub a 0 (String.length a - 1)
 let wildcard_containment_gen inv (n : Query.node) =
   if Array.length n.Query.leaves = 0 then universe inv
   else begin
-    let lists =
-      Array.to_list n.Query.leaves
-      |> List.map (fun leaf ->
-             if is_pattern leaf then
-               Invfile.Inverted_file.atoms_with_prefix inv (pattern_prefix leaf)
-               |> List.map (Invfile.Inverted_file.lookup inv)
-               |> List.fold_left Invfile.Plist.union Invfile.Plist.empty
-             else Invfile.Inverted_file.lookup inv leaf)
+    let leaf_cursor leaf =
+      if not (is_pattern leaf) then Invfile.Inverted_file.cursor inv leaf
+      else
+        Invfile.Inverted_file.atoms_with_prefix inv (pattern_prefix leaf)
+        |> List.map (Invfile.Inverted_file.cursor inv)
+        |> Invfile.Plist_stream.union_with_counts
+        |> Array.map fst
+        |> Invfile.Plist_stream.cursor_of_plist
     in
-    Invfile.Plist.inter_many lists
+    Invfile.Plist_stream.inter_many
+      (List.map leaf_cursor (Array.to_list n.Query.leaves))
   end
 
-let mode_of ?(streamed = false) ?(wildcards = false) join embedding =
+let mode_of ?(wildcards = false) join embedding =
   (if wildcards then
      match join with
      | Containment -> ()
      | Equality | Superset | Overlap _ | Similarity _ ->
        raise (Unsupported "wildcards are defined for the containment join only"));
   let adjust mode =
-    match join with
-    | Containment when wildcards -> { mode with gen = wildcard_containment_gen }
-    | _ when streamed -> streamed_of join mode
-    | _ -> mode
+    if wildcards then { mode with gen = wildcard_containment_gen } else mode
   in
   adjust @@
   let unsupported what = raise (Unsupported what) in

@@ -48,23 +48,22 @@ type edge =
 
 type mode = {
   gen : Invfile.Inverted_file.t -> Query.node -> Invfile.Plist.t;
-      (** candidate list of a query node (Alg. 2 line 8 / Alg. 4 line 11) *)
+      (** candidate list of a query node (Alg. 2 line 8 / Alg. 4 line 11),
+          computed by {!Invfile.Plist_stream}'s kernels over
+          {!Invfile.Inverted_file.cursor}s — one path whether the lists
+          are cached or read straight from their payloads *)
   cover : cover;
   edge : edge;
 }
 
 exception Unsupported of string
 
-val mode_of : ?streamed:bool -> ?wildcards:bool -> join -> embedding -> mode
+val mode_of : ?wildcards:bool -> join -> embedding -> mode
 (** @raise Unsupported for combinations the algorithms do not define
     (currently [Superset]/[Equality] with [Homeo], and [Superset] with
-    [Iso]). With [~streamed:true] (containment only) candidate lists are
-    intersected directly from their encoded payloads via {!Plist_stream},
-    bypassing the decoded-list cache — the paper's blocked-I/O option
-    (Sec. 5.1, assumption (1)). With [~wildcards:true] (containment only;
-    overrides [streamed]) a query leaf ending in ['*'] matches any atom
-    with that prefix; its candidate list is the union of the matching
-    atoms' lists. *)
+    [Iso]). With [~wildcards:true] (containment only) a query leaf ending
+    in ['*'] matches any atom with that prefix; its candidate list is the
+    union of the matching atoms' lists. *)
 
 val is_pattern : string -> bool
 (** Whether an atom is a prefix pattern (ends in ['*']), as interpreted

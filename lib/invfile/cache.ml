@@ -91,6 +91,9 @@ let add_entry t key list =
   Hashtbl.replace t.table key n;
   if t.pol = Lru then push_front t n
 
+let admits t =
+  t.cap > 0 && match t.pol with Static -> size t < t.cap | Lru | Lfu -> true
+
 let insert t key list =
   if t.cap > 0 && not (Hashtbl.mem t.table key) then
     match t.pol with

@@ -31,6 +31,11 @@ val insert : t -> string -> Plist.t -> unit
     inserts are only honoured during preloading); for [Lru]/[Lfu] it may
     evict. *)
 
+val admits : t -> bool
+(** Whether {!insert} of a new key would keep it: any positive-capacity
+    [Lru]/[Lfu] cache (which evicts to make room), a [Static] one only
+    while it has a free slot. *)
+
 val preload : t -> (string * Plist.t) list -> unit
 (** Fills the cache (up to capacity) regardless of policy. *)
 

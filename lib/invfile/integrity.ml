@@ -70,6 +70,8 @@ let check inv =
           incr seen_atoms;
           let atom = String.sub key 1 (String.length key - 1) in
           match Plist.of_bytes payload with
+          | exception Storage.Codec.Corrupt m ->
+            report "postings" "list of %S does not decode: %s" atom m
           | exception _ -> report "postings" "list of %S does not decode" atom
           | stored -> (
             (* sortedness *)

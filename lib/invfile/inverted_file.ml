@@ -10,6 +10,9 @@ let meta_topk = "m:topk"
 let meta_nodes = "m:nodes"
 let meta_recfmt = "m:recfmt"
 
+(* A resolved atom: its decoded list, or its payload left undecoded. *)
+type source = Decoded of Plist.t | Payload of string
+
 type t = {
   store : Storage.Kv.t;
   dict : Dict.t;
@@ -19,6 +22,8 @@ type t = {
   mutable all_nodes : Plist.t option;
   mutable all_nodes_idset : Plist.idset option;
   mutable cache : Cache.t option;
+  mutable pinned : (string, source) Hashtbl.t option;
+      (* the current traced query's atoms, resolved once (with_pinned) *)
   lookup_stats : Storage.Io_stats.t;
 }
 
@@ -64,39 +69,49 @@ let open_store ?(lenient = false) store =
     all_nodes = None;
     all_nodes_idset = None;
     cache = None;
+    pinned = None;
     lookup_stats = Storage.Io_stats.create ();
   }
+
+(* A corrupt or retired payload names its atom and the way out. *)
+let malformed_list a m =
+  Malformed
+    (Printf.sprintf "postings of %S: %s; 'nscq repair' rebuilds the index" a m)
 
 let lookup_from_store t a =
   match t.store.Storage.Kv.get (atom_key a) with
   | None -> Plist.empty
   | Some payload -> (
     try Plist.of_bytes payload
-    with Storage.Codec.Corrupt m ->
-      raise (Malformed (Printf.sprintf "postings of %S: %s" a m)))
+    with Storage.Codec.Corrupt m -> raise (malformed_list a m))
 
-let lookup t a =
+(* The cache probe every lookup starts with: counts one lookup and its
+   hit or miss. *)
+let cached t a =
   Storage.Io_stats.record_lookup t.lookup_stats;
-  match t.cache with
+  match Option.bind t.cache (fun c -> Cache.find c a) with
+  | Some _ as hit ->
+    Storage.Io_stats.record_hit t.lookup_stats;
+    hit
   | None ->
     Storage.Io_stats.record_miss t.lookup_stats;
-    lookup_from_store t a
-  | Some c -> (
-    match Cache.find c a with
-    | Some l ->
-      Storage.Io_stats.record_hit t.lookup_stats;
-      l
-    | None ->
-      Storage.Io_stats.record_miss t.lookup_stats;
-      let l = lookup_from_store t a in
-      (* Dynamic policies admit new lists; Static ignores this. *)
-      Cache.insert c a l;
-      l)
+    None
+
+(* Decode from the store and offer the list to the cache: dynamic
+   policies admit it, Static only while it has room. *)
+let admit t a =
+  let l = lookup_from_store t a in
+  Option.iter (fun c -> Cache.insert c a l) t.cache;
+  l
+
+let lookup t a = match cached t a with Some l -> l | None -> admit t a
 
 (* Block probe for a batch of queries: load every distinct atom's list in
    one sorted pass and pin the results in the attached cache, so the
    per-query lookups that follow are all hits. Sorting the probe keys keeps
-   the access pattern sequential on the B+tree backend. *)
+   the access pattern sequential on the B+tree backend. Loading stops
+   when the cache is full: a list it would not keep is left for the query
+   to read undecoded. *)
 let prefetch t atoms =
   match t.cache with
   | None -> 0
@@ -106,6 +121,7 @@ let prefetch t atoms =
       (fun a ->
         match Cache.find c a with
         | Some _ -> ()
+        | None when Cache.size c >= Cache.capacity c -> ()
         | None ->
           Storage.Io_stats.record_lookup t.lookup_stats;
           Storage.Io_stats.record_miss t.lookup_stats;
@@ -114,10 +130,37 @@ let prefetch t atoms =
       (List.sort_uniq String.compare atoms);
     !loaded
 
-let lookup_raw t a =
-  Storage.Io_stats.record_lookup t.lookup_stats;
-  Storage.Io_stats.record_miss t.lookup_stats;
-  t.store.Storage.Kv.get (atom_key a)
+(* Where a cursor reads an atom's list from: the decoded list (cached, or
+   decoded now because the cache keeps it) or the undecoded payload. *)
+let source t a =
+  match cached t a with
+  | Some l -> Decoded l
+  | None -> (
+    match t.cache with
+    | Some c when Cache.admits c -> Decoded (admit t a)
+    | Some _ | None -> (
+      match t.store.Storage.Kv.get (atom_key a) with
+      | None -> Decoded Plist.empty
+      | Some payload -> Payload payload))
+
+let cursor_of_source a = function
+  | Decoded l -> Plist_stream.cursor_of_plist l
+  | Payload payload -> (
+    try Plist_stream.cursor_of_bytes payload
+    with Storage.Codec.Corrupt m -> raise (malformed_list a m))
+
+let cursor t a =
+  let pinned = Option.bind t.pinned (fun tbl -> Hashtbl.find_opt tbl a) in
+  cursor_of_source a (match pinned with Some s -> s | None -> source t a)
+
+let with_pinned t f =
+  let saved = t.pinned in
+  let tbl = Hashtbl.create 16 in
+  t.pinned <- Some tbl;
+  Fun.protect
+    ~finally:(fun () -> t.pinned <- saved)
+    (fun () ->
+      f (fun a -> if not (Hashtbl.mem tbl a) then Hashtbl.replace tbl a (source t a)))
 
 let mem_atom t a = Storage.Kv.mem t.store (atom_key a)
 

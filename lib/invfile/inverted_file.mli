@@ -41,23 +41,44 @@ val close : t -> unit
 (** {1 Lookup} *)
 
 val lookup : t -> string -> Plist.t
-(** [lookup t a] is [S_IF(a)]; the empty list for unknown atoms. Consults
-    the attached cache first; {!lookup_stats} records hits and misses. *)
+(** [lookup t a] is [S_IF(a)], decoded; the empty list for unknown atoms.
+    Consults the attached cache first and offers a decoded miss to it;
+    {!lookup_stats} records hits and misses.
+    @raise Malformed if the stored payload is corrupt or uses the retired
+    bitpacked codec (the message names the atom and [nscq repair]). *)
+
+val cursor : t -> string -> Plist_stream.cursor
+(** [cursor t a] is a cursor over [S_IF(a)] — what every candidate
+    generator reads. When the attached cache holds the list or would keep
+    it ({!Cache.admits}), this is {!lookup}: an in-memory cursor over the
+    decoded list, with the same admission and hit/miss counting.
+    Otherwise it is a cursor over the stored payload that decodes only
+    the blocks it lands on (one counted lookup and miss). Inside
+    {!with_pinned}, an atom the current query already resolved is served
+    from that resolution without touching the cache, the counters or the
+    store.
+    @raise Malformed as {!lookup}, for a corrupt payload header. *)
+
+val with_pinned : t -> ((string -> unit) -> 'a) -> 'a
+(** [with_pinned t f] runs [f pin] with a per-query table on the handle:
+    [pin a] resolves [a] once, exactly as {!cursor} would (the cached
+    list, or the undecoded payload), and every {!cursor} call on [a]
+    until [f] returns reads that resolution. A traced query pins its
+    distinct atoms in its [retrieve] span, so evaluation then runs the
+    same kernels on the same cursor kinds as an untraced query, with one
+    lookup per distinct atom. *)
 
 val prefetch : t -> string list -> int
 (** [prefetch t atoms] block-probes the inverted file: every distinct atom
     not already cached is read from the store in one sorted pass and
     preloaded into the attached cache (any policy — {!Cache.preload}
-    bypasses admission rules). Returns the number of lists loaded; a no-op
-    (0) without an attached cache. The entry point batched query execution
-    ({!Engine.query_batch}, the server's batcher) uses to amortize index
-    probes across a block of queries. Each load counts one lookup + miss
-    in {!lookup_stats}; the per-query lookups that follow then count as
-    hits. *)
-
-val lookup_raw : t -> string -> string option
-(** The encoded payload of [S_IF(a)], bypassing the decoded-list cache —
-    the entry point for streamed (blocked) processing, {!Plist_stream}. *)
+    bypasses admission rules) while the cache has a free slot; atoms it
+    has no room for are not read. Returns the number of lists loaded,
+    i.e. kept; a no-op (0) without an attached cache. The entry point
+    batched query execution ({!Engine.query_batch}, the server's batcher)
+    uses to amortize index probes across a block of queries. Each load
+    counts one lookup + miss in {!lookup_stats}; the per-query lookups
+    that follow then count as hits. *)
 
 val list_codec : t -> Plist.codec
 (** The codec this collection's postings payloads were written with

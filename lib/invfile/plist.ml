@@ -55,87 +55,6 @@ let gallop_lower_bound l ~lo id =
     bsearch (!last + 1) (min !hi n)
   end
 
-let inter a b =
-  (* Sorted merge; gallop through the big side when sizes are skewed. *)
-  let la = Array.length a and lb = Array.length b in
-  let small, big = if la <= lb then (a, b) else (b, a) in
-  let ls = Array.length small and lbg = Array.length big in
-  if ls * 8 < lbg then begin
-    let out = ref [] in
-    let j = ref 0 in
-    for i = 0 to ls - 1 do
-      let id = small.(i).Posting.node in
-      j := gallop_lower_bound big ~lo:!j id;
-      if !j < lbg && big.(!j).Posting.node = id then begin
-        out := small.(i) :: !out;
-        incr j
-      end
-    done;
-    Array.of_list (List.rev !out)
-  end
-  else begin
-    let out = ref [] and i = ref 0 and j = ref 0 in
-    while !i < la && !j < lb do
-      let c = Int.compare a.(!i).Posting.node b.(!j).Posting.node in
-      if c = 0 then begin
-        out := a.(!i) :: !out;
-        incr i;
-        incr j
-      end
-      else if c < 0 then incr i
-      else incr j
-    done;
-    Array.of_list (List.rev !out)
-  end
-
-let union a b =
-  let out = ref [] and i = ref 0 and j = ref 0 in
-  let la = Array.length a and lb = Array.length b in
-  while !i < la && !j < lb do
-    let c = Int.compare a.(!i).Posting.node b.(!j).Posting.node in
-    if c <= 0 then begin
-      out := a.(!i) :: !out;
-      if c = 0 then incr j;
-      incr i
-    end
-    else begin
-      out := b.(!j) :: !out;
-      incr j
-    end
-  done;
-  while !i < la do
-    out := a.(!i) :: !out;
-    incr i
-  done;
-  while !j < lb do
-    out := b.(!j) :: !out;
-    incr j
-  done;
-  Array.of_list (List.rev !out)
-
-let inter_many = function
-  | [] -> invalid_arg "inter_many: empty intersection is the node universe"
-  | first :: rest ->
-    let sorted = List.sort (fun a b -> Int.compare (length a) (length b)) (first :: rest) in
-    (match sorted with
-    | [] -> assert false
-    | hd :: tl -> List.fold_left inter hd tl)
-
-let union_with_counts lists =
-  let all = Array.concat lists in
-  Array.sort Posting.compare all;
-  let out = ref [] in
-  let n = Array.length all in
-  let i = ref 0 in
-  while !i < n do
-    let p = all.(!i) in
-    let j = ref (!i + 1) in
-    while !j < n && all.(!j).Posting.node = p.Posting.node do incr j done;
-    out := (p, !j - !i) :: !out;
-    i := !j
-  done;
-  Array.of_list (List.rev !out)
-
 let filter f l = Array.of_list (List.filter f (Array.to_list l))
 
 let filter_leaf_count_eq n l = filter (fun p -> p.Posting.leaf_count = n) l
@@ -285,10 +204,11 @@ let pp_paths ppf ps =
 (* --- serialization ---
 
    Payloads carry a one-byte format tag: 'V' = varint/delta,
-   'B' = columnar frame-of-reference bitpacking (see Storage.Bitpack),
-   'C' = block-partitioned compressed (see Plist_blocks; the default). *)
+   'C' = block-partitioned compressed (see Plist_blocks; the default).
+   'B' belonged to the retired columnar bitpacked codec and is refused
+   by name, so an old store points at its migration path. *)
 
-type codec = Varint | Bitpacked | Blocked
+type codec = Varint | Blocked
 
 let encode w l =
   Storage.Codec.write_varint w (Array.length l);
@@ -316,82 +236,6 @@ let decode r =
     a
   end
 
-(* Columnar bitpacked layout: per-posting fields split into integer
-   columns, each delta/offset-transformed to small non-negative values. *)
-let to_bitpacked l =
-  let n = Array.length l in
-  let node_gaps = Array.make n 0 in
-  let leaf_counts = Array.make n 0 in
-  let posts = Array.make n 0 in
-  let parent_gaps = Array.make n 0 in
-  let child_counts = Array.make n 0 in
-  let child_gaps = ref [] in
-  let prev = ref (-1) in
-  Array.iteri
-    (fun i p ->
-      node_gaps.(i) <- p.Posting.node - !prev - 1;
-      prev := p.Posting.node;
-      leaf_counts.(i) <- p.Posting.leaf_count;
-      posts.(i) <- p.Posting.post;
-      parent_gaps.(i) <-
-        (if p.Posting.parent < 0 then 0 else p.Posting.node - p.Posting.parent);
-      child_counts.(i) <- Array.length p.Posting.children;
-      (* children exceed their parent id: store child - node - 1, delta
-         within the (ascending) child list *)
-      let prev_child = ref p.Posting.node in
-      Array.iter
-        (fun c ->
-          child_gaps := (c - !prev_child - 1) :: !child_gaps;
-          prev_child := c)
-        p.Posting.children)
-    l;
-  let w = Storage.Codec.writer () in
-  Storage.Codec.write_string w (Storage.Bitpack.pack node_gaps);
-  Storage.Codec.write_string w (Storage.Bitpack.pack leaf_counts);
-  Storage.Codec.write_string w (Storage.Bitpack.pack posts);
-  Storage.Codec.write_string w (Storage.Bitpack.pack parent_gaps);
-  Storage.Codec.write_string w (Storage.Bitpack.pack child_counts);
-  Storage.Codec.write_string w
-    (Storage.Bitpack.pack (Array.of_list (List.rev !child_gaps)));
-  Storage.Codec.contents w
-
-let of_bitpacked s =
-  let r = Storage.Codec.reader s in
-  let node_gaps = Storage.Bitpack.unpack (Storage.Codec.read_string r) in
-  let leaf_counts = Storage.Bitpack.unpack (Storage.Codec.read_string r) in
-  let posts = Storage.Bitpack.unpack (Storage.Codec.read_string r) in
-  let parent_gaps = Storage.Bitpack.unpack (Storage.Codec.read_string r) in
-  let child_counts = Storage.Bitpack.unpack (Storage.Codec.read_string r) in
-  let child_gaps = Storage.Bitpack.unpack (Storage.Codec.read_string r) in
-  let n = Array.length node_gaps in
-  if
-    Array.length leaf_counts <> n || Array.length posts <> n
-    || Array.length parent_gaps <> n || Array.length child_counts <> n
-  then raise (Storage.Codec.Corrupt "Plist.of_bitpacked: column length mismatch");
-  let prev = ref (-1) in
-  let gi = ref 0 in
-  let out = ref [] in
-  for i = 0 to n - 1 do
-    let node = !prev + 1 + node_gaps.(i) in
-    prev := node;
-    let parent = if parent_gaps.(i) = 0 then -1 else node - parent_gaps.(i) in
-    let k = child_counts.(i) in
-    let prev_child = ref node in
-    let children = Array.make k 0 in
-    for j = 0 to k - 1 do
-      if !gi >= Array.length child_gaps then
-        raise (Storage.Codec.Corrupt "Plist.of_bitpacked: truncated children");
-      let c = !prev_child + 1 + child_gaps.(!gi) in
-      incr gi;
-      prev_child := c;
-      children.(j) <- c
-    done;
-    out :=
-      { Posting.node; children; leaf_count = leaf_counts.(i); post = posts.(i); parent }
-      :: !out
-  done;
-  Array.of_list (List.rev !out)
-
 let to_bytes ?(codec = Blocked) l =
   match codec with
   | Varint ->
@@ -399,7 +243,6 @@ let to_bytes ?(codec = Blocked) l =
     Storage.Codec.write_varint w (Char.code 'V');
     encode w l;
     Storage.Codec.contents w
-  | Bitpacked -> "B" ^ to_bitpacked l
   | Blocked -> "C" ^ Plist_blocks.encode l
 
 let codec_of_bytes s =
@@ -407,7 +250,7 @@ let codec_of_bytes s =
   else
     match s.[0] with
     | 'V' -> Varint
-    | 'B' -> Bitpacked
+    | 'B' -> raise (Storage.Codec.Corrupt "Plist: retired bitpacked codec ('B')")
     | 'C' -> Blocked
     | _ -> raise (Storage.Codec.Corrupt "Plist: unknown payload format")
 
@@ -418,7 +261,6 @@ let of_bytes s =
     let tag = Storage.Codec.read_varint r in
     assert (tag = Char.code 'V');
     decode r
-  | Bitpacked -> of_bitpacked (String.sub s 1 (String.length s - 1))
   | Blocked -> Plist_blocks.decode (Plist_blocks.directory s ~pos:1)
 
 let restrict l ids =

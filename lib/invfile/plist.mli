@@ -1,11 +1,11 @@
-(** Sorted inverted-list algebra.
+(** Sorted inverted lists.
 
-    All operations of the paper's query processing over inverted lists:
-    intersection (candidate computation, Alg. 2 line 8 / Alg. 4 line 11),
-    multiset union with multiplicities (superset and ε-overlap joins,
-    Sec. 4.1), and the list join [▷◁_IF] (Sec. 2) in its parent–child and
-    ancestor–descendant (Sec. 4.2) variants. Lists are arrays of postings
-    strictly sorted by node id. *)
+    Decoded postings lists, their serialization, and the list join
+    [▷◁_IF] (Sec. 2) in its parent–child and ancestor–descendant
+    (Sec. 4.2) variants. Candidate computation — intersection (Alg. 2
+    line 8 / Alg. 4 line 11) and multiset union with multiplicities
+    (Sec. 4.1) — runs over cursors in {!Plist_stream}. Lists are arrays
+    of postings strictly sorted by node id. *)
 
 type t = Posting.t array
 
@@ -26,32 +26,9 @@ val gallop_lower_bound : t -> lo:int -> int -> int
 (** [gallop_lower_bound l ~lo id] is the index of the first posting at or
     after [lo] with node id ≥ [id] (or [length l]), found by exponential
     probing from [lo] — O(log distance), the building block of the skewed
-    intersection kernels here and in {!Plist_stream}. *)
+    intersection kernel in {!Plist_stream}. *)
 
 val find : t -> int -> Posting.t option
-
-(** {1 Set operations (by node id)} *)
-
-val inter : t -> t -> t
-(** Intersection: sorted merge for comparable sizes, galloping
-    (exponential probe + binary search, with the probe base advancing
-    monotonically through the big list) when sizes are skewed. Payloads
-    are identical for equal node ids. Agrees with {!Plist_ref.inter} on
-    every input (enforced by the differential suite). *)
-
-val union : t -> t -> t
-(** Sorted-merge set union (payloads are identical for equal node ids). *)
-
-val inter_many : t list -> t
-(** n-way intersection, smallest lists first; [inter_many []] is
-    [Invalid_argument] (the empty intersection is the full node universe —
-    callers must supply it explicitly, see {!Inverted_file.all_nodes}). *)
-
-val union_with_counts : t list -> (Posting.t * int) array
-(** Multiset union: each node paired with the number of input lists that
-    contain it, ascending by node id. This is the [⊎] of Sec. 4.1 (an atom
-    contributes a node at most once, so multiplicity = number of distinct
-    query leaf values present in the node). *)
 
 (** {1 Filters} *)
 
@@ -128,14 +105,13 @@ val pp_paths : Format.formatter -> paths -> unit
 (** {1 Serialization}
 
     Payloads are tagged with their format: [Varint] (byte-aligned
-    delta/varint, streamable via {!Plist_stream}), [Bitpacked] (columnar
-    frame-of-reference bit packing via {!Storage.Bitpack} — smaller on
-    dense lists, decoded wholesale, not streamable), or [Blocked] (the
+    delta/varint, read sequentially by {!Plist_stream}) or [Blocked] (the
     default: block-partitioned with per-block varint/bitmap
-    representation and a skip directory, see {!Plist_blocks} — streamable
-    with block skipping). *)
+    representation and a skip directory, see {!Plist_blocks} — read with
+    block skipping). The tag ['B'] of the retired columnar bitpacked
+    codec is refused with its own message. *)
 
-type codec = Varint | Bitpacked | Blocked
+type codec = Varint | Blocked
 
 val encode : Storage.Codec.writer -> t -> unit
 (** Raw (untagged) varint encoding, for embedding in other structures. *)
@@ -150,6 +126,8 @@ val of_bytes : string -> t
     malformed input. *)
 
 val codec_of_bytes : string -> codec
+(** @raise Storage.Codec.Corrupt on an empty payload, an unknown tag, or
+    the retired bitpacked tag ['B']. *)
 
 val restrict : t -> int array -> t
 (** [restrict l ids] keeps the postings whose node is in [ids] (a sorted,

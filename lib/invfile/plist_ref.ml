@@ -3,8 +3,8 @@
 
    This module is a frozen copy of the pre-blocked Plist kernels: plain
    sorted-merge / binary-search algorithms over materialized arrays, with
-   no galloping and no block skipping. Plist and Plist_stream must agree
-   with it byte-for-byte on every input; do not "improve" these — their
+   no galloping and no block skipping. Plist_stream must agree with it
+   byte-for-byte on every input; do not "improve" these — their
    obviousness is the point. *)
 
 type t = Posting.t array

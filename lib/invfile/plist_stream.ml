@@ -1,134 +1,107 @@
-(* Cursors over encoded postings lists.
+(* Cursors over postings lists, and the candidate kernels over them.
 
    Three sources: in-memory arrays (Mem), sequential delta-varint
    payloads ('V', Seq) and block-partitioned compressed payloads ('C',
-   Blk). Blk cursors exploit the Plist_blocks directory: skip_to binary
-   searches the per-block [min, max] spans and decodes only the landing
-   block, so an n-way intersection over skewed lists never touches the
-   bytes of skipped blocks. *)
+   Blk). Mem cursors gallop, so a skewed intersection over decoded lists
+   costs O(small · log gap). Blk cursors exploit the Plist_blocks
+   directory: skip_to binary searches the per-block [min, max] spans and
+   decodes only the landing block, so an n-way intersection over skewed
+   lists never touches the bytes of skipped blocks.
 
-type mem_src = { arr : Plist.t; mutable mpos : int }
+   Every source keeps its own head position, and the kernels work on
+   heads and node ids directly: no option is allocated per posting. An
+   exhausted cursor's head is [eof], whose node id (max_int) sorts after
+   every real one. *)
 
-type seq_src = {
-  reader : Storage.Codec.reader;
-  mutable prev_node : int;
-  mutable left : int;
-}
+type cursor =
+  | Mem of { arr : Plist.t; mutable mpos : int }
+  | Seq of {
+      reader : Storage.Codec.reader;
+      mutable prev_node : int;
+      mutable left : int;  (* postings not yet decoded *)
+      mutable cur : Posting.t;  (* decoded head, or [eof] when none is *)
+    }
+  | Blk of {
+      dir : Plist_blocks.t;
+      mutable bi : int;  (* next block to decode *)
+      mutable buf : Plist.t;  (* current decoded block *)
+      mutable bpos : int;  (* head within [buf] *)
+    }
 
-type blk_src = {
-  dir : Plist_blocks.t;
-  mutable bi : int;  (* next block to decode *)
-  mutable buf : Plist.t;  (* current decoded block *)
-  mutable bpos : int;  (* cursor within [buf] *)
-}
-
-type src = Mem of mem_src | Seq of seq_src | Blk of blk_src
-
-type cursor = { src : src; mutable lookahead : Posting.t option }
+let eof = { Posting.node = max_int; children = [||]; leaf_count = 0; post = 0; parent = -1 }
+let is_eof (p : Posting.t) = p.Posting.node = max_int
 
 let cursor_of_bytes payload =
   match Plist.codec_of_bytes payload with
-  | Plist.Bitpacked ->
-    invalid_arg "Plist_stream.cursor_of_bytes: bitpacked payloads are not streamable"
   | Plist.Varint ->
     let reader = Storage.Codec.reader payload in
     let tag = Storage.Codec.read_varint reader in
     assert (tag = Char.code 'V');
     let left = Storage.Codec.read_varint reader in
-    { src = Seq { reader; prev_node = -1; left }; lookahead = None }
+    Seq { reader; prev_node = -1; left; cur = eof }
   | Plist.Blocked ->
     let dir = Plist_blocks.directory payload ~pos:1 in
-    { src = Blk { dir; bi = 0; buf = Plist.empty; bpos = 0 }; lookahead = None }
+    Blk { dir; bi = 0; buf = Plist.empty; bpos = 0 }
 
-let cursor_of_plist l = { src = Mem { arr = l; mpos = 0 }; lookahead = None }
+let cursor_of_plist l = Mem { arr = l; mpos = 0 }
 
-let src_remaining = function
+let remaining = function
   | Mem m -> Array.length m.arr - m.mpos
-  | Seq s -> s.left
+  | Seq s -> s.left + if is_eof s.cur then 0 else 1
   | Blk b -> Array.length b.buf - b.bpos + Plist_blocks.suffix_count b.dir b.bi
 
-let remaining c =
-  src_remaining c.src + (match c.lookahead with Some _ -> 1 | None -> 0)
-
-let rec blk_next b =
-  if b.bpos < Array.length b.buf then begin
-    let p = b.buf.(b.bpos) in
-    b.bpos <- b.bpos + 1;
-    Some p
-  end
-  else if b.bi < Plist_blocks.n_blocks b.dir then begin
-    b.buf <- Plist_blocks.decode_block b.dir b.bi;
-    b.bi <- b.bi + 1;
-    b.bpos <- 0;
-    blk_next b
-  end
-  else None
-
-let src_next = function
-  | Mem m ->
-    if m.mpos < Array.length m.arr then begin
-      let p = m.arr.(m.mpos) in
-      m.mpos <- m.mpos + 1;
-      Some p
-    end
-    else None
+(* The first posting not yet consumed, decoding it if needed. *)
+let rec head = function
+  | Mem m -> if m.mpos < Array.length m.arr then m.arr.(m.mpos) else eof
   | Seq s ->
-    if s.left = 0 then None
-    else begin
+    if is_eof s.cur && s.left > 0 then begin
       s.left <- s.left - 1;
       let p = Posting.decode s.reader ~prev_node:s.prev_node in
       s.prev_node <- p.Posting.node;
-      Some p
+      s.cur <- p
+    end;
+    s.cur
+  | Blk b as c ->
+    if b.bpos < Array.length b.buf then b.buf.(b.bpos)
+    else if b.bi < Plist_blocks.n_blocks b.dir then begin
+      b.buf <- Plist_blocks.decode_block b.dir b.bi;
+      b.bi <- b.bi + 1;
+      b.bpos <- 0;
+      head c
     end
-  | Blk b -> blk_next b
+    else eof
 
-let peek c =
-  match c.lookahead with
-  | Some _ as p -> p
-  | None ->
-    let p = src_next c.src in
-    c.lookahead <- p;
-    p
+(* Consume the head; only after [head] returned a real posting. *)
+let advance = function
+  | Mem m -> m.mpos <- m.mpos + 1
+  | Seq s -> s.cur <- eof
+  | Blk b -> b.bpos <- b.bpos + 1
 
-let next c =
-  match c.lookahead with
-  | Some p ->
-    c.lookahead <- None;
-    Some p
-  | None -> src_next c.src
-
-(* Consume up to (and including) the first posting with node >= id;
-   return it. Mem positions by galloping; Seq decodes sequentially (delta
-   coding admits nothing better); Blk galls within the current block and
+(* Move the head to the first posting with node >= id and return it.
+   Mem positions by galloping; Seq decodes sequentially (delta coding
+   admits nothing better); Blk gallops within the current block and
    otherwise binary searches the directory, decoding only the landing
    block. *)
-let src_skip_to src id =
-  match src with
+let seek c id =
+  match c with
   | Mem m ->
-    let k = Plist.gallop_lower_bound m.arr ~lo:m.mpos id in
-    if k < Array.length m.arr then begin
-      m.mpos <- k + 1;
-      Some m.arr.(k)
-    end
-    else begin
-      m.mpos <- Array.length m.arr;
-      None
-    end
-  | Seq _ ->
+    m.mpos <- Plist.gallop_lower_bound m.arr ~lo:m.mpos id;
+    head c
+  | Seq s ->
     let rec loop () =
-      match src_next src with
-      | None -> None
-      | Some p when p.Posting.node >= id -> Some p
-      | Some _ -> loop ()
+      let p = head c in
+      if p.Posting.node >= id then p
+      else begin
+        s.cur <- eof;
+        loop ()
+      end
     in
     loop ()
   | Blk b ->
     let blen = Array.length b.buf in
     if b.bpos < blen && b.buf.(blen - 1).Posting.node >= id then begin
-      (* stays within the current block *)
-      let k = Plist.gallop_lower_bound b.buf ~lo:b.bpos id in
-      b.bpos <- k + 1;
-      Some b.buf.(k)
+      b.bpos <- Plist.gallop_lower_bound b.buf ~lo:b.bpos id;
+      b.buf.(b.bpos)
     end
     else begin
       let j = Plist_blocks.find_block b.dir ~start:b.bi id in
@@ -136,94 +109,99 @@ let src_skip_to src id =
         b.bi <- Plist_blocks.n_blocks b.dir;
         b.buf <- Plist.empty;
         b.bpos <- 0;
-        None
+        eof
       end
       else begin
         b.buf <- Plist_blocks.decode_block b.dir j;
         b.bi <- j + 1;
-        let k = Plist.gallop_lower_bound b.buf ~lo:0 id in
-        b.bpos <- k + 1;
-        Some b.buf.(k)
+        b.bpos <- Plist.gallop_lower_bound b.buf ~lo:0 id;
+        b.buf.(b.bpos)
       end
     end
 
-let skip_to c id =
-  match peek c with
-  | None -> None
-  | Some p when p.Posting.node >= id -> Some p
-  | Some _ ->
-    c.lookahead <- None;
-    let p = src_skip_to c.src id in
-    c.lookahead <- p;
-    p
+let peek c =
+  let p = head c in
+  if is_eof p then None else Some p
 
-(* n-way intersection: drive from the smallest list and skip_to the rest
-   to each candidate — block-skipping makes each skip cheap on 'C'
-   payloads. *)
-let inter_many payloads =
-  match payloads with
-  | [] -> invalid_arg "inter_many: empty intersection is the node universe"
-  | payloads ->
-    let cursors = Array.of_list (List.map cursor_of_bytes payloads) in
-    Array.sort (fun a b -> Int.compare (remaining a) (remaining b)) cursors;
-    let out = ref [] in
-    let rec align target i =
-      (* Try to bring every cursor to [target]; returns the next candidate
-         target, or None at exhaustion. *)
-      if i = Array.length cursors then Some target
-      else
-        match skip_to cursors.(i) target with
-        | None -> None
-        | Some p when p.Posting.node = target -> align target (i + 1)
-        | Some p -> align_from p.Posting.node
-    and align_from target = align target 0 in
-    let rec loop () =
-      match peek cursors.(0) with
-      | None -> ()
-      | Some p -> (
-        match align_from p.Posting.node with
-        | None -> ()
-        | Some node ->
-          (match peek cursors.(0) with
-          | Some q when q.Posting.node = node -> out := q :: !out
-          | _ -> assert false);
-          Array.iter (fun c -> ignore (next c)) cursors;
-          loop ())
+let next c =
+  let p = head c in
+  if is_eof p then None
+  else begin
+    advance c;
+    Some p
+  end
+
+let skip_to c id =
+  let p = seek c id in
+  if is_eof p then None else Some p
+
+(* A fresh cursor over a whole decoded list hands the array back as is
+   (lists are never mutated); any other cursor is drained. *)
+let drain c =
+  match c with
+  | Mem { arr; mpos = 0 } -> arr
+  | _ ->
+    let rec loop acc =
+      let p = head c in
+      if is_eof p then Array.of_list (List.rev acc)
+      else begin
+        advance c;
+        loop (p :: acc)
+      end
     in
-    loop ();
+    loop []
+
+(* n-way intersection: drive from the shortest list and seek the rest
+   to each candidate — galloping on in-memory cursors, block-skipping on
+   'C' payloads. *)
+let inter_many cursors =
+  match cursors with
+  | [] -> invalid_arg "inter_many: empty intersection is the node universe"
+  | [ c ] -> drain c
+  | cursors ->
+    let cs = Array.of_list cursors in
+    Array.sort (fun a b -> Int.compare (remaining a) (remaining b)) cs;
+    let n = Array.length cs in
+    let out = ref [] in
+    (* cs.(0) .. cs.(i - 1) sit on [target] *)
+    let rec align target i =
+      if i = n then begin
+        out := head cs.(0) :: !out;
+        advance cs.(0);
+        let p = head cs.(0) in
+        if not (is_eof p) then align p.Posting.node 1
+      end
+      else begin
+        let p = seek cs.(i) target in
+        if p.Posting.node = target then align target (i + 1)
+        else if not (is_eof p) then begin
+          (* overshoot: the shortest list jumps to the new candidate *)
+          let q = seek cs.(0) p.Posting.node in
+          if not (is_eof q) then align q.Posting.node 1
+        end
+      end
+    in
+    let p = head cs.(0) in
+    if not (is_eof p) then align p.Posting.node 1;
     Array.of_list (List.rev !out)
 
-let union_with_counts payloads =
-  let cursors = List.map cursor_of_bytes payloads in
-  let out = ref [] in
-  let rec loop () =
-    (* smallest head among cursors *)
-    let smallest =
-      List.fold_left
-        (fun acc c ->
-          match peek c, acc with
-          | None, _ -> acc
-          | Some p, None -> Some p.Posting.node
-          | Some p, Some m -> Some (min p.Posting.node m))
-        None cursors
-    in
-    match smallest with
-    | None -> ()
-    | Some node ->
-      let count = ref 0 and posting = ref None in
-      List.iter
+let union_with_counts cursors =
+  let cs = Array.of_list cursors in
+  let rec loop acc =
+    let node = Array.fold_left (fun m c -> Int.min m (head c).Posting.node) max_int cs in
+    if node = max_int then Array.of_list (List.rev acc)
+    else begin
+      let count = ref 0 and posting = ref eof in
+      Array.iter
         (fun c ->
-          match peek c with
-          | Some p when p.Posting.node = node ->
+          let p = head c in
+          if p.Posting.node = node then begin
             incr count;
-            posting := Some p;
-            ignore (next c)
-          | _ -> ())
-        cursors;
-      (match !posting with
-      | Some p -> out := (p, !count) :: !out
-      | None -> assert false);
-      loop ()
+            posting := p;
+            advance c
+          end)
+        cs;
+      loop ((!posting, !count) :: acc)
+    end
   in
-  loop ();
-  Array.of_list (List.rev !out)
+  loop []

@@ -47,7 +47,8 @@ let compute inv =
       if String.length key > 0 && key.[0] = 'a' then begin
         incr atoms;
         let len =
-          try Plist.length (Plist.of_bytes payload)
+          (* the header's count: no posting is decoded *)
+          try Plist_stream.remaining (Plist_stream.cursor_of_bytes payload)
           with Storage.Codec.Corrupt _ -> 0
         in
         let b = bucket_of (max 1 len) in

@@ -233,7 +233,7 @@ let root_list inv memo atom =
     l
 
 (* Intersection of two sorted int arrays: walk the smaller side, gallop
-   the larger (cf. Plist.inter's kernel) — near-linear for like sizes,
+   the larger (cf. Plist_stream's kernel) — near-linear for like sizes,
    logarithmic per element once candidates are much smaller than the
    incoming atom list, which rarest-first ordering makes the common
    case. *)

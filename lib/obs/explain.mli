@@ -19,7 +19,7 @@ type atom_plan = {
   atom : string;
   list_len : int;  (** postings in [S_IF(atom)] *)
   bytes : int;  (** encoded payload size *)
-  codec : string;  (** ["blocked"], ["varint"], ["bitpacked"], or ["-"] *)
+  codec : string;  (** ["blocked"], ["varint"], or ["-"] *)
   blocks : int;  (** blocks in a blocked payload, [0] otherwise *)
 }
 

@@ -39,10 +39,7 @@ let expect_ok args =
     Alcotest.failf "nscq %s exited %d:\n%s" (String.concat " " args) code out;
   out
 
-let contains_s haystack needle =
-  let nl = String.length needle and hl = String.length haystack in
-  let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
-  go 0
+let contains_s = Testutil.contains
 
 let with_store backend f () =
   Testutil.with_temp_path ".ns" (fun data ->
@@ -345,6 +342,43 @@ let test_missing_store_fails () =
       [ "query"; "-s"; "/nonexistent/store.tch"; "{a}" ];
     ]
 
+(* A store still holding a list in the retired bitpacked format ('B'):
+   query fails with one line naming the store, the codec and the repair
+   (exit 1), check reports the payload, and after repair the answers
+   match the naive scan. *)
+let test_retired_codec_store =
+  with_store "hash" (fun ~store ~backend ->
+      let kv = Storage.Hash_store.open_existing store in
+      let key = Invfile.Inverted_file.atom_key "UK" in
+      (match kv.Storage.Kv.get key with
+      | Some payload -> kv.Storage.Kv.put key ("B" ^ payload)
+      | None -> Alcotest.fail "no list for UK");
+      kv.Storage.Kv.close ();
+      let q = "{{UK, {A, motorbike}}}" in
+      let code, out = run_cli [ "query"; "-s"; store; "--backend"; backend; q ] in
+      check_int "query exits 1" 1 code;
+      check_bool "one line" true
+        (List.length (String.split_on_char '\n' (String.trim out)) = 1);
+      check_bool "names the store" true (contains_s out ("nscq: " ^ store ^ ": "));
+      check_bool "names the codec" true (contains_s out "retired bitpacked");
+      check_bool "names the repair" true (contains_s out "nscq repair");
+      let code, out = run_cli [ "check"; "-s"; store; "--backend"; backend ] in
+      check_int "check exits 1" 1 code;
+      check_bool "check reports the payload" true (contains_s out "\"UK\"");
+      ignore (expect_ok [ "repair"; "-s"; store; "--backend"; backend ]);
+      ignore (expect_ok [ "check"; "-s"; store; "--backend"; backend ]);
+      List.iter
+        (fun q ->
+          (* the records, without the first line's timing *)
+          let run extra =
+            expect_ok ([ "query"; "-s"; store; "--backend"; backend ] @ extra @ [ q ])
+            |> String.split_on_char '\n'
+            |> List.tl
+          in
+          Alcotest.(check (list string)) ("repaired answers " ^ q)
+            (run [ "--algorithm"; "naive" ]) (run []))
+        [ q; "{UK}"; "{London, UK}" ])
+
 let backend_cases backend =
   [
     Alcotest.test_case (backend ^ ": build") `Quick (test_build_reports backend);
@@ -366,6 +400,8 @@ let () =
           Alcotest.test_case "json/xml ingestion" `Quick test_generate_json_xml;
           Alcotest.test_case "admin commands" `Quick test_admin_commands;
           Alcotest.test_case "missing store" `Quick test_missing_store_fails;
+          Alcotest.test_case "retired codec: error, check, repair" `Quick
+            test_retired_codec_store;
           Alcotest.test_case "malformed endpoints" `Quick
             test_malformed_endpoints_fail;
           Alcotest.test_case "shard build/status/query/reshard" `Quick

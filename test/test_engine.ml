@@ -260,25 +260,25 @@ let test_trace_absent_records_nothing () =
       let traced = (E.query ~trace inv q).E.records in
       check_records "same results with and without trace" plain traced)
 
-(* Satellite regression: under streamed retrieval the engine intersects
-   lists straight from their encoded payloads, bypassing the decoded-list
-   cache entirely — so the trace must show zero cache hits and no
-   per-atom retrieve spans (there is no materialization phase to time). *)
-let test_trace_streamed_no_cache_hits () =
+(* A traced query without a list cache resolves each distinct atom once
+   in retrieve (every lookup a miss, read as an undecoded payload) and
+   eval reads those resolutions: it performs no lookup and no store read
+   of its own. *)
+let test_trace_uncached_one_lookup_per_atom () =
   with_backend `Hash (fun inv ->
-      Containment.Collection.with_static_cache inv ~budget:250;
       let q = Testutil.v q_uk in
-      (* warm the cache through the materialized path *)
-      let warm = (E.query inv q).E.records in
-      let config = { E.default with E.streamed = true } in
+      let plain = (E.query inv q).E.records in
       let trace = T.create "query" in
-      let r = E.query ~config ~trace inv q in
+      let r = E.query ~trace inv q in
       let root = T.finish trace in
-      check_records "streamed agrees" warm r.E.records;
-      check_int "streamed hits are structurally 0" 0
-        (Option.get (int_attr "hits" root));
-      check_bool "no retrieve span under streamed" true
-        (not (List.mem "retrieve" (span_names root))))
+      check_records "traced agrees" plain r.E.records;
+      let span name = List.find (fun s -> s.T.name = name) root.T.children in
+      let atoms = List.length (span "retrieve").T.children in
+      check_int "one lookup per distinct atom" atoms
+        (Option.get (int_attr "lookups" root));
+      check_int "no cache, no hits" 0 (Option.get (int_attr "hits" root));
+      check_int "eval looks nothing up" 0 (Option.get (int_attr "lookups" (span "eval")));
+      check_bool "eval reads nothing" true (int_attr "reads" (span "eval") = None))
 
 let test_trace_batch_positional () =
   with_backend `Mem (fun inv ->
@@ -388,8 +388,8 @@ let () =
             test_trace_reconciles_io_stats;
           Alcotest.test_case "opt-in, same results" `Quick
             test_trace_absent_records_nothing;
-          Alcotest.test_case "streamed: zero cache hits" `Quick
-            test_trace_streamed_no_cache_hits;
+          Alcotest.test_case "uncached: one lookup per atom" `Quick
+            test_trace_uncached_one_lookup_per_atom;
           Alcotest.test_case "batch: positional traces" `Quick
             test_trace_batch_positional;
           Alcotest.test_case "explain reconciles with trace" `Quick

@@ -74,8 +74,7 @@ let reconcile label (profile : X.t) (spans : T.span list) =
 let plain_configs =
   [ ("default", E.default);
     ("verified", { E.default with E.verify = true });
-    ("top-down", { E.default with E.algorithm = E.Top_down });
-    ("streamed", { E.default with E.streamed = true }) ]
+    ("top-down", { E.default with E.algorithm = E.Top_down }) ]
 
 let test_plain_differential () =
   with_plain @@ fun inv ->

@@ -1,5 +1,5 @@
 (* Tests for the extensions beyond the paper's core: the external-memory
-   stack, streamed blocked list processing, incremental index maintenance,
+   stack, cursors over encoded lists, incremental index maintenance,
    the similarity join, selectivity-ordered top-down, and the explain/join
    engine APIs. *)
 
@@ -86,6 +86,11 @@ let plist specs =
          { Invfile.Posting.node = n; children = [| n + 1 |]; leaf_count = 1; post = n; parent = -1 })
        specs)
 
+(* A cursor over the encoded payload (streamed) and one over the decoded
+   list (materialized, as a cached list is read). *)
+let encoded l = Invfile.Plist_stream.cursor_of_bytes (Invfile.Plist.to_bytes l)
+let decoded l = Invfile.Plist_stream.cursor_of_plist l
+
 let test_stream_cursor () =
   let l = plist [ 2; 5; 9 ] in
   let c = Invfile.Plist_stream.cursor_of_bytes (Invfile.Plist.to_bytes l) in
@@ -104,9 +109,8 @@ let test_stream_inter_matches_plist () =
   let a = plist [ 1; 3; 5; 7; 9; 100 ] in
   let b = plist [ 3; 4; 7; 100 ] in
   let c = plist [ 3; 7; 42; 100 ] in
-  let enc l = Invfile.Plist.to_bytes l in
-  let streamed = Invfile.Plist_stream.inter_many [ enc a; enc b; enc c ] in
-  let materialized = Invfile.Plist.inter_many [ a; b; c ] in
+  let streamed = Invfile.Plist_stream.inter_many (List.map encoded [ a; b; c ]) in
+  let materialized = Invfile.Plist_stream.inter_many (List.map decoded [ a; b; c ]) in
   Alcotest.(check (list int))
     "same intersection"
     (Array.to_list (Invfile.Plist.nodes materialized))
@@ -120,11 +124,9 @@ let prop_stream_inter =
     (fun (xs, ys) ->
       let mk l = plist (List.sort_uniq Int.compare l) in
       let a = mk xs and b = mk ys in
-      let streamed =
-        Invfile.Plist_stream.inter_many
-          [ Invfile.Plist.to_bytes a; Invfile.Plist.to_bytes b ]
-      in
-      Invfile.Plist.nodes streamed = Invfile.Plist.nodes (Invfile.Plist.inter a b))
+      let streamed = Invfile.Plist_stream.inter_many [ encoded a; encoded b ] in
+      let materialized = Invfile.Plist_stream.inter_many [ decoded a; decoded b ] in
+      Invfile.Plist.nodes streamed = Invfile.Plist.nodes materialized)
 
 let prop_stream_union =
   Testutil.qcheck_case ~name:"streamed = materialized union-with-counts"
@@ -134,11 +136,10 @@ let prop_stream_union =
     (fun (xs, ys) ->
       let mk l = plist (List.sort_uniq Int.compare l) in
       let a = mk xs and b = mk ys in
-      let streamed =
-        Invfile.Plist_stream.union_with_counts
-          [ Invfile.Plist.to_bytes a; Invfile.Plist.to_bytes b ]
+      let streamed = Invfile.Plist_stream.union_with_counts [ encoded a; encoded b ] in
+      let materialized =
+        Invfile.Plist_stream.union_with_counts [ decoded a; decoded b ]
       in
-      let materialized = Invfile.Plist.union_with_counts [ a; b ] in
       Array.map (fun (p, c) -> (p.Invfile.Posting.node, c)) streamed
       = Array.map (fun (p, c) -> (p.Invfile.Posting.node, c)) materialized)
 
@@ -452,20 +453,36 @@ let prop_td_order_irrelevant_for_results =
 
 (* --- low-memory modes (the paper's 'other assumptions') --- *)
 
-let prop_streamed_equals_materialized =
-  Testutil.qcheck_case ~count:150 ~name:"streamed candidates = materialized (all joins)"
+(* One candidate path, whatever the cache: with a small Static cache some
+   atoms are read decoded and the rest from their payloads, an Lru cache
+   decodes and keeps, no cache reads every payload — and a traced query
+   resolves through its per-query table. All give identical records. *)
+let prop_cached_equals_uncached =
+  Testutil.qcheck_case ~count:150 ~name:"cached = uncached (all joins)"
     (QCheck.pair (Testutil.arbitrary_collection ()) Testutil.arbitrary_value)
     (fun (values, q) ->
       QCheck.assume (Nested.Value.is_set q);
       let values = List.filter Nested.Value.is_set values in
       QCheck.assume (values <> []);
       let inv = Containment.Collection.of_values values in
+      let records config cache =
+        (match cache with
+        | None -> IF.detach_cache inv
+        | Some policy -> IF.attach_cache inv (Invfile.Cache.create policy ~capacity:2));
+        let plain = (E.query ~config inv q).E.records in
+        let traced = (E.query ~config ~trace:(Obs.Trace.create "q") inv q).E.records in
+        if plain <> traced then Alcotest.fail "traced query diverged";
+        plain
+      in
       List.for_all
         (fun join ->
-          let base = { E.default with E.join } in
-          (E.query ~config:base inv q).E.records
-          = (E.query ~config:{ base with E.streamed = true } inv q).E.records)
-        [ S.Containment; S.Superset; S.Overlap 1; S.Overlap 2; S.Similarity 0.5 ])
+          let config = { E.default with E.join } in
+          let uncached = records config None in
+          List.for_all
+            (fun policy -> records config (Some policy) = uncached)
+            [ Invfile.Cache.Static; Invfile.Cache.Lru ])
+        [ S.Containment; S.Equality; S.Superset; S.Overlap 1; S.Overlap 2;
+          S.Similarity 0.5 ])
 
 let test_spill_to_equals_in_memory () =
   let inv = Testutil.mem_collection Testutil.licences_strings in
@@ -832,7 +849,7 @@ let () =
       ( "preflight", [ prop_preflight_preserves_results ] );
       ( "low-memory modes",
         [
-          prop_streamed_equals_materialized;
+          prop_cached_equals_uncached;
           Alcotest.test_case "spill_to basics" `Quick test_spill_to_equals_in_memory;
           prop_spill_to_equivalent;
         ] );

@@ -15,6 +15,12 @@ let plist specs = L.of_list (List.map (fun (n, cs) -> posting n cs) specs)
 
 let nodes_of l = Array.to_list (L.nodes l)
 
+(* The candidate kernels over decoded (cached) lists. *)
+module St = Invfile.Plist_stream
+
+let inter_many ls = St.inter_many (List.map St.cursor_of_plist ls)
+let inter a b = inter_many [ a; b ]
+
 (* --- Plist algebra --- *)
 
 let test_of_list_sorts_and_rejects_dups () =
@@ -36,33 +42,34 @@ let test_find_mem () =
 let test_inter () =
   let a = plist [ (1, []); (3, []); (5, []); (7, []) ] in
   let b = plist [ (3, []); (4, []); (7, []); (9, []) ] in
-  Alcotest.(check (list int)) "inter" [ 3; 7 ] (nodes_of (L.inter a b));
-  Alcotest.(check (list int)) "inter sym" [ 3; 7 ] (nodes_of (L.inter b a));
-  Alcotest.(check (list int)) "with empty" [] (nodes_of (L.inter a L.empty))
+  Alcotest.(check (list int)) "inter" [ 3; 7 ] (nodes_of (inter a b));
+  Alcotest.(check (list int)) "inter sym" [ 3; 7 ] (nodes_of (inter b a));
+  Alcotest.(check (list int)) "with empty" [] (nodes_of (inter a L.empty))
 
 let test_inter_gallop_path () =
-  (* small * 16 < big triggers the binary-search branch *)
+  (* the small list drives; the big one is galloped through *)
   let small = plist [ (100, []); (500, []) ] in
   let big = plist (List.init 200 (fun i -> (i * 5, []))) in
-  Alcotest.(check (list int)) "gallop" [ 100; 500 ] (nodes_of (L.inter small big))
+  Alcotest.(check (list int)) "gallop" [ 100; 500 ] (nodes_of (inter small big))
 
 let test_inter_many () =
   let a = plist [ (1, []); (2, []); (3, []) ] in
   let b = plist [ (2, []); (3, []) ] in
   let c = plist [ (3, []); (4, []) ] in
-  Alcotest.(check (list int)) "3-way" [ 3 ] (nodes_of (L.inter_many [ a; b; c ]));
-  Alcotest.(check (list int)) "singleton" [ 1; 2; 3 ] (nodes_of (L.inter_many [ a ]));
-  (* One message for Plist, Plist_stream and Plist_ref: the engine guards
-     the degenerate family once, whichever path executes. *)
+  Alcotest.(check (list int)) "3-way" [ 3 ] (nodes_of (inter_many [ a; b; c ]));
+  Alcotest.(check (list int)) "singleton" [ 1; 2; 3 ] (nodes_of (inter_many [ a ]));
+  check_bool "singleton shares the list" true (inter_many [ a ] == a);
+  (* One message for Plist_stream and Plist_ref: the engine guards the
+     degenerate family once. *)
   Alcotest.check_raises "empty family"
     (Invalid_argument "inter_many: empty intersection is the node universe")
-    (fun () -> ignore (L.inter_many []))
+    (fun () -> ignore (inter_many []))
 
 let test_union_with_counts () =
   let a = plist [ (1, []); (2, []) ] in
   let b = plist [ (2, []); (3, []) ] in
   let c = plist [ (2, []); (3, []) ] in
-  let u = L.union_with_counts [ a; b; c ] in
+  let u = St.union_with_counts (List.map St.cursor_of_plist [ a; b; c ]) in
   Alcotest.(check (list (pair int int)))
     "counts"
     [ (1, 1); (2, 3); (3, 2) ]
@@ -162,7 +169,7 @@ let prop_inter_correct =
       let expected =
         List.filter (fun x -> List.mem x ys) (List.sort_uniq Int.compare xs)
       in
-      nodes_of (L.inter (mk xs) (mk ys)) = expected)
+      nodes_of (inter (mk xs) (mk ys)) = expected)
 
 let prop_codec_roundtrip =
   Testutil.qcheck_case ~name:"plist codec roundtrip"
@@ -431,6 +438,60 @@ let test_attached_cache_hits () =
   let cached = IF.lookup inv "UK" in
   check_bool "cache transparent" true (direct = cached)
 
+(* prefetch loads only what the cache keeps: a full cache reads nothing
+   from the store, k free slots keep exactly k lists, and the lookups
+   that follow the prefetch hit. *)
+let test_prefetch_respects_capacity () =
+  let inv = Testutil.mem_collection Testutil.licences_strings in
+  let static = Invfile.Cache.create Invfile.Cache.Static ~capacity:3 in
+  IF.attach_cache inv static;
+  check_int "static cache full after attach" 3 (Invfile.Cache.size static);
+  let reads () = Storage.Io_stats.reads (IF.store inv).Storage.Kv.stats in
+  let r0 = reads () in
+  check_int "full cache loads nothing" 0
+    (IF.prefetch inv [ "Paris"; "London"; "truck"; "UK" ]);
+  check_int "full cache reads nothing" r0 (reads ());
+  let lru = Invfile.Cache.create Invfile.Cache.Lru ~capacity:2 in
+  IF.attach_cache inv lru;
+  check_int "two free slots keep two lists" 2
+    (IF.prefetch inv [ "Paris"; "London"; "truck"; "car" ]);
+  check_int "cache holds them" 2 (Invfile.Cache.size lru);
+  let stats = IF.lookup_stats inv in
+  Storage.Io_stats.reset stats;
+  List.iter (fun a -> ignore (IF.lookup inv a)) (Invfile.Cache.cached_atoms lru);
+  check_int "the kept lists hit" 2 (Storage.Io_stats.hits stats)
+
+(* Inverted_file.cursor: a list the cache would not keep is read as its
+   payload (one counted miss, cache untouched); one it keeps is decoded
+   and admitted; inside with_pinned an atom resolves once. Every cursor
+   yields the stored list. *)
+let test_cursor_resolution () =
+  let inv = Testutil.mem_collection Testutil.licences_strings in
+  let drain a = St.inter_many [ IF.cursor inv a ] in
+  let want = IF.lookup inv "Paris" in
+  let stats = IF.lookup_stats inv in
+  let static = Invfile.Cache.create Invfile.Cache.Static ~capacity:3 in
+  IF.attach_cache inv static;
+  Storage.Io_stats.reset stats;
+  check_bool "payload cursor yields the list" true (drain "Paris" = want);
+  check_int "one miss" 1 (Storage.Io_stats.misses stats);
+  check_bool "full static cache untouched" false
+    (List.mem "Paris" (Invfile.Cache.cached_atoms static));
+  let lru = Invfile.Cache.create Invfile.Cache.Lru ~capacity:4 in
+  IF.attach_cache inv lru;
+  check_bool "decoded cursor yields the list" true (drain "Paris" = want);
+  check_bool "lru admits it" true (List.mem "Paris" (Invfile.Cache.cached_atoms lru));
+  IF.detach_cache inv;
+  Storage.Io_stats.reset stats;
+  IF.with_pinned inv (fun pin ->
+      pin "Paris";
+      pin "Paris";
+      check_bool "pinned cursor yields the list" true (drain "Paris" = want);
+      check_bool "and again" true (drain "Paris" = want));
+  check_int "one lookup for the pinned atom" 1 (Storage.Io_stats.lookups stats);
+  ignore (drain "Paris");
+  check_int "unpinned after the scope" 2 (Storage.Io_stats.lookups stats)
+
 (* Accounting invariant: whatever the cache configuration, every lookup
    lands in exactly one of the hit or miss buckets. *)
 let prop_lookup_accounting =
@@ -459,23 +520,18 @@ let prop_lookup_accounting =
 
 (* --- payload codecs --- *)
 
-let test_bitpacked_payload_roundtrip () =
-  let l =
-    L.of_list
-      [
-        { P.node = 3; children = [| 4; 9 |]; leaf_count = 2; post = 7; parent = 1 };
-        { P.node = 12; children = [||]; leaf_count = 5; post = 1; parent = -1 };
-        { P.node = 500; children = [| 501; 502; 600 |]; leaf_count = 0; post = 99; parent = 12 };
-      ]
-  in
-  let payload = L.to_bytes ~codec:L.Bitpacked l in
-  check_bool "tagged bitpacked" true (L.codec_of_bytes payload = L.Bitpacked);
-  Alcotest.(check bool) "roundtrip" true (Array.to_list (L.of_bytes payload) = Array.to_list l);
-  let v = L.to_bytes l in
-  check_bool "default is blocked" true (L.codec_of_bytes v = L.Blocked)
+(* The retired bitpacked tag is refused by name, not decoded as garbage
+   or reported as an unknown format. *)
+let test_retired_bitpacked_tag () =
+  let l = plist [ (3, [ 4 ]); (12, []) ] in
+  (match L.of_bytes ("B" ^ L.to_bytes l) with
+  | exception Storage.Codec.Corrupt m ->
+    check_bool "names the retired codec" true (Testutil.contains m "retired bitpacked")
+  | _ -> Alcotest.fail "a 'B' payload decoded");
+  check_bool "default is blocked" true (L.codec_of_bytes (L.to_bytes l) = L.Blocked)
 
 let prop_codecs_agree =
-  Testutil.qcheck_case ~name:"varint and bitpacked payloads decode identically"
+  Testutil.qcheck_case ~name:"varint and blocked payloads decode identically"
     (QCheck.list_of_size (QCheck.Gen.int_range 0 30)
        (QCheck.triple (QCheck.int_bound 1000) (QCheck.int_bound 5) (QCheck.int_bound 1000)))
     (fun specs ->
@@ -493,23 +549,40 @@ let prop_codecs_agree =
           specs
       in
       let l = L.of_list postings in
-      Array.to_list (L.of_bytes (L.to_bytes ~codec:L.Bitpacked l)) = Array.to_list l
+      Array.to_list (L.of_bytes (L.to_bytes ~codec:L.Blocked l)) = Array.to_list l
       && Array.to_list (L.of_bytes (L.to_bytes ~codec:L.Varint l)) = Array.to_list l)
 
+(* A store still holding a list in the retired bitpacked format: queries
+   that touch it fail with Malformed naming the codec and the way out,
+   check reports the payload, and repair rebuilds the index so answers
+   match the naive scan again. *)
 let test_bitpacked_collection_end_to_end () =
-  let store = Storage.Mem_store.create () in
-  let builder = Invfile.Builder.create ~codec:L.Bitpacked store in
+  let module E = Containment.Engine in
+  let inv = Testutil.mem_collection Testutil.licences_strings in
+  let store = IF.store inv in
+  (match store.Storage.Kv.get (IF.atom_key "UK") with
+  | Some payload -> store.Storage.Kv.put (IF.atom_key "UK") ("B" ^ payload)
+  | None -> Alcotest.fail "no list for UK");
+  let q = Testutil.v "{UK, {A}}" in
+  (match E.query inv q with
+  | exception IF.Malformed m ->
+    check_bool "names the codec" true (Testutil.contains m "retired bitpacked");
+    check_bool "names the repair" true (Testutil.contains m "nscq repair")
+  | _ -> Alcotest.fail "query over a 'B' list answered");
+  check_bool "check reports the payload" true
+    (List.exists
+       (fun (p : Invfile.Integrity.problem) ->
+         Testutil.contains p.Invfile.Integrity.detail "UK")
+       (E.verify_store inv));
+  let report = E.repair inv in
+  check_bool "repair leaves no problem" true (report.E.problems_after = []);
+  let naive = { E.default with E.algorithm = E.Naive_scan } in
   List.iter
-    (fun s -> ignore (Invfile.Builder.add_string builder s))
-    Testutil.licences_strings;
-  let inv = Invfile.Builder.finish builder in
-  let plain = Testutil.mem_collection Testutil.licences_strings in
-  List.iter
-    (fun atom ->
-      check_bool ("lookup agrees for " ^ atom) true
-        (IF.lookup inv atom = IF.lookup plain atom))
-    [ "UK"; "A"; "motorbike"; "London"; "unknown" ];
-  check_int "node table intact" 20 (L.length (IF.all_nodes inv))
+    (fun s ->
+      let q = Testutil.v s in
+      Alcotest.(check (list int)) ("after repair: " ^ s)
+        (E.query ~config:naive inv q).E.records (E.query inv q).E.records)
+    [ "{UK, {A}}"; "{UK}"; "{London, UK}"; "{A, motorbike}" ]
 
 (* --- atom dictionary & binary record format --- *)
 
@@ -673,7 +746,7 @@ let () =
         ] );
       ( "codecs",
         [
-          Alcotest.test_case "bitpacked roundtrip" `Quick test_bitpacked_payload_roundtrip;
+          Alcotest.test_case "retired bitpacked tag" `Quick test_retired_bitpacked_tag;
           prop_codecs_agree;
           Alcotest.test_case "bitpacked collection" `Quick
             test_bitpacked_collection_end_to_end;
@@ -699,6 +772,9 @@ let () =
           Alcotest.test_case "lfu eviction" `Quick test_cache_lfu_eviction;
           Alcotest.test_case "zero capacity" `Quick test_cache_zero_capacity;
           Alcotest.test_case "attached cache hits" `Quick test_attached_cache_hits;
+          Alcotest.test_case "prefetch keeps what fits" `Quick
+            test_prefetch_respects_capacity;
+          Alcotest.test_case "cursor resolution" `Quick test_cursor_resolution;
           prop_lookup_accounting;
         ] );
     ]

@@ -1,8 +1,11 @@
-(* Differential tests for the optimized inverted-list kernels.
+(* Differential tests for the candidate kernels.
 
-   The galloping intersection in Plist, the blocked 'C' payload format of
-   Plist_blocks and the block-skipping cursors of Plist_stream must agree
-   — byte for byte — with the frozen Plist_ref oracle on every input.
+   Plist_stream's n-way operations — galloping over in-memory cursors,
+   block skipping over 'C' payloads, sequential reads of 'V' payloads,
+   and any mix of the three, which is what a query with some cached and
+   some uncached atoms reads — and the blocked 'C' payload format of
+   Plist_blocks must agree, byte for byte, with the frozen Plist_ref
+   oracle on every input.
    Generators derive each posting deterministically from its node id, so
    equal ids always carry identical payloads: the invariant every
    intersection kernel relies on when lists come from the same builder. *)
@@ -61,44 +64,59 @@ let same name (a : L.t) (b : R.t) =
 let arb_pair bound =
   QCheck.(pair (list (int_bound bound)) (list (int_bound bound)))
 
+(* The three cursor sources: a decoded (cached) list, a 'C' payload and
+   a 'V' payload. *)
+let mem l = St.cursor_of_plist l
+let blocked l = St.cursor_of_bytes (L.to_bytes ~codec:L.Blocked l)
+let varint l = St.cursor_of_bytes (L.to_bytes ~codec:L.Varint l)
+
+let inter2 src_a src_b a b = St.inter_many [ src_a a; src_b b ]
+
 let prop_inter (xs, ys) =
   let a = plist_of_ints xs and b = plist_of_ints ys in
-  same "inter" (L.inter a b) (R.inter a b)
-  && same "inter sym" (L.inter b a) (R.inter b a)
+  same "inter" (inter2 mem mem a b) (R.inter a b)
+  && same "inter sym" (inter2 mem mem b a) (R.inter b a)
+  && same "inter mem/blocked" (inter2 mem blocked a b) (R.inter a b)
+  && same "inter varint/mem" (inter2 varint mem a b) (R.inter a b)
 
 let prop_union (xs, ys) =
   let a = plist_of_ints xs and b = plist_of_ints ys in
-  same "union" (L.union a b) (R.union a b)
+  same "union"
+    (Array.map fst (St.union_with_counts [ mem a; blocked b ]))
+    (R.union a b)
 
-(* Skewed sizes drive Plist.inter into its galloping branch. *)
+(* Skewed sizes: the small side drives, the big side gallops (in memory)
+   or skips blocks (payload). *)
 let arb_skewed =
   QCheck.(pair (list_of_size Gen.(0 -- 4) (int_bound 200_000))
             (list_of_size Gen.(100 -- 400) (int_bound 200_000)))
 
 let prop_inter_skewed (xs, ys) =
   let small = plist_of_ints xs and big = plist_of_ints ys in
-  same "gallop" (L.inter small big) (R.inter small big)
-  && same "gallop sym" (L.inter big small) (R.inter big small)
+  same "gallop" (inter2 mem mem small big) (R.inter small big)
+  && same "gallop sym" (inter2 mem mem big small) (R.inter big small)
+  && same "skip blocks" (inter2 mem blocked small big) (R.inter small big)
 
-(* --- n-way operations, materialized and streamed --- *)
+(* --- n-way operations over mixed cursor sources --- *)
 
 let arb_family bound =
   QCheck.(list_of_size Gen.(1 -- 5) (list (int_bound bound)))
 
-(* Alternate payload codecs across the family: the streamed kernels must
-   not care whether an input is a 'V' or a 'C' payload. *)
-let encode_mixed lists =
+(* Rotate the sources across the family, from two offsets so every
+   position sees every source: the kernels must not care whether an input
+   is a decoded list, a 'C' payload or a 'V' payload. *)
+let mixed ~offset lists =
   List.mapi
     (fun i l ->
-      L.to_bytes ~codec:(if i land 1 = 0 then L.Blocked else L.Varint) l)
+      match (i + offset) mod 3 with 0 -> mem l | 1 -> blocked l | _ -> varint l)
     lists
 
 let prop_inter_many ints_lists =
   let lists = List.map plist_of_ints ints_lists in
-  same "inter_many" (L.inter_many lists) (R.inter_many lists)
-  && same "inter_many streamed"
-       (St.inter_many (encode_mixed lists))
-       (R.inter_many lists)
+  List.for_all
+    (fun offset ->
+      same "inter_many" (St.inter_many (mixed ~offset lists)) (R.inter_many lists))
+    [ 0; 1; 2 ]
 
 let counts_same name a b =
   if a <> b then
@@ -108,11 +126,12 @@ let counts_same name a b =
 
 let prop_union_with_counts ints_lists =
   let lists = List.map plist_of_ints ints_lists in
-  counts_same "union_with_counts" (L.union_with_counts lists)
-    (R.union_with_counts lists)
-  && counts_same "union_with_counts streamed"
-       (St.union_with_counts (encode_mixed lists))
-       (R.union_with_counts lists)
+  List.for_all
+    (fun offset ->
+      counts_same "union_with_counts"
+        (St.union_with_counts (mixed ~offset lists))
+        (R.union_with_counts lists))
+    [ 0; 1; 2 ]
 
 (* --- serialization: round trips and canonical bytes --- *)
 
@@ -129,16 +148,11 @@ let prop_roundtrip ints =
       if not (String.equal (L.to_bytes ~codec back) payload) then
         Alcotest.failf "payload not canonical";
       true)
-    [ L.Varint; L.Bitpacked; L.Blocked ]
+    [ L.Varint; L.Blocked ]
 
 (* --- cursors: sequential reads and skip_to --- *)
 
-let cursors_of l =
-  [
-    ("mem", St.cursor_of_plist l);
-    ("varint", St.cursor_of_bytes (L.to_bytes ~codec:L.Varint l));
-    ("blocked", St.cursor_of_bytes (L.to_bytes ~codec:L.Blocked l));
-  ]
+let cursors_of l = [ ("mem", mem l); ("varint", varint l); ("blocked", blocked l) ]
 
 let prop_cursor_drain ints =
   let l = plist_of_ints ints in
@@ -271,12 +285,10 @@ let test_skewed_intersection () =
   let small = [| posting_of_id 0; posting_of_id 150_000; posting_of_id 299_997 |] in
   let expect = R.inter small big in
   check_int "oracle finds the planted hits" 3 (Array.length expect);
-  check_bool "gallop" true (L.inter small big = expect);
-  check_bool "gallop sym" true (L.inter big small = expect);
-  let payloads =
-    [ L.to_bytes ~codec:L.Blocked small; L.to_bytes ~codec:L.Blocked big ]
-  in
-  check_bool "streamed" true (St.inter_many payloads = expect)
+  check_bool "gallop" true (inter2 mem mem small big = expect);
+  check_bool "gallop sym" true (inter2 mem mem big small = expect);
+  check_bool "block skipping" true (inter2 blocked blocked small big = expect);
+  check_bool "mixed" true (inter2 mem blocked small big = expect)
 
 (* --- the shared inter_many contract --- *)
 
@@ -284,8 +296,6 @@ let empty_family_message =
   Invalid_argument "inter_many: empty intersection is the node universe"
 
 let test_empty_family_contract () =
-  Alcotest.check_raises "Plist" empty_family_message (fun () ->
-      ignore (L.inter_many []));
   Alcotest.check_raises "Plist_stream" empty_family_message (fun () ->
       ignore (St.inter_many []));
   Alcotest.check_raises "Plist_ref" empty_family_message (fun () ->
@@ -301,18 +311,14 @@ let test_degenerate_queries () =
   List.iter
     (fun node_table ->
       let inv = Containment.Collection.of_values ~node_table values in
-      List.iter
-        (fun streamed ->
-          let config = { E.default with E.streamed } in
-          let ctx = Printf.sprintf "node_table:%b streamed:%b" node_table streamed in
-          (* {} is contained in every record *)
-          let r = E.query ~config inv (Testutil.v "{}") in
-          check_int (ctx ^ " {} matches all") n_records (List.length r.E.records);
-          (* {{}} needs some internal child anywhere below the root *)
-          let r2 = E.query ~config inv (Testutil.v "{{}}") in
-          check_bool (ctx ^ " {{}} answered") true
-            (List.for_all (fun id -> id >= 0 && id < n_records) r2.E.records))
-        [ false; true ])
+      let ctx = Printf.sprintf "node_table:%b" node_table in
+      (* {} is contained in every record *)
+      let r = E.query inv (Testutil.v "{}") in
+      check_int (ctx ^ " {} matches all") n_records (List.length r.E.records);
+      (* {{}} needs some internal child anywhere below the root *)
+      let r2 = E.query inv (Testutil.v "{{}}") in
+      check_bool (ctx ^ " {{}} answered") true
+        (List.for_all (fun id -> id >= 0 && id < n_records) r2.E.records))
     [ true; false ]
 
 let qc = Testutil.qcheck_case

@@ -45,7 +45,7 @@ let backends =
           fun () -> try Sys.remove path with Sys_error _ -> () ) );
   ]
 
-let codecs = [ ("varint", Invfile.Plist.Varint); ("bitpacked", Invfile.Plist.Bitpacked) ]
+let codecs = [ ("varint", Invfile.Plist.Varint); ("blocked", Invfile.Plist.Blocked) ]
 let formats = [ ("syntax", `Syntax); ("binary", `Binary) ]
 
 let algorithms =

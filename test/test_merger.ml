@@ -93,14 +93,13 @@ let with_store_codec codec values f =
 
 let codec_name = function
   | Invfile.Plist.Varint -> "varint"
-  | Invfile.Plist.Bitpacked -> "bitpacked"
   | Invfile.Plist.Blocked -> "blocked"
 
 let test_mixed_codec_append () =
   let half = List.length licences / 2 in
   let a = List.filteri (fun i _ -> i < half) licences in
   let b = List.filteri (fun i _ -> i >= half) licences in
-  let codecs = Invfile.Plist.[ Varint; Bitpacked; Blocked ] in
+  let codecs = Invfile.Plist.[ Varint; Blocked ] in
   List.iter
     (fun dst_codec ->
       List.iter

@@ -74,57 +74,6 @@ let prop_mixed_stream =
       let r = C.reader (C.contents w) in
       C.read_varint r = n && C.read_string r = s && C.read_varint r = n + 1)
 
-(* --- Bitpack --- *)
-
-let test_bitpack_roundtrip_cases () =
-  let cases =
-    [
-      [||];
-      [| 0 |];
-      [| 0; 0; 0 |];
-      [| 1; 2; 3 |];
-      [| 127; 128; 255; 256 |];
-      Array.init 1000 (fun i -> i * i);
-      Array.init 129 (fun _ -> 0) (* exactly one block + 1 of zeros *);
-      [| (1 lsl 54) - 1 |];
-    ]
-  in
-  List.iter
-    (fun a ->
-      Alcotest.(check (array int))
-        (Printf.sprintf "roundtrip %d items" (Array.length a))
-        a
-        (Storage.Bitpack.unpack (Storage.Bitpack.pack a)))
-    cases
-
-let test_bitpack_validation () =
-  (match Storage.Bitpack.pack [| -1 |] with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "negative must be rejected");
-  match Storage.Bitpack.pack [| 1 lsl 55 |] with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "oversized must be rejected"
-
-let test_bitpack_size_estimate () =
-  let a = Array.init 500 (fun i -> i mod 7) in
-  check_int "packed_size = length of pack" (String.length (Storage.Bitpack.pack a))
-    (Storage.Bitpack.packed_size a);
-  (* 3-bit values: ~8x smaller than 64-bit, far smaller than varint's 1 B *)
-  check_bool "beats one byte per value" true
-    (Storage.Bitpack.packed_size a < 500)
-
-let test_bitpack_corrupt () =
-  match Storage.Bitpack.unpack "@" with
-  | exception Storage.Codec.Corrupt _ -> ()
-  | _ -> Alcotest.fail "bad width must be rejected"
-
-let prop_bitpack_roundtrip =
-  Testutil.qcheck_case ~name:"bitpack roundtrip"
-    (QCheck.list_of_size (QCheck.Gen.int_range 0 400) (QCheck.int_bound 1_000_000))
-    (fun l ->
-      let a = Array.of_list l in
-      Storage.Bitpack.unpack (Storage.Bitpack.pack a) = a)
-
 (* --- store conformance suite, run against all three backends --- *)
 
 let store_suite name (mk : unit -> Storage.Kv.t * (unit -> unit)) =
@@ -566,14 +515,6 @@ let () =
           Alcotest.test_case "corruption detection" `Quick test_corrupt_detection;
           prop_int_list_roundtrip;
           prop_mixed_stream;
-        ] );
-      ( "bitpack",
-        [
-          Alcotest.test_case "roundtrip cases" `Quick test_bitpack_roundtrip_cases;
-          Alcotest.test_case "validation" `Quick test_bitpack_validation;
-          Alcotest.test_case "size estimate" `Quick test_bitpack_size_estimate;
-          Alcotest.test_case "corrupt" `Quick test_bitpack_corrupt;
-          prop_bitpack_roundtrip;
         ] );
       ("mem store", store_suite "mem" mem_store);
       ("hash store", store_suite "hash" hash_store);

@@ -101,3 +101,8 @@ let licences_strings =
 let mem_collection strings = Containment.Collection.of_strings strings
 
 let v = Nested.Syntax.of_string
+
+let contains haystack needle =
+  let nl = String.length needle and hl = String.length haystack in
+  let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
+  go 0

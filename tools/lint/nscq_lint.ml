@@ -8,9 +8,9 @@
                    (lib/core, lib/nested, the lib/invfile/plist modules,
                    bin/, bench/)
      R2 io         no console printing / blocking Unix calls in query
-                   hot paths (lib/core, lib/invfile, lib/shard/router.ml,
-                   lib/storage/bitpack; bin/ and bench/ carry explicit
-                   file-level allows where console output is the point)
+                   hot paths (lib/core, lib/invfile, lib/shard/router.ml;
+                   bin/ and bench/ carry explicit file-level allows where
+                   console output is the point)
      R3 guarded    no top-level mutable value (Hashtbl, ref, Bytes,
                    Array, Queue, Stack, Buffer, records with mutable
                    fields; Atomic exempt) in library modules without
@@ -1022,7 +1022,6 @@ let default_rules_for file =
   let r2 =
     in_dir "lib/core/" file || in_dir "lib/invfile/" file
     || in_dir "lib/shard/router.ml" file
-    || in_dir "lib/storage/bitpack" file
     || in_dir "lib/join/" file
     || in_dir "lib/live/" file
     (* recorder events are emitted on the query hot path: no console or
