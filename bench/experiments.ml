@@ -786,13 +786,6 @@ let shard_scaling scale =
     H.remove_if_exists path;
     qs
   in
-  let quantile sorted q =
-    if Array.length sorted = 0 then 0.
-    else
-      sorted.(min
-                (Array.length sorted - 1)
-                (int_of_float (q *. float_of_int (Array.length sorted))))
-  in
   let rows =
     List.map
       (fun shards ->
@@ -819,7 +812,7 @@ let shard_scaling scale =
         let elapsed_ms = Array.fold_left ( +. ) 0. latencies in
         let sorted = Array.copy latencies in
         Array.sort Float.compare sorted;
-        let p50 = quantile sorted 0.50 and p95 = quantile sorted 0.95 in
+        let p50 = H.quantile sorted 0.50 and p95 = H.quantile sorted 0.95 in
         let throughput =
           1000. *. float_of_int (List.length queries) /. elapsed_ms
         in
@@ -1210,13 +1203,6 @@ let ingest scale =
         let qs = H.paper_queries inv in
         (qs, List.map (fun q -> (E.query inv q).E.records) qs))
   in
-  let quantile sorted q =
-    if Array.length sorted = 0 then 0.
-    else
-      sorted.(min
-                (Array.length sorted - 1)
-                (int_of_float (q *. float_of_int (Array.length sorted))))
-  in
   (* 20 passes x 100 queries = 2000 samples per phase, so the p99 is the
      20th-worst — a steady-state quantile, not one unlucky seal stall *)
   let reps = 20 in
@@ -1306,8 +1292,8 @@ let ingest scale =
         let seg_end = LS.segment_count store in
         LS.close store;
         rm_rf dir;
-        let idle_p50 = quantile idle 0.50 and idle_p99 = quantile idle 0.99 in
-        let busy_p50 = quantile busy 0.50 and busy_p99 = quantile busy 0.99 in
+        let idle_p50 = H.quantile idle 0.50 and idle_p99 = H.quantile idle 0.99 in
+        let busy_p50 = H.quantile busy 0.50 and busy_p99 = H.quantile busy 0.99 in
         let ratio = if idle_p99 > 0. then busy_p99 /. idle_p99 else 0. in
         if ratio > !worst_ratio then worst_ratio := ratio;
         let ingest_rps =

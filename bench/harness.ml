@@ -55,6 +55,12 @@ let measure_workload ?(repeats = 5) ?(config = E.default) inv queries =
   in
   1000. *. List.fold_left ( +. ) 0. trimmed /. Float.of_int (List.length trimmed)
 
+(* Exact quantile of an ascending array: the element at rank
+   floor(q * n), clamped to the last; 0 for an empty array. *)
+let quantile sorted q =
+  let n = Array.length sorted in
+  if n = 0 then 0. else sorted.(min (n - 1) (int_of_float (q *. float_of_int n)))
+
 (* --- table printing (and optional CSV export for plotting) --- *)
 
 let csv_dir : string option ref = ref None

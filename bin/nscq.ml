@@ -515,9 +515,6 @@ let query_cmd =
   let limit_arg =
     Arg.(value & opt int 10 & info [ "limit" ] ~docv:"N" ~doc:"Print at most $(docv) results.")
   in
-  let explain_arg =
-    Arg.(value & flag & info [ "explain" ] ~doc:"Print per-node candidate statistics.")
-  in
   let store_opt_arg =
     Arg.(
       value
@@ -540,7 +537,7 @@ let query_cmd =
           ~doc:"Per-request deadline for $(b,--connect) (0 = none).")
   in
   let run store connect deadline_ms backend cache algorithm join embedding anywhere
-      verify spill wildcards partial explain verbose qs limit =
+      verify spill wildcards partial verbose qs limit =
     setup_logging verbose;
     let config =
       {
@@ -570,15 +567,7 @@ let query_cmd =
     if Shard.Manifest.is_manifest_file store then
       run_sharded_query ~manifest_path:store ~engine:config ~partial
         ~deadline_ms ~cache ~limit qs
-    else if L.is_live_dir store then begin
-      run_live_query ~config ~limit store qs;
-      if explain then begin
-        let t = open_live store in
-        Fun.protect ~finally:(fun () -> L.close t) @@ fun () ->
-        Printf.printf "\nplan:\n";
-        print_string (Obs.Explain.render (L.explain ~config t (Nested.Syntax.of_string qs)))
-      end
-    end
+    else if L.is_live_dir store then run_live_query ~config ~limit store qs
     else begin
     let inv = IF.open_store (open_store backend store) in
     Fun.protect ~finally:(fun () -> IF.close inv) @@ fun () ->
@@ -594,8 +583,7 @@ let query_cmd =
           Format.printf "  #%d: %a@." id Nested.Value.pp (IF.record_value inv id))
       r.E.records;
     if List.length r.E.records > limit then
-      Printf.printf "  … and %d more (raise --limit)\n" (List.length r.E.records - limit);
-    if explain then Format.printf "@.plan:@.%a" E.pp_plan (E.explain ~config inv q)
+      Printf.printf "  … and %d more (raise --limit)\n" (List.length r.E.records - limit)
     end
   in
   Cmd.v
@@ -606,7 +594,7 @@ let query_cmd =
       const run $ store_opt_arg $ connect_arg $ deadline_arg $ backend_arg
       $ cache_arg $ algorithm_arg $ join_arg $ embedding_arg $ anywhere_arg
       $ verify_arg $ spill_arg $ wildcards_arg $ partial_arg
-      $ explain_arg $ verbose_arg $ query_arg $ limit_arg)
+      $ verbose_arg $ query_arg $ limit_arg)
 
 (* --- join --- *)
 

@@ -57,8 +57,8 @@ val check :
 
 type witness = (string * int) list
 (** One embedding, as (query node path, data node id) pairs in query
-    pre-order; paths are as in {!Engine.node_plan} (["root"], ["root.0"],
-    …). *)
+    pre-order; a path names a query node by its child indices from the
+    root (["root"], ["root.0"], ["root.0.1"], …). *)
 
 val witness :
   ?wildcards:bool ->

@@ -116,41 +116,12 @@ let preflight_rejects config inv (q : Query.t) =
   in
   not (atoms_exist q)
 
-(* --- tracing helpers --- *)
+(* --- observability ---
 
-(* All observability below is opt-in: when [trace] is [None] every helper
-   reduces to running the phase directly, keeping the hot path free of
-   recording cost (measured by bench obs-overhead). *)
-
-let tspan trace name f =
-  match trace with None -> f () | Some t -> Obs.Trace.span t name f
-
-let tattr trace k v =
-  match trace with None -> () | Some t -> Obs.Trace.add_attr t k v
-
-(* Flight-recorder phase codes, interned once at module init so the
-   emit path is branch-and-store only. The recorder is orthogonal to
-   tracing: when enabled (the server leaves it on), phase edges are
-   recorded even for untraced queries — that is its whole point. *)
-let ph_preflight = Obs.Recorder.intern "preflight"
-let ph_prefilter = Obs.Recorder.intern "prefilter"
-let ph_retrieve = Obs.Recorder.intern "retrieve"
-let ph_eval = Obs.Recorder.intern "eval"
-let ph_verify = Obs.Recorder.intern "verify"
-let ph_minimize = Obs.Recorder.intern "minimize"
-let ph_prefetch = Obs.Recorder.intern "prefetch"
-
-(* A phase span that additionally emits recorder begin/end edges. [qid]
-   is 0 for phases outside any single query's scope (batch prefetch,
-   minimize — it runs before the query id exists). *)
-let rspan trace ~qid code name f =
-  if not (Obs.Recorder.enabled ()) then tspan trace name f
-  else begin
-    Obs.Recorder.phase_begin code ~qid;
-    Fun.protect
-      ~finally:(fun () -> Obs.Recorder.phase_end code ~qid)
-      (fun () -> tspan trace name f)
-  end
+   Opt-in: without [trace] every phase runs directly and no counter is
+   sampled. Phases go through [Obs.Phase.run], which also emits the
+   flight recorder's begin/end edges whenever the recorder is enabled
+   (the server leaves it on), traced or not. *)
 
 let algorithm_name = function
   | Top_down -> "top-down"
@@ -159,31 +130,10 @@ let algorithm_name = function
   | Naive_scan -> "naive-scan"
   | Signature_scan -> "signature-scan"
 
-type io_snap = { lookups : int; hits : int; misses : int; reads : int; bytes : int }
-
-let io_snap inv =
-  let l = IF.lookup_stats inv and s = (IF.store inv).Storage.Kv.stats in
-  {
-    lookups = Storage.Io_stats.lookups l;
-    hits = Storage.Io_stats.hits l;
-    misses = Storage.Io_stats.misses l;
-    reads = Storage.Io_stats.reads s;
-    bytes = Storage.Io_stats.bytes_read s;
-  }
-
-(* Attach lookup/hit/miss (always, so zero is visible) and read deltas
-   (when non-zero) of the innermost open span. *)
-let io_attrs trace before inv =
-  match trace with
-  | None -> ()
-  | Some t ->
-    let now = io_snap inv in
-    let put k v = Obs.Trace.add_attr t k (string_of_int v) in
-    put "lookups" (now.lookups - before.lookups);
-    put "hits" (now.hits - before.hits);
-    put "misses" (now.misses - before.misses);
-    if now.reads > before.reads then put "reads" (now.reads - before.reads);
-    if now.bytes > before.bytes then put "bytes_read" (now.bytes - before.bytes)
+(* Lookup and store-read deltas of [f], on the innermost open span. *)
+let with_io ?trace inv f =
+  Storage.Io_stats.attribute ?trace ~store:(IF.store inv).Storage.Kv.stats
+    (IF.lookup_stats inv) f
 
 (* Distinct non-pattern leaf atoms of a query, in first-occurrence order
    (shared with batching below). *)
@@ -204,35 +154,22 @@ let distinct_atoms config qs =
   List.iter walk qs;
   List.rev !out
 
-let query_prepared ?(config = default) ?trace inv (q : Query.t) =
-  let all0 = io_snap inv in
-  let qid = Obs.Recorder.begin_query () in
-  let finish result =
-    (match trace with
-    | None -> ()
-    | Some t ->
-      io_attrs trace all0 inv;
-      Obs.Trace.add_attr t "records" (string_of_int (List.length result.records)));
-    Obs.Recorder.end_query qid ~results:(List.length result.records);
-    result
-  in
+let evaluate config ?trace ~qid inv (q : Query.t) =
   let rejected =
-    if not config.preflight then false
-    else
-      rspan trace ~qid ph_preflight "preflight" (fun () ->
-          let r = preflight_rejects config inv q in
-          tattr trace "rejected" (string_of_bool r);
-          r)
+    config.preflight
+    && Obs.Phase.run ?trace ~qid Preflight (fun () ->
+           let r = preflight_rejects config inv q in
+           Obs.Trace.opt_attr trace "rejected" (string_of_bool r);
+           r)
   in
-  if rejected then
-    finish { nodes = Intset.empty; records = []; prefilter_survivors = None }
+  if rejected then { nodes = Intset.empty; records = []; prefilter_survivors = None }
   else
   (* Bloom prefilter: restrict to records that might match. *)
   let allowed, prefilter_survivors =
     match config.filter_index with
     | None -> (None, None)
     | Some fi ->
-      rspan trace ~qid ph_prefilter "prefilter" (fun () ->
+      Obs.Phase.run ?trace ~qid Prefilter (fun () ->
           match
             Filter_index.candidate_records fi ~join:config.join
               ~embedding:config.embedding (Query.to_value q)
@@ -241,7 +178,7 @@ let query_prepared ?(config = default) ?trace inv (q : Query.t) =
           | Some records ->
             let roots = IF.roots inv in
             let set = Intset.of_list (List.map (fun r -> roots.(r)) records) in
-            tattr trace "survivors" (string_of_int (List.length records));
+            Obs.Trace.opt_attr trace "survivors" (string_of_int (List.length records));
             (Some set, Some (List.length records)))
   in
   (* Anchor Equation-2 queries at record roots (intersected with Bloom
@@ -269,37 +206,33 @@ let query_prepared ?(config = default) ?trace inv (q : Query.t) =
     if Option.is_none trace || pruned then f ()
     else
       IF.with_pinned inv (fun pin ->
-          rspan trace ~qid ph_retrieve "retrieve" (fun () ->
-              let r0 = io_snap inv in
-              List.iter
-                (fun a ->
-                  tspan trace ("atom:" ^ a) (fun () ->
-                      let b = io_snap inv in
-                      pin a;
-                      let now = io_snap inv in
-                      tattr trace "hits" (string_of_int (now.hits - b.hits));
-                      tattr trace "misses" (string_of_int (now.misses - b.misses))))
-                (distinct_atoms config [ q ]);
-              io_attrs trace r0 inv);
+          Obs.Phase.run ?trace ~qid Retrieve (fun () ->
+              with_io ?trace inv (fun () ->
+                  List.iter
+                    (fun a ->
+                      Obs.Trace.opt_span trace ("atom:" ^ a) (fun () ->
+                          Storage.Io_stats.attribute ?trace
+                            (IF.lookup_stats inv) (fun () -> pin a)))
+                    (distinct_atoms config [ q ])));
           f ())
   in
   with_retrieval (fun () ->
       let t0 = Unix.gettimeofday () in
       let nodes =
-        rspan trace ~qid ph_eval "eval" (fun () ->
-            let e0 = io_snap inv in
-            let nodes =
-              if pruned then begin
-                Log.debug (fun m ->
-                    m "prefilter eliminated every record; skipping algorithm");
-                Intset.empty
-              end
-              else run_algorithm config ?root_filter inv q
-            in
-            tattr trace "algorithm" (algorithm_name config.algorithm);
-            tattr trace "candidates" (string_of_int (Intset.cardinal nodes));
-            io_attrs trace e0 inv;
-            nodes)
+        Obs.Phase.run ?trace ~qid Eval (fun () ->
+            with_io ?trace inv (fun () ->
+                let nodes =
+                  if pruned then begin
+                    Log.debug (fun m ->
+                        m "prefilter eliminated every record; skipping algorithm");
+                    Intset.empty
+                  end
+                  else run_algorithm config ?root_filter inv q
+                in
+                Obs.Trace.opt_attr trace "algorithm" (algorithm_name config.algorithm);
+                Obs.Trace.opt_attr trace "candidates"
+                  (string_of_int (Intset.cardinal nodes));
+                nodes))
       in
       Log.debug (fun m ->
           m "%s %a/%a: %d candidate node(s) in %.3f ms"
@@ -313,27 +246,26 @@ let query_prepared ?(config = default) ?trace inv (q : Query.t) =
             (Intset.cardinal nodes)
             (1000. *. (Unix.gettimeofday () -. t0)));
       let nodes =
-        rspan trace ~qid ph_verify "verify" (fun () ->
-            let v0 = io_snap inv in
-            let checked = Intset.cardinal nodes in
-            (* Scope: Equation 2 keeps only record roots. *)
-            let nodes =
-              match config.scope with
-              | Anywhere -> nodes
-              | Roots ->
-                Array.of_list
-                  (List.filter (IF.is_root inv) (Intset.to_list nodes))
-            in
-            let nodes =
-              if config.verify then
-                Array.of_list
-                  (List.filter (verify_node config inv q) (Intset.to_list nodes))
-              else nodes
-            in
-            tattr trace "checked" (string_of_int checked);
-            tattr trace "kept" (string_of_int (Intset.cardinal nodes));
-            io_attrs trace v0 inv;
-            nodes)
+        Obs.Phase.run ?trace ~qid Verify (fun () ->
+            with_io ?trace inv (fun () ->
+                let checked = Intset.cardinal nodes in
+                (* Scope: Equation 2 keeps only record roots. *)
+                let nodes =
+                  match config.scope with
+                  | Anywhere -> nodes
+                  | Roots ->
+                    Array.of_list
+                      (List.filter (IF.is_root inv) (Intset.to_list nodes))
+                in
+                let nodes =
+                  if config.verify then
+                    Array.of_list
+                      (List.filter (verify_node config inv q) (Intset.to_list nodes))
+                  else nodes
+                in
+                Obs.Trace.opt_attr trace "checked" (string_of_int checked);
+                Obs.Trace.opt_attr trace "kept" (string_of_int (Intset.cardinal nodes));
+                nodes))
       in
       let records =
         (* records containing at least one matching node *)
@@ -341,7 +273,15 @@ let query_prepared ?(config = default) ?trace inv (q : Query.t) =
         |> List.map (fun id -> IF.record_of_root inv (IF.root_of_node inv id))
         |> List.sort_uniq Int.compare
       in
-      finish { nodes; records; prefilter_survivors })
+      { nodes; records; prefilter_survivors })
+
+let query_prepared ?(config = default) ?trace inv q =
+  let qid = Obs.Recorder.begin_query () in
+  let result = with_io ?trace inv (fun () -> evaluate config ?trace ~qid inv q) in
+  let n = List.length result.records in
+  Obs.Trace.opt_attr trace "records" (string_of_int n);
+  Obs.Recorder.end_query qid ~results:n;
+  result
 
 let minimize_applicable config =
   config.minimize && (not config.wildcards)
@@ -354,10 +294,10 @@ let minimize_applicable config =
 let query ?(config = default) ?trace inv value =
   let value =
     if minimize_applicable config then
-      rspan trace ~qid:0 ph_minimize "minimize" (fun () ->
+      Obs.Phase.run ?trace Minimize (fun () ->
           let v = Minimize.minimize value in
-          tattr trace "size_before" (string_of_int (Nested.Value.size value));
-          tattr trace "size_after" (string_of_int (Nested.Value.size v));
+          Obs.Trace.opt_attr trace "size_before" (string_of_int (Nested.Value.size value));
+          Obs.Trace.opt_attr trace "size_after" (string_of_int (Nested.Value.size v));
           v)
     else value
   in
@@ -410,15 +350,15 @@ let query_batch ?(config = default) ?traces inv values =
             (List.mapi (fun i _ -> trace_for i) values)
         in
         let loaded =
-          rspan prefetch_trace ~qid:0 ph_prefetch "prefetch" (fun () ->
-              let p0 = io_snap inv in
-              let loaded = IF.prefetch inv atoms in
-              tattr prefetch_trace "batch_size"
-                (string_of_int (List.length qs));
-              tattr prefetch_trace "atoms" (string_of_int (List.length atoms));
-              tattr prefetch_trace "loaded" (string_of_int loaded);
-              io_attrs prefetch_trace p0 inv;
-              loaded)
+          Obs.Phase.run ?trace:prefetch_trace Prefetch (fun () ->
+              with_io ?trace:prefetch_trace inv (fun () ->
+                  let loaded = IF.prefetch inv atoms in
+                  Obs.Trace.opt_attr prefetch_trace "batch_size"
+                    (string_of_int (List.length qs));
+                  Obs.Trace.opt_attr prefetch_trace "atoms"
+                    (string_of_int (List.length atoms));
+                  Obs.Trace.opt_attr prefetch_trace "loaded" (string_of_int loaded);
+                  loaded))
         in
         Log.debug (fun m ->
             m "batch of %d queries: %d distinct atom(s), %d list(s) loaded"
@@ -444,42 +384,6 @@ let witnesses ?(config = default) inv value =
         (Embed.witness ~wildcards:config.wildcards config.join config.embedding ~q
            ~s:tree id))
     (Intset.to_list r.nodes)
-
-(* --- explain --- *)
-
-type node_plan = {
-  node_path : string;  (* e.g. "root.2.0" *)
-  leaves : string list;
-  candidate_count : int;
-}
-
-let explain ?(config = default) inv value =
-  let mode =
-    Semantics.mode_of ~wildcards:config.wildcards config.join config.embedding
-  in
-  let q = Query.of_value value in
-  let plans = ref [] in
-  let rec walk path (n : Query.node) =
-    let candidates = Semantics.candidates mode inv n in
-    plans :=
-      {
-        node_path = path;
-        leaves = Array.to_list n.Query.leaves;
-        candidate_count = Invfile.Plist.length candidates;
-      }
-      :: !plans;
-    List.iteri (fun i c -> walk (Printf.sprintf "%s.%d" path i) c) n.Query.children
-  in
-  walk "root" q;
-  List.rev !plans
-
-let pp_plan ppf plans =
-  List.iter
-    (fun p ->
-      Format.fprintf ppf "%-16s leaves={%s}  candidates=%d@." p.node_path
-        (String.concat ", " p.leaves)
-        p.candidate_count)
-    plans
 
 (* --- explain profiles (Obs.Explain) --- *)
 
@@ -530,55 +434,37 @@ let config_kvs config =
    prefilter can at best keep every record, an intersection yields at
    most the rarest list's length, verification starts from eval's
    survivors. *)
-let profile_phases ~record_count ~min_len (root : Obs.Trace.span) =
-  let geti name (s : Obs.Trace.span) =
-    match List.assoc_opt name s.Obs.Trace.attrs with
-    | Some v -> ( match int_of_string_opt v with Some i -> i | None -> -1)
-    | None -> -1
-  in
+let profile_phases ~record_count ~min_len root =
+  let geti = Obs.Explain.int_attr in
   let eval_actual = ref (-1) in
-  List.map
-    (fun (s : Obs.Trace.span) ->
-      let ms = Float.max 0. s.Obs.Trace.duration_s *. 1e3 in
-      let mk ?(notes = []) est actual =
-        { Obs.Explain.phase = s.Obs.Trace.name; est; actual; ms; notes }
-      in
-      match s.Obs.Trace.name with
-      | "minimize" ->
-        mk (-1) (-1)
-          ~notes:
-            [
-              ("size_before", string_of_int (geti "size_before" s));
-              ("size_after", string_of_int (geti "size_after" s));
-            ]
-      | "preflight" ->
+  Obs.Explain.phases_of_trace
+    (fun p (s : Obs.Trace.span) ->
+      match p with
+      | Obs.Phase.Minimize ->
+        ( -1, -1,
+          [ ("size_before", string_of_int (geti s "size_before"));
+            ("size_after", string_of_int (geti s "size_after")) ] )
+      | Preflight ->
         let rejected =
           match List.assoc_opt "rejected" s.Obs.Trace.attrs with
           | Some "true" -> true
           | Some _ | None -> false
         in
-        mk (-1) (-1) ~notes:[ ("rejected", string_of_bool rejected) ]
-      | "prefilter" -> mk record_count (geti "survivors" s)
-      | "prefetch" -> mk (geti "atoms" s) (geti "loaded" s)
-      | "retrieve" ->
+        (-1, -1, [ ("rejected", string_of_bool rejected) ])
+      | Prefilter -> (record_count, geti s "survivors", [])
+      | Prefetch -> (geti s "atoms", geti s "loaded", [])
+      | Retrieve ->
         let atoms = List.length s.Obs.Trace.children in
-        mk atoms atoms
-          ~notes:
-            [
-              ("hits", string_of_int (max 0 (geti "hits" s)));
-              ("misses", string_of_int (max 0 (geti "misses" s)));
-            ]
-      | "eval" ->
-        let actual = geti "candidates" s in
+        ( atoms, atoms,
+          [ ("hits", string_of_int (max 0 (geti s "hits")));
+            ("misses", string_of_int (max 0 (geti s "misses"))) ] )
+      | Eval ->
+        let actual = geti s "candidates" in
         eval_actual := actual;
-        mk min_len actual
-          ~notes:
-            (match List.assoc_opt "algorithm" s.Obs.Trace.attrs with
-            | Some a -> [ ("algorithm", a) ]
-            | None -> [])
-      | "verify" -> mk !eval_actual (geti "kept" s)
-      | _ -> mk (-1) (-1))
-    root.Obs.Trace.children
+        (min_len, actual, Obs.Explain.notes s [ "algorithm" ])
+      | Verify -> (!eval_actual, geti s "kept", [])
+      | Build_tree | Intersect -> (-1, -1, []))
+    root
 
 let profile_of_trace ?(config = default) ?(target = "store") inv value root
     records =
@@ -606,17 +492,6 @@ let explain_profile ?(config = default) ?target inv value =
   let result = query ~config ~trace inv value in
   let root = Obs.Trace.finish trace in
   profile_of_trace ~config ?target inv value root (List.length result.records)
-
-let explain_profile_batch ?(config = default) ?target inv values =
-  let traces = List.map (fun _ -> Some (Obs.Trace.create "explain")) values in
-  let results = query_batch ~config ~traces inv values in
-  List.map2
-    (fun (trace, value) result ->
-      let root = Obs.Trace.finish (Option.get trace) in
-      profile_of_trace ~config ?target inv value root
-        (List.length result.records))
-    (List.combine traces values)
-    results
 
 (* --- store verification & repair --- *)
 

@@ -68,16 +68,19 @@ val query :
   Nested.Value.t -> result
 (** Evaluates [q ⋈ S] for one query value.
 
-    When [trace] is given, each evaluation phase records a span into it:
+    When [trace] is given, each evaluation phase records a span into it,
+    named by its {!Obs.Phase}:
     [minimize] (when applied), [preflight] (when enabled, with a
     [rejected] attr), [prefilter] (when a filter index is set, with
     [survivors]), [retrieve] (one [atom:a] child per distinct query atom,
-    each with its cache hit/miss delta), [eval] (algorithm, candidate
+    each with its lookup/hit/miss delta), [eval] (algorithm, candidate
     count, I/O deltas) and [verify] (checked/kept). Every phase span and
     the enclosing root carry [lookups]/[hits]/[misses] deltas pulled from
     {!Invfile.Inverted_file.lookup_stats}, so the tree reconciles with
-    {!Storage.Io_stats} totals. Without [trace], nothing is recorded and
-    no extra I/O happens.
+    {!Storage.Io_stats} totals. Without [trace], nothing is recorded, no
+    counter is sampled and no extra I/O happens. While the flight
+    recorder is enabled, the same phases also leave begin/end edges in
+    it, traced or not.
 
     The [retrieve] phase resolves each distinct atom once into a
     per-query table on the handle ({!Invfile.Inverted_file.with_pinned}):
@@ -131,18 +134,6 @@ val witnesses :
 
 (** {1 Explain} *)
 
-type node_plan = {
-  node_path : string;  (** position in the query tree, e.g. ["root.2.0"] *)
-  leaves : string list;
-  candidate_count : int;  (** size of the node's candidate inverted list *)
-}
-
-val explain : ?config:config -> Invfile.Inverted_file.t -> Nested.Value.t -> node_plan list
-(** Per-query-node candidate statistics under the config's join/embedding —
-    the data a cost-based evaluator would use, and a debugging aid. *)
-
-val pp_plan : Format.formatter -> node_plan list -> unit
-
 val atom_plan :
   Invfile.Inverted_file.t -> string -> Obs.Explain.atom_plan
 (** Planner-level statistics for one atom's posting list: length, payload
@@ -172,13 +163,6 @@ val profile_of_trace :
     [query ~config inv value] run — for callers (the live store, the
     shard router) that need the query's result {e and} its profile from
     a single evaluation. [records] is the result count to report. *)
-
-val explain_profile_batch :
-  ?config:config -> ?target:string -> Invfile.Inverted_file.t ->
-  Nested.Value.t list -> Obs.Explain.t list
-(** {!explain_profile} over a {!query_batch}: one profile per query, in
-    input order, with the block-wide [prefetch] phase attributed to the
-    first profile — mirroring how batched traces attribute it. *)
 
 (** {1 Verification & repair}
 

@@ -183,7 +183,6 @@ let parse input =
 type outcome =
   | Records of { ids : int list; limit : int option }
   | Count of int
-  | Plan of Engine.node_plan list
   | Profile of Obs.Explain.t
   | Witnesses of (int * Embed.witness) list
   | Inserted of int
@@ -260,7 +259,6 @@ let pp_outcome ~collection ppf = function
     if List.length ids > cap then
       Format.fprintf ppf "  … and %d more (add LIMIT n)@." (List.length ids - cap)
   | Count n -> Format.fprintf ppf "%d@." n
-  | Plan plan -> Engine.pp_plan ppf plan
   | Profile p -> Format.fprintf ppf "%s@." (Obs.Explain.render p)
   | Witnesses [] -> Format.fprintf ppf "no matches@."
   | Witnesses ws ->

@@ -66,10 +66,6 @@ val query_config :
 type outcome =
   | Records of { ids : int list; limit : int option }
   | Count of int
-  | Plan of Engine.node_plan list
-      (** the bare atom-order plan ({!Engine.explain}) — kept for
-          programmatic consumers; NSCQL [EXPLAIN] itself answers with
-          {!Profile} *)
   | Profile of Obs.Explain.t
       (** [EXPLAIN <query>]: the full plan-and-profile
           ({!Engine.explain_profile}) — planned atom order with posting

@@ -99,33 +99,9 @@ let register reg =
   cb "nscq_join_fallback_queries_total" (fun () -> totals.t_fallback)
     ~help:"Outer queries answered by the per-query engine fallback"
 
-(* --- tracing helpers (cf. Engine) --- *)
-
-let tspan trace name f =
-  match trace with None -> f () | Some t -> Obs.Trace.span t name f
-
-let tattr trace k v =
-  match trace with None -> () | Some t -> Obs.Trace.add_attr t k v
-
-type io_snap = { lookups : int; hits : int; misses : int }
-
-let io_snap inv =
-  let l = IF.lookup_stats inv in
-  {
-    lookups = Storage.Io_stats.lookups l;
-    hits = Storage.Io_stats.hits l;
-    misses = Storage.Io_stats.misses l;
-  }
-
-let io_attrs trace before inv =
-  match trace with
-  | None -> ()
-  | Some t ->
-    let now = io_snap inv in
-    let put k v = Obs.Trace.add_attr t k (string_of_int v) in
-    put "lookups" (now.lookups - before.lookups);
-    put "hits" (now.hits - before.hits);
-    put "misses" (now.misses - before.misses)
+(* Lookup deltas of [f], on the innermost open span. *)
+let with_io ?trace inv f =
+  Storage.Io_stats.attribute ?trace (IF.lookup_stats inv) f
 
 (* --- per-atom root lists ---
 
@@ -352,8 +328,8 @@ let join ?(config = default) ?trace inv values =
      has nowhere at all cannot match any record under containment — key
      existence is far cheaper than decoding even one posting list, so
      such queries end here (cf. Engine's preflight). *)
-  tspan trace "build-tree" (fun () ->
-      let io0 = io_snap inv in
+  Obs.Phase.run ?trace Build_tree (fun () ->
+      with_io ?trace inv @@ fun () ->
       let use_fast = config_fast_path ec in
       Array.iteri
         (fun qi v ->
@@ -384,18 +360,17 @@ let join ?(config = default) ?trace inv values =
           end
           else fallback := qi :: !fallback)
         vs;
-      tattr trace "outer" (string_of_int n_outer);
-      tattr trace "fast_path" (string_of_int !fast);
-      tattr trace "preflight_rejected" (string_of_int !preflighted);
-      tattr trace "fallback" (string_of_int (List.length !fallback));
-      tattr trace "distinct_atoms"
+      Obs.Trace.opt_attr trace "outer" (string_of_int n_outer);
+      Obs.Trace.opt_attr trace "fast_path" (string_of_int !fast);
+      Obs.Trace.opt_attr trace "preflight_rejected" (string_of_int !preflighted);
+      Obs.Trace.opt_attr trace "fallback" (string_of_int (List.length !fallback));
+      Obs.Trace.opt_attr trace "distinct_atoms"
         (string_of_int
            (Hashtbl.length memo.node_table + Hashtbl.length memo.root_table));
-      tattr trace "node_tree_nodes"
+      Obs.Trace.opt_attr trace "node_tree_nodes"
         (string_of_int (Prefix_tree.node_count node_tree));
-      tattr trace "root_tree_nodes"
-        (string_of_int (Prefix_tree.node_count root_tree));
-      io_attrs trace io0 inv);
+      Obs.Trace.opt_attr trace "root_tree_nodes"
+        (string_of_int (Prefix_tree.node_count root_tree)));
   let fallback = List.rev !fallback in
   (* Phase 2: one DFS per tree. A node's candidate list is the
      intersection of its prefix's lists, computed once and shared by
@@ -409,8 +384,8 @@ let join ?(config = default) ?trace inv values =
   and shared = ref 0
   and recomputed = ref 0
   and cuts = ref 0 in
-  tspan trace "intersect" (fun () ->
-      let io0 = io_snap inv in
+  Obs.Phase.run ?trace Intersect (fun () ->
+      with_io ?trace inv @@ fun () ->
       let walk tree list_of init pending =
         let emit qi cand depth = pending := (qi, cand, depth) :: !pending in
         let cut_here depth (n : Prefix_tree.node) cand =
@@ -462,11 +437,10 @@ let join ?(config = default) ?trace inv values =
         (fun l -> inter_sorted l memo.roots)
         pending_node;
       walk root_tree (root_list inv memo) (fun l -> l) pending_root;
-      tattr trace "nodes_expanded" (string_of_int !nodes_expanded);
-      tattr trace "intersections_shared" (string_of_int !shared);
-      tattr trace "intersections_recomputed" (string_of_int !recomputed);
-      tattr trace "limit_cuts" (string_of_int !cuts);
-      io_attrs trace io0 inv);
+      Obs.Trace.opt_attr trace "nodes_expanded" (string_of_int !nodes_expanded);
+      Obs.Trace.opt_attr trace "intersections_shared" (string_of_int !shared);
+      Obs.Trace.opt_attr trace "intersections_recomputed" (string_of_int !recomputed);
+      Obs.Trace.opt_attr trace "limit_cuts" (string_of_int !cuts));
   (* Phase 3: finish what the trees could not. A flat query cut short
      finishes by probing each remaining (hot) atom's list — one binary
      search per atom, no record decode; a flat query whose whole atom
@@ -479,8 +453,8 @@ let join ?(config = default) ?trace inv values =
      concatenation, not a global sort over every pair *)
   let results = Array.make (max n_outer 1) [] and checked = ref 0 in
   let emit_pair qi rid = results.(qi) <- rid :: results.(qi) in
-  tspan trace "verify" (fun () ->
-      let io0 = io_snap inv in
+  Obs.Phase.run ?trace Verify (fun () ->
+      with_io ?trace inv @@ fun () ->
       let finish_flat list_of (qi, cand, consumed) =
         let atoms = sorted_atoms.(qi) in
         let n_atoms = Array.length atoms in
@@ -541,13 +515,12 @@ let join ?(config = default) ?trace inv values =
           let r = E.query ~config:ec inv vs.(qi) in
           List.iter (fun rid -> emit_pair qi rid) r.E.records)
         fallback;
-      tattr trace "candidates_checked" (string_of_int !checked);
-      tattr trace "fallback_queries"
+      Obs.Trace.opt_attr trace "candidates_checked" (string_of_int !checked);
+      Obs.Trace.opt_attr trace "fallback_queries"
         (string_of_int (List.length fallback));
-      tattr trace "pairs"
+      Obs.Trace.opt_attr trace "pairs"
         (string_of_int
-           (Array.fold_left (fun n l -> n + List.length l) 0 results));
-      io_attrs trace io0 inv);
+           (Array.fold_left (fun n l -> n + List.length l) 0 results)));
   (* buckets hold each query's ids newest-first; a descending sort is
      near-linear on that and shields against any non-monotone emitter *)
   let n_pairs = ref 0 in
@@ -602,56 +575,30 @@ let explain ?(config = default) ?(target = "join") inv values =
   let trace = Obs.Trace.create "explain-join" in
   let result = join ~config ~trace inv values in
   let root = Obs.Trace.finish trace in
-  let geti name (s : Obs.Trace.span) =
-    match List.assoc_opt name s.Obs.Trace.attrs with
-    | Some v -> ( match int_of_string_opt v with Some i -> i | None -> -1)
-    | None -> -1
-  in
-  let note name s =
-    match List.assoc_opt name s.Obs.Trace.attrs with
-    | Some v -> [ (name, v) ]
-    | None -> []
-  in
+  let geti = Obs.Explain.int_attr and notes = Obs.Explain.notes in
   let n_outer = List.length values in
   (* the tree-size attrs land on build-tree — intersect's static bound *)
-  let tree_nodes =
-    match
-      List.find_opt
-        (fun (s : Obs.Trace.span) -> String.equal s.Obs.Trace.name "build-tree")
-        root.Obs.Trace.children
-    with
-    | None -> -1
-    | Some bt ->
-      let n = geti "node_tree_nodes" bt and r = geti "root_tree_nodes" bt in
-      if n < 0 || r < 0 then -1 else n + r
-  in
+  let tree_nodes = ref (-1) in
   let phases =
-    List.map
-      (fun (s : Obs.Trace.span) ->
-        let mk est actual notes =
-          {
-            Obs.Explain.phase = s.Obs.Trace.name;
-            est;
-            actual;
-            ms = Float.max 0. s.Obs.Trace.duration_s *. 1e3;
-            notes;
-          }
-        in
-        match s.Obs.Trace.name with
-        | "build-tree" ->
-          mk n_outer (geti "fast_path" s)
-            (note "preflight_rejected" s @ note "fallback" s
-           @ note "distinct_atoms" s)
-        | "intersect" ->
-          mk tree_nodes (geti "nodes_expanded" s)
-            (note "intersections_shared" s
-            @ note "intersections_recomputed" s
-            @ note "limit_cuts" s)
-        | "verify" ->
-          mk (geti "candidates_checked" s) (geti "pairs" s)
-            (note "fallback_queries" s)
-        | _ -> mk (-1) (-1) [])
-      root.Obs.Trace.children
+    Obs.Explain.phases_of_trace
+      (fun p s ->
+        match p with
+        | Obs.Phase.Build_tree ->
+          let n = geti s "node_tree_nodes" and r = geti s "root_tree_nodes" in
+          if n >= 0 && r >= 0 then tree_nodes := n + r;
+          ( n_outer, geti s "fast_path",
+            notes s [ "preflight_rejected"; "fallback"; "distinct_atoms" ] )
+        | Intersect ->
+          ( !tree_nodes, geti s "nodes_expanded",
+            notes s
+              [ "intersections_shared"; "intersections_recomputed";
+                "limit_cuts" ] )
+        | Verify ->
+          ( geti s "candidates_checked", geti s "pairs",
+            notes s [ "fallback_queries" ] )
+        | Minimize | Preflight | Prefilter | Prefetch | Retrieve | Eval ->
+          (-1, -1, []))
+      root
   in
   let atoms =
     List.concat_map Nested.Value.atom_universe values

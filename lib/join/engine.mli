@@ -86,7 +86,9 @@ val join :
     [intersect] (nodes expanded, intersections shared vs recomputed,
     LIMIT+ cuts) and [verify] (candidates checked, pairs kept, fallback
     queries run) — each with I/O deltas, mirroring
-    {!Containment.Engine.query}'s phase tree.
+    {!Containment.Engine.query}'s phase tree. While the flight recorder
+    is enabled, the three phases also leave begin/end edges in it (query
+    id [0]), traced or not.
     @raise Invalid_argument if an outer value is an atom.
     @raise Containment.Semantics.Unsupported as the engine does for the
     configured semantics. *)

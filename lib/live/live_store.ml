@@ -232,14 +232,11 @@ let do_flush_locked ?trace t =
     Obs.Recorder.flush_end ~records:(List.length lives);
     List.length lives
   in
-  match trace with
-  | None -> run ()
-  | Some tr ->
-    Obs.Trace.span tr "flush" (fun () ->
-        let sealed = run () in
-        Obs.Trace.add_attr tr "records_sealed" (string_of_int sealed);
-        Obs.Trace.add_attr tr "segments" (string_of_int (List.length t.segments));
-        sealed)
+  Obs.Trace.opt_span trace "flush" (fun () ->
+      let sealed = run () in
+      Obs.Trace.opt_attr trace "records_sealed" (string_of_int sealed);
+      Obs.Trace.opt_attr trace "segments" (string_of_int (List.length t.segments));
+      sealed)
 
 let flush ?trace t = locked t (fun () -> ensure_open t; do_flush_locked ?trace t)
 
@@ -308,20 +305,16 @@ let query ?(config = E.default) ?trace t v =
   locked t (fun () ->
       ensure_open t;
       let seg_part seg =
-        let run () = (E.query ~config ?trace seg.Segment.inv v).E.records in
         let locals =
-          match trace with
-          | None -> run ()
-          | Some tr -> Obs.Trace.span tr ("segment:" ^ seg.Segment.file) run
+          Obs.Trace.opt_span trace ("segment:" ^ seg.Segment.file) (fun () ->
+              (E.query ~config ?trace seg.Segment.inv v).E.records)
         in
         translate seg locals t.tombstones
       in
       let mem_part () =
-        let run () = (E.query ~config ?trace t.mem v).E.records in
         let locals =
-          match trace with
-          | None -> run ()
-          | Some tr -> Obs.Trace.span tr "memtable" run
+          Obs.Trace.opt_span trace "memtable" (fun () ->
+              (E.query ~config ?trace t.mem v).E.records)
         in
         translate_mem t locals
       in
@@ -402,14 +395,10 @@ let join ?(config = Join.Engine.default) ?trace t values =
       let buckets = Array.make (max 1 outer) [] in
       let add o gid = buckets.(o) <- gid :: buckets.(o) in
       let run_seg seg =
-        let run () =
-          (Join.Engine.join ~config ?trace seg.Segment.inv values)
-            .Join.Engine.pairs
-        in
         let pairs =
-          match trace with
-          | None -> run ()
-          | Some tr -> Obs.Trace.span tr ("segment:" ^ seg.Segment.file) run
+          Obs.Trace.opt_span trace ("segment:" ^ seg.Segment.file) (fun () ->
+              (Join.Engine.join ~config ?trace seg.Segment.inv values)
+                .Join.Engine.pairs)
         in
         List.iter
           (fun (o, local) ->
@@ -419,12 +408,8 @@ let join ?(config = Join.Engine.default) ?trace t values =
       in
       List.iter run_seg t.segments;
       let mem_pairs =
-        let run () =
-          (Join.Engine.join ~config ?trace t.mem values).Join.Engine.pairs
-        in
-        match trace with
-        | None -> run ()
-        | Some tr -> Obs.Trace.span tr "memtable" run
+        Obs.Trace.opt_span trace "memtable" (fun () ->
+            (Join.Engine.join ~config ?trace t.mem values).Join.Engine.pairs)
       in
       List.iter (fun (o, local) -> add o t.mem_gids.(local)) mem_pairs;
       let acc = ref [] in
@@ -645,16 +630,13 @@ let compact ?trace ?(all = false) t =
          merged
        in
        let result =
-         match trace with
-         | None -> run ()
-         | Some tr ->
-           Obs.Trace.span tr "compact" (fun () ->
-               let r = run () in
-               Obs.Trace.add_attr tr "segments_merged"
-                 (string_of_int (List.length plan.src_files));
-               Obs.Trace.add_attr tr "merged"
-                 (match r with Some _ -> "true" | None -> "false");
-               r)
+         Obs.Trace.opt_span trace "compact" (fun () ->
+             let r = run () in
+             Obs.Trace.opt_attr trace "segments_merged"
+               (string_of_int (List.length plan.src_files));
+             Obs.Trace.opt_attr trace "merged"
+               (match r with Some _ -> "true" | None -> "false");
+             r)
        in
        reset_compacting ();
        Obs.Recorder.compact_end

@@ -38,6 +38,32 @@ let make ?(config = []) ?(atoms = []) ?(phases = []) ?(records = -1)
 
 let opt_count n = if n < 0 then "-" else string_of_int n
 
+(* ---- phase rows from a trace ---- *)
+
+let int_attr (s : Trace.span) key =
+  match List.assoc_opt key s.Trace.attrs with
+  | Some v -> Option.value ~default:(-1) (int_of_string_opt v)
+  | None -> -1
+
+let notes (s : Trace.span) keys =
+  List.filter_map
+    (fun k -> Option.map (fun v -> (k, v)) (List.assoc_opt k s.Trace.attrs))
+    keys
+
+(* rev_map visits children in order, which [row]'s state relies on *)
+let phases_of_trace row (root : Trace.span) =
+  List.rev_map
+    (fun (s : Trace.span) ->
+      let est, actual, notes =
+        match Phase.of_name s.Trace.name with
+        | Some p -> row p s
+        | None -> (-1, -1, [])
+      in
+      { phase = s.Trace.name; est; actual;
+        ms = Float.max 0. s.Trace.duration_s *. 1e3; notes })
+    root.Trace.children
+  |> List.rev
+
 (* ---- text rendering ---- *)
 
 let render t =

@@ -11,9 +11,10 @@
 
     The engines ({!Containment.Engine.explain_profile},
     [Join.Engine.explain], [Live.Live_store.explain],
-    [Shard.Router.explain]) build values; this module is pure data plus
-    rendering (text, JSON) and a line-oriented wire form for the
-    [Explain] verb and NSCQL [EXPLAIN]. *)
+    [Shard.Router.explain]) build values, reading phase rows out of a
+    trace through {!phases_of_trace}; this module is otherwise pure data
+    plus rendering (text, JSON) and a line-oriented wire form for the
+    [Explain] verb and NSCQL [EXPLAIN]. Row labels are {!Phase.name}s. *)
 
 type atom_plan = {
   atom : string;
@@ -53,6 +54,29 @@ val make :
   query:string ->
   unit ->
   t
+
+(** {1 Phase rows from a trace}
+
+    The engines profile a query by running it once under a trace and
+    reading each phase span back; these are the shared readers. *)
+
+val int_attr : Trace.span -> string -> int
+(** [int_attr s key] is attribute [key] of [s] as an integer; [-1] when
+    absent or not an integer. *)
+
+val notes : Trace.span -> string list -> (string * string) list
+(** The attributes of [s] among [keys] that are present, in [keys]
+    order — a row's [notes]. *)
+
+val phases_of_trace :
+  (Phase.t -> Trace.span -> int * int * (string * string) list) ->
+  Trace.span ->
+  phase list
+(** [phases_of_trace row root] is one row per child span of a finished
+    trace root, in recording order, timed by the span's duration. A
+    phase span's [(est, actual, notes)] come from [row] (called in order,
+    so it may carry state from one phase to the next); a child that is
+    not a {!Phase} gets [-1]/[-1] and no notes. *)
 
 val render : t -> string
 (** Human-readable indented text. *)

@@ -13,7 +13,7 @@ type gauge = float Atomic.t
 let hist_buckets = 64
 
 type histogram = {
-  buckets : int Atomic.t array; (* bucket i holds (2^i, 2^(i+1)]; 0 also <= 1 *)
+  buckets : int Atomic.t array; (* bucket i holds (2^i, 2^(i+1)]; 0 also <= 2 *)
   sum_bits : int64 Atomic.t; (* float sum as bits, CAS-accumulated *)
 }
 

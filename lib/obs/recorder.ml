@@ -375,11 +375,13 @@ let describe names e =
   | Race_suspect -> Printf.sprintf "%s d%d" (named e.a8) e.a16
 
 (* Pair an end event with the most recent matching begin on the same
-   domain (same query id / payload) to print the elapsed time inline. *)
+   domain (same name code and query id / payload) to print the elapsed
+   time inline. The code and the id stay separate key fields: folded
+   into one int they would collide once query ids pass 2^24. *)
 let render ?(names = []) evs =
   let buf = Buffer.create 1024 in
   let t0 = match evs with [] -> 0L | e :: _ -> e.time_us in
-  let opens : (int * int * int, int64) Hashtbl.t = Hashtbl.create 64 in
+  let opens : (int * int * int * int, int64) Hashtbl.t = Hashtbl.create 64 in
   List.iter
     (fun e ->
       let rel = Int64.to_float (Int64.sub e.time_us t0) /. 1000. in
@@ -389,12 +391,12 @@ let render ?(names = []) evs =
           (match e.kind with
           | Query_begin | Phase_begin | Flush_begin | Compact_begin ->
             Hashtbl.replace opens
-              (e.domain, kind_code e.kind, e.a32 lxor (e.a8 lsl 24))
+              (e.domain, kind_code e.kind, e.a8, e.a32)
               e.time_us
           | _ -> ());
           ""
         | Some b -> (
-          let key = (e.domain, kind_code b, e.a32 lxor (e.a8 lsl 24)) in
+          let key = (e.domain, kind_code b, e.a8, e.a32) in
           match Hashtbl.find_opt opens key with
           | None -> ""
           | Some t ->

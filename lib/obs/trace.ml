@@ -55,6 +55,12 @@ let add_attr t k v =
   let s = innermost t in
   s.attrs <- (k, v) :: s.attrs
 
+let opt_span trace name f =
+  match trace with None -> f () | Some t -> span t name f
+
+let opt_attr trace k v =
+  match trace with None -> () | Some t -> add_attr t k v
+
 let rec close_rec s =
   if not s.closed then begin
     s.closed <- true;

@@ -40,6 +40,19 @@ val span : t -> string -> (unit -> 'a) -> 'a
 val add_attr : t -> string -> string -> unit
 (** Attaches [key=value] to the innermost open span (the root if none). *)
 
+(** {1 Optional traces}
+
+    Instrumented code takes [?trace] and records nothing without one;
+    these run the code directly when the trace is [None]. Engine phases
+    go through {!Phase.run} instead, which also emits recorder edges. *)
+
+val opt_span : t option -> string -> (unit -> 'a) -> 'a
+(** [opt_span trace name f] is {!span} when [trace] is given, [f ()]
+    otherwise. *)
+
+val opt_attr : t option -> string -> string -> unit
+(** {!add_attr} when the trace is given, a no-op otherwise. *)
+
 val finish : t -> span
 (** Closes the root span (and any spans left open) and returns the tree.
     Children and attrs come out in recording order. *)

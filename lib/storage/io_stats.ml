@@ -80,6 +80,26 @@ let pp ppf t =
   if t.faults > 0 || t.recoveries > 0 then
     Format.fprintf ppf " faults=%d recoveries=%d" t.faults t.recoveries
 
+let attribute ?trace ?store l f =
+  match trace with
+  | None -> f ()
+  | Some tr ->
+    let l0 = lookups l and h0 = hits l and m0 = misses l in
+    let r0, b0 =
+      match store with Some s -> (reads s, bytes_read s) | None -> (0, 0)
+    in
+    let v = f () in
+    let put k n = Obs.Trace.add_attr tr k (string_of_int n) in
+    put "lookups" (lookups l - l0);
+    put "hits" (hits l - h0);
+    put "misses" (misses l - m0);
+    Option.iter
+      (fun s ->
+        if reads s > r0 then put "reads" (reads s - r0);
+        if bytes_read s > b0 then put "bytes_read" (bytes_read s - b0))
+      store;
+    v
+
 let register reg ?(labels = []) t =
   let c name help f =
     Obs.Metrics.register_callback reg ~help ~labels ~kind:`Counter name

@@ -55,6 +55,15 @@ val pp : Format.formatter -> t -> unit
 (** One line: reads/writes/seeks and cache hits/misses with the hit ratio
     rendered as [ratio %.3f] (matching [Server_stats.render] precision). *)
 
+val attribute : ?trace:Obs.Trace.t -> ?store:t -> t -> (unit -> 'a) -> 'a
+(** [attribute ?trace ?store lookups f] runs [f] and, when [trace] is
+    given, attaches the counter deltas [f] caused to the trace's
+    innermost open span: [lookups]/[hits]/[misses] of [lookups] (always,
+    so a zero is visible) and, when [store] is given, its
+    [reads]/[bytes_read] (only when non-zero). A span tree built this
+    way reconciles with the counters' totals. Without [trace] nothing
+    is sampled. *)
+
 val register : Obs.Metrics.t -> ?labels:(string * string) list -> t -> unit
 (** Publishes these counters into a metrics registry as
     [nscq_io_*_total] callback series plus an [nscq_io_cache_hit_ratio]

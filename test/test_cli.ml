@@ -78,10 +78,10 @@ let test_query backend =
       check_bool "superset matches itself" true (contains_s out "1 matching record(s)");
       let out =
         expect_ok
-          [ "query"; "-s"; store; "--backend"; backend; "--embedding"; "homeo";
-            "--explain"; "{{C}}" ]
+          [ "explain"; "-s"; store; "--backend"; backend; "--embedding"; "homeo";
+            "{{C}}" ]
       in
-      check_bool "explain plan shown" true (contains_s out "candidates="))
+      check_bool "explain profile shown" true (contains_s out "phases:"))
 
 let test_sql backend =
   with_store backend (fun ~store ~backend ->

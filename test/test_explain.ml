@@ -94,20 +94,21 @@ let test_plain_differential () =
         queries)
     plain_configs
 
-(* batch profiles must agree positionally with individual runs *)
-let test_plain_batch_positional () =
+(* --- joins: the profile's rows are the join trace's phase spans --- *)
+
+let test_join_phases () =
   with_plain @@ fun inv ->
-  let profiles = E.explain_profile_batch inv queries in
-  check_int "one profile per query" (List.length queries)
-    (List.length profiles)
-  ;
-  List.iter2
-    (fun q (p : X.t) ->
-      check_int
-        (Printf.sprintf "batch records for %s" (V.to_string q))
-        (List.length (E.query inv q).E.records)
-        p.X.records)
-    queries profiles
+  let profile = Join.Engine.explain inv queries in
+  let trace = T.create "join" in
+  let result = Join.Engine.join ~trace inv queries in
+  let root = T.finish trace in
+  Alcotest.(check (list string))
+    "join rows = trace phases, in order"
+    (List.map (fun (s : T.span) -> s.T.name) root.T.children)
+    (List.map (fun (p : X.phase) -> p.X.phase) profile.X.phases);
+  check_int "three join phases" 3 (List.length profile.X.phases);
+  check_int "records = pairs" (List.length result.Join.Engine.pairs)
+    profile.X.records
 
 (* --- live stores: one sub-plan per segment plus the memtable --- *)
 
@@ -327,8 +328,7 @@ let () =
       ( "differential",
         [
           Alcotest.test_case "plain store" `Quick test_plain_differential;
-          Alcotest.test_case "batch positional" `Quick
-            test_plain_batch_positional;
+          Alcotest.test_case "join" `Quick test_join_phases;
           Alcotest.test_case "live store" `Quick test_live_differential;
           Alcotest.test_case "sharded store" `Quick test_shard_differential;
         ] );

@@ -767,17 +767,6 @@ let prop_witnesses_are_valid_embeddings =
           && List.assoc "root" w = root)
         ws)
 
-let test_explain () =
-  let inv = Testutil.mem_collection Testutil.licences_strings in
-  let plan = E.explain inv (Testutil.v "{USA, {UK, {A, motorbike}}}") in
-  check_int "three query nodes" 3 (List.length plan);
-  let root = List.hd plan in
-  Alcotest.(check string) "path" "root" root.E.node_path;
-  Alcotest.(check (list string)) "root leaves" [ "USA" ] root.E.leaves;
-  check_int "USA occurs at 4 nodes" 4 root.E.candidate_count;
-  let inner = List.nth plan 2 in
-  check_bool "deepest node path" true (inner.E.node_path = "root.0.0")
-
 let () =
   Alcotest.run "extensions"
     [
@@ -866,6 +855,5 @@ let () =
           Alcotest.test_case "containment_join" `Quick test_containment_join;
           Alcotest.test_case "witnesses" `Quick test_witnesses;
           prop_witnesses_are_valid_embeddings;
-          Alcotest.test_case "explain" `Quick test_explain;
         ] );
     ]

@@ -228,6 +228,41 @@ let test_stats_sharing () =
     (List.concat_map (fun j -> List.init 6 (fun i -> (j, i))) [ 0; 1; 2; 3; 4; 5 ])
     r.J.pairs
 
+(* --- flight-recorder phase edges --- *)
+
+(* Under the recorder, a join's three phases leave matched begin/end
+   edges with query id 0, in order; the atomless outer value takes the
+   engine fallback, whose own per-query edges carry non-zero ids. The
+   recorder changes no answer. *)
+let test_recorder_edges () =
+  let module R = Obs.Recorder in
+  let outers =
+    List.map Testutil.v [ "{UK, {A, motorbike}}"; "{car}"; "{nothere}"; "{}" ]
+  in
+  with_collection licences @@ fun inv ->
+  let want = (J.join inv outers).J.pairs in
+  R.reset ();
+  R.enable ();
+  let got =
+    Fun.protect ~finally:R.disable (fun () -> (J.join inv outers).J.pairs)
+  in
+  check_pairs "pairs unchanged under the recorder" want got;
+  let edges =
+    List.filter_map
+      (fun (e : R.event) ->
+        match e.R.kind with
+        | (R.Phase_begin | R.Phase_end) when e.R.a32 = 0 ->
+          Some (R.kind_name e.R.kind ^ " " ^ Option.value ~default:"?" (R.name_of e.R.a8))
+        | _ -> None)
+      (R.events ())
+  in
+  Alcotest.(check (list string))
+    "matched join phase edges"
+    [ "phase.begin build-tree"; "phase.end build-tree";
+      "phase.begin intersect"; "phase.end intersect";
+      "phase.begin verify"; "phase.end verify" ]
+    edges
+
 (* --- sharded joins --- *)
 
 let collection =
@@ -414,6 +449,7 @@ let () =
           Alcotest.test_case "deep chains and skewed sizes" `Quick
             test_deep_and_skewed;
           Alcotest.test_case "stats reflect sharing" `Quick test_stats_sharing;
+          Alcotest.test_case "recorder phase edges" `Quick test_recorder_edges;
         ] );
       ( "paired datagen",
         [ Alcotest.test_case "polarity guarantees" `Quick test_paired_generator ] );

@@ -300,6 +300,28 @@ let test_graft_and_make_span () =
     "grafted subtree untouched" [ "eval" ]
     (List.map (fun (s : T.span) -> s.T.name) shard0.T.children)
 
+(* --- the phase vocabulary --- *)
+
+(* The names are wire strings: Trace/Explain payloads and recorder dumps
+   carry them, so each is pinned here. *)
+let test_phase_names () =
+  let module P = Obs.Phase in
+  let pinned =
+    [ (P.Minimize, "minimize"); (P.Preflight, "preflight");
+      (P.Prefilter, "prefilter"); (P.Prefetch, "prefetch");
+      (P.Retrieve, "retrieve"); (P.Eval, "eval"); (P.Verify, "verify");
+      (P.Build_tree, "build-tree"); (P.Intersect, "intersect") ]
+  in
+  check_int "every phase pinned" (List.length P.all) (List.length pinned);
+  List.iter (fun (p, n) -> check_string n n (P.name p)) pinned;
+  List.iter
+    (fun p ->
+      Alcotest.(check bool)
+        (P.name p ^ " round-trips") true
+        (P.of_name (P.name p) = Some p))
+    P.all;
+  Alcotest.(check bool) "non-phase span" true (P.of_name "memtable" = None)
+
 (* --- slow-query log --- *)
 
 let test_slow_log_line () =
@@ -478,6 +500,8 @@ let () =
           Alcotest.test_case "graft and make_span" `Quick
             test_graft_and_make_span;
         ] );
+      ( "phases",
+        [ Alcotest.test_case "names and of_name" `Quick test_phase_names ] );
       ( "slow-log",
         [
           Alcotest.test_case "line format" `Quick test_slow_log_line;

@@ -108,6 +108,31 @@ let test_query_phase_pairing () =
     (contains ~sub:"\"kind\":\"query.begin\""
        (R.render_json ~names evs))
 
+(* An end pairs with the begin of the same name code and the same query
+   id. Code 1 with id 0 and code 2 with id 3 * 2^24 must not share a
+   pairing key: each end below closes its own begin 20 us earlier. *)
+let test_render_pairs_by_code_and_id () =
+  let ev time_us kind a8 a32 =
+    { R.time_us = Int64.of_int time_us; domain = 1; kind; a8; a16 = 0; a32 }
+  in
+  let big = 3 lsl 24 in
+  let evs =
+    [ ev 0 R.Phase_begin 1 0; ev 10 R.Phase_begin 2 big;
+      ev 20 R.Phase_end 1 0; ev 30 R.Phase_end 2 big ]
+  in
+  let names = [ (1, "minimize"); (2, "eval") ] in
+  let ends =
+    List.filter
+      (fun l -> contains ~sub:"phase.end" l)
+      (String.split_on_char '\n' (R.render ~names evs))
+  in
+  check_int "two end lines" 2 (List.length ends);
+  List.iter
+    (fun l ->
+      check_bool (Printf.sprintf "%S closes its own begin" l) true
+        (contains ~sub:"(0.020 ms)" l))
+    ends
+
 (* --- the name table --- *)
 
 let test_intern_stable () =
@@ -246,6 +271,8 @@ let () =
         [
           Alcotest.test_case "query/phase pairing" `Quick
             test_query_phase_pairing;
+          Alcotest.test_case "pairing keeps code and id apart" `Quick
+            test_render_pairs_by_code_and_id;
           Alcotest.test_case "intern stable" `Quick test_intern_stable;
           Alcotest.test_case "lock-wait hook" `Quick test_lock_wait_hook;
         ] );
