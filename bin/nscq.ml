@@ -37,37 +37,38 @@ let with_out path f =
 
 (* --- shared arguments --- *)
 
-let store_arg =
+(* Optional where the command also takes --connect, required elsewhere. *)
+let store_opt =
   Arg.(
-    required
-    & opt (some string) None
-    & info [ "s"; "store" ] ~docv:"PATH" ~doc:"Path of the collection store.")
+    opt (some string) None
+    & info [ "s"; "store" ] ~docv:"PATH"
+        ~doc:"The collection: a store file (its format is read from the \
+              file's header), a live store directory, or a shard manifest.")
 
+let connect_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "connect" ] ~docv:"HOST:PORT"
+        ~doc:"Run the command on a running $(b,nscq serve) instead of \
+              opening $(b,--store) in-process.")
+
+let deadline_arg =
+  Arg.(
+    value & opt int 0
+    & info [ "deadline-ms" ] ~docv:"MS"
+        ~doc:"Per-request deadline for $(b,--connect) and remote shards \
+              (0 = none).")
+
+(* Only commands that create stores name a format; every other command
+   reads it from the store file's header. *)
 let backend_arg =
   Arg.(
     value
     & opt (enum [ ("hash", `Hash); ("btree", `Btree); ("log", `Log) ]) `Hash
     & info [ "backend" ] ~docv:"KIND"
-        ~doc:"Storage engine: $(b,hash), $(b,btree), or $(b,log) (crash-safe
-              append-only).")
-
-let open_store backend path =
-  if not (Sys.file_exists path) then begin
-    Printf.eprintf "nscq: store '%s' does not exist\n" path;
-    exit 1
-  end;
-  if Live.Live_store.is_live_dir path then begin
-    Printf.eprintf
-      "nscq: '%s' is a live store; this command only works on built \
-       stores (query/join/trace/stats/check/repair/export/compact and \
-       insert/delete/flush handle live stores)\n"
-      path;
-    exit 1
-  end;
-  match backend with
-  | `Hash -> Storage.Hash_store.open_existing path
-  | `Btree -> Storage.Btree_store.open_existing path
-  | `Log -> Storage.Log_store.open_existing path
+        ~doc:"Storage engine of the store to create: $(b,hash), $(b,btree), \
+              or $(b,log) (crash-safe append-only).")
 
 let cache_arg =
   Arg.(
@@ -77,38 +78,43 @@ let cache_arg =
         ~doc:"Buffer the $(docv) most frequent inverted lists in memory \
               (the paper uses 250; 0 disables).")
 
+(* One name table per engine enum, shared by the flags and the repl. *)
+let algorithms =
+  [ ("bottom-up", E.Bottom_up); ("top-down", E.Top_down);
+    ("top-down-paper", E.Top_down_paper); ("naive", E.Naive_scan) ]
+
+let embeddings =
+  [ ("hom", Sem.Hom); ("iso", Sem.Iso); ("homeo", Sem.Homeo);
+    ("homeo-full", Sem.Homeo_full) ]
+
+let parse_join s =
+  match String.lowercase_ascii s with
+  | "containment" | "subset" -> Ok Sem.Containment
+  | "equality" -> Ok Sem.Equality
+  | "superset" -> Ok Sem.Superset
+  | s when String.length s > 8 && String.sub s 0 8 = "overlap=" -> (
+    match int_of_string_opt (String.sub s 8 (String.length s - 8)) with
+    | Some eps when eps >= 1 -> Ok (Sem.Overlap eps)
+    | _ -> Error "overlap needs a positive integer, e.g. overlap=2")
+  | s when String.length s > 11 && String.sub s 0 11 = "similarity=" -> (
+    match float_of_string_opt (String.sub s 11 (String.length s - 11)) with
+    | Some r when r > 0. && r <= 1. -> Ok (Sem.Similarity r)
+    | _ -> Error "similarity needs a ratio in (0,1], e.g. similarity=0.5")
+  | _ -> Error ("unknown join type " ^ s)
+
 let algorithm_arg =
   Arg.(
     value
-    & opt
-        (enum
-           [ ("bottom-up", E.Bottom_up); ("top-down", E.Top_down);
-             ("top-down-paper", E.Top_down_paper); ("naive", E.Naive_scan) ])
-        E.Bottom_up
+    & opt (enum algorithms) E.Bottom_up
     & info [ "algorithm" ] ~docv:"ALG"
         ~doc:"$(b,bottom-up), $(b,top-down), $(b,top-down-paper) (the \
               algorithm exactly as published), or $(b,naive).")
 
 let join_arg =
-  let parse s =
-    match String.lowercase_ascii s with
-    | "containment" | "subset" -> Ok Sem.Containment
-    | "equality" -> Ok Sem.Equality
-    | "superset" -> Ok Sem.Superset
-    | s when String.length s > 8 && String.sub s 0 8 = "overlap=" -> (
-      match int_of_string_opt (String.sub s 8 (String.length s - 8)) with
-      | Some eps when eps >= 1 -> Ok (Sem.Overlap eps)
-      | _ -> Error (`Msg "overlap needs a positive integer, e.g. overlap=2"))
-    | s when String.length s > 11 && String.sub s 0 11 = "similarity=" -> (
-      match float_of_string_opt (String.sub s 11 (String.length s - 11)) with
-      | Some r when r > 0. && r <= 1. -> Ok (Sem.Similarity r)
-      | _ -> Error (`Msg "similarity needs a ratio in (0,1], e.g. similarity=0.5"))
-    | _ -> Error (`Msg ("unknown join type " ^ s))
-  in
-  let print ppf j = Sem.pp_join ppf j in
+  let parse s = Result.map_error (fun m -> `Msg m) (parse_join s) in
   Arg.(
     value
-    & opt (conv (parse, print)) Sem.Containment
+    & opt (conv (parse, Sem.pp_join)) Sem.Containment
     & info [ "join" ] ~docv:"JOIN"
         ~doc:"$(b,containment), $(b,equality), $(b,superset), \
               $(b,overlap=)$(i,ε), or $(b,similarity=)$(i,r).")
@@ -116,11 +122,7 @@ let join_arg =
 let embedding_arg =
   Arg.(
     value
-    & opt
-        (enum
-           [ ("hom", Sem.Hom); ("iso", Sem.Iso); ("homeo", Sem.Homeo);
-             ("homeo-full", Sem.Homeo_full) ])
-        Sem.Hom
+    & opt (enum embeddings) Sem.Hom
     & info [ "embedding" ] ~docv:"SEM"
         ~doc:"$(b,hom) (default), $(b,iso), or $(b,homeo).")
 
@@ -142,6 +144,23 @@ let wildcards_arg =
         ~doc:"Interpret trailing-* query leaves as atom-prefix patterns
               (containment join only).")
 
+(* The engine configuration of query, join, trace and explain. *)
+let engine_term =
+  let make algorithm join embedding anywhere verify wildcards =
+    {
+      E.default with
+      E.algorithm;
+      join;
+      embedding;
+      scope = (if anywhere then E.Anywhere else E.Roots);
+      verify;
+      wildcards;
+    }
+  in
+  Term.(
+    const make $ algorithm_arg $ join_arg $ embedding_arg $ anywhere_arg
+    $ verify_arg $ wildcards_arg)
+
 let spill_arg =
   Arg.(
     value
@@ -157,19 +176,6 @@ let partial_arg =
         ~doc:"Over a shard manifest: answer from the surviving shards (with \
               a warning per failure) instead of failing when a shard is \
               unreachable.")
-
-(* A live store is a directory with a manifest inside; every read and
-   admin command detects one by path, exactly as shard manifests are. *)
-let open_live ?config dir =
-  if not (L.is_live_dir dir) then begin
-    Printf.eprintf "nscq: '%s' is not a live store directory\n" dir;
-    exit 1
-  end;
-  match L.open_store ?config dir with
-  | t -> t
-  | exception (Live.Live_manifest.Corrupt m | Live.Wal.Corrupt m) ->
-    Printf.eprintf "nscq: %s: %s (try 'nscq repair')\n" dir m;
-    exit 1
 
 let load_manifest path =
   if not (Sys.file_exists path) then begin
@@ -379,16 +385,34 @@ let build_cmd =
       const run $ input_arg $ format_arg $ tokenize_arg $ output_arg $ backend_arg
       $ buckets_arg $ recfmt_arg $ codec_arg $ live_arg)
 
-(* --- query --- *)
 
-(* Remote mode: ship the query text to a running `nscq serve` over the
-   wire protocol instead of opening the store in-process. *)
-let with_remote_client ~connect f =
+(* --- the target a command runs on --- *)
+
+type target =
+  | Plain of IF.t
+  | Live of L.t
+  | Sharded of Shard.Router.t
+  | Remote of { client : Server.Client.t; deadline_ms : int }
+
+(* A request the server answered with an error frame. *)
+exception Refused of Server.Wire.error_code * string
+
+let remote = function
+  | Ok x -> x
+  | Error (code, message) -> raise (Refused (code, message))
+
+(* What a --store path names, decided by the path alone. *)
+let classify path =
+  if Shard.Manifest.is_manifest_file path then `Manifest
+  else if L.is_live_dir path then `Live
+  else `Store
+
+let connect_client endpoint =
   let host, port =
-    match String.rindex_opt connect ':' with
+    match String.rindex_opt endpoint ':' with
     | Some i -> (
-      let host = String.sub connect 0 i in
-      let port_s = String.sub connect (i + 1) (String.length connect - i - 1) in
+      let host = String.sub endpoint 0 i in
+      let port_s = String.sub endpoint (i + 1) (String.length endpoint - i - 1) in
       match int_of_string_opt port_s with
       | Some p when p > 0 && p < 65536 -> ((if host = "" then "127.0.0.1" else host), p)
       | _ ->
@@ -398,212 +422,180 @@ let with_remote_client ~connect f =
       prerr_endline "nscq: --connect expects HOST:PORT";
       exit 1
   in
-  let client =
-    try Server.Client.connect ~host ~port ()
-    with
-    | Unix.Unix_error (e, _, _) ->
-      Printf.eprintf "nscq: cannot connect to %s:%d: %s\n" host port
-        (Unix.error_message e);
-      exit 1
-    | Server.Client.Handshake_failed m ->
-      Printf.eprintf "nscq: handshake with %s:%d failed: %s\n" host port m;
-      exit 1
-  in
-  Fun.protect ~finally:(fun () -> Server.Client.close client) @@ fun () ->
-  f client
-
-let run_remote_query ~connect ~deadline_ms ~limit qs =
-  with_remote_client ~connect @@ fun client ->
-  match Server.Client.query client ~deadline_ms qs with
-  | Ok payload ->
-    if String.length (String.trim qs) > 0 && (String.trim qs).[0] = '{' then begin
-      (* literal query: the payload is the matching record ids *)
-      let ids =
-        if payload = "" then []
-        else String.split_on_char ' ' payload
-      in
-      Printf.printf "%d matching record(s)\n" (List.length ids);
-      List.iteri (fun i id -> if i < limit then Printf.printf "  #%s\n" id) ids;
-      if List.length ids > limit then
-        Printf.printf "  … and %d more (raise --limit)\n" (List.length ids - limit)
-    end
-    else begin
-      print_string payload;
-      let n = String.length payload in
-      if n > 0 && payload.[n - 1] <> '\n' then print_newline ()
-    end
-  | Error (code, message) ->
-    Format.eprintf "nscq: server refused: %a: %s@." Server.Wire.pp_error_code
-      code message;
+  try Server.Client.connect ~host ~port ()
+  with
+  | Unix.Unix_error (e, _, _) ->
+    Printf.eprintf "nscq: cannot connect to %s:%d: %s\n" host port
+      (Unix.error_message e);
+    exit 1
+  | Server.Client.Handshake_failed m ->
+    Printf.eprintf "nscq: handshake with %s:%d failed: %s\n" host port m;
     exit 1
 
-(* Sharded mode: scatter-gather over a manifest's shards instead of one
-   store handle. *)
-let run_sharded_query ~manifest_path ~engine ~partial ~deadline_ms ~cache
-    ~limit qs =
-  let m = load_manifest manifest_path in
-  let config =
-    {
-      Shard.Router.default_config with
-      Shard.Router.engine;
-      fail_mode = (if partial then Shard.Router.Partial else Shard.Router.Fail_fast);
-      remote_deadline_ms = deadline_ms;
-      cache_budget = cache;
-    }
-  in
-  let r = Shard.Router.open_manifest ~config m in
-  Fun.protect ~finally:(fun () -> Shard.Router.close r) @@ fun () ->
-  let q = Nested.Syntax.of_string qs in
-  let t0 = Unix.gettimeofday () in
-  match Shard.Router.query r q with
-  | exception Shard.Router.Shard_failed (i, reason) ->
-    Printf.eprintf
-      "nscq: shard %d failed: %s (use --partial for a degraded answer)\n" i
-      reason;
-    exit 1
-  | o ->
-    let dt = 1000. *. (Unix.gettimeofday () -. t0) in
-    List.iter
-      (fun (i, reason) ->
-        Printf.eprintf "nscq: warning: shard %d dropped from answer: %s\n" i
-          reason)
-      o.Shard.Router.warnings;
-    Printf.printf
-      "%d matching record(s) in %.3f ms (%d shard(s) queried, %d pruned)\n"
-      (List.length o.Shard.Router.records)
-      dt o.Shard.Router.shards_queried o.Shard.Router.shards_skipped;
-    List.iteri
-      (fun i id ->
-        if i < limit then
-          match Shard.Router.record_value r id with
-          | Some v -> Format.printf "  #%d: %a@." id Nested.Value.pp v
-          | None -> Printf.printf "  #%d (remote shard)\n" id)
-      o.Shard.Router.records;
-    if List.length o.Shard.Router.records > limit then
-      Printf.printf "  … and %d more (raise --limit)\n"
-        (List.length o.Shard.Router.records - limit)
+let router_config ?(engine = E.default) ?(deadline_ms = 0) ~cache ~partial () =
+  {
+    Shard.Router.default_config with
+    Shard.Router.engine;
+    fail_mode = (if partial then Shard.Router.Partial else Shard.Router.Fail_fast);
+    remote_deadline_ms = deadline_ms;
+    cache_budget = cache;
+  }
 
-(* Live mode: one store directory, queried across its sealed segments
-   and memtable — same semantics as a from-scratch rebuild. *)
-let run_live_query ~config ~limit store qs =
-  let t = open_live store in
-  Fun.protect ~finally:(fun () -> L.close t) @@ fun () ->
-  let q = Nested.Syntax.of_string qs in
+(* Opens what --connect or --store names, applies --cache and --partial,
+   runs [f] and closes the target. Path kinds outside [accept] are
+   refused before anything is opened. *)
+let with_target ?(accept = [ `Store; `Live; `Manifest ]) ?connect
+    ?(deadline_ms = 0) ?(cache = 0) ?(partial = false) ?(engine = E.default)
+    ?(lenient = false) store f =
+  let target, close =
+    match (connect, store) with
+    | Some endpoint, _ ->
+      let client = connect_client endpoint in
+      (Remote { client; deadline_ms }, fun () -> Server.Client.close client)
+    | None, None ->
+      prerr_endline "nscq: either --store or --connect is required";
+      exit 1
+    | None, Some path -> (
+      let kind = classify path in
+      if not (List.exists (fun k -> k = kind) accept) then begin
+        Printf.eprintf "nscq: '%s' %s\n" path
+          (match kind with
+          | `Live ->
+            "is a live store; this command only works on built stores \
+             (query/join/trace/explain/stats/check/repair/export/compact \
+             and insert/delete/flush handle live stores)"
+          | `Manifest when List.exists (fun k -> k = `Store) accept ->
+            "is a shard manifest; this command only works on one store \
+             (query/join/trace/explain/stats/serve route over shards)"
+          | `Store | `Manifest -> "is not a live store directory");
+        exit 1
+      end;
+      match kind with
+      | `Manifest ->
+        let config = router_config ~engine ~deadline_ms ~cache ~partial () in
+        let r = Shard.Router.open_manifest ~config (load_manifest path) in
+        (Sharded r, fun () -> Shard.Router.close r)
+      | `Live ->
+        let t = L.open_store path in
+        (Live t, fun () -> L.close t)
+      | `Store ->
+        let inv = IF.open_store ~lenient (Storage.Store_file.open_existing path) in
+        setup_engine inv ~cache;
+        (Plain inv, fun () -> IF.close inv))
+  in
+  Fun.protect ~finally:close (fun () -> f target)
+
+(* A verb that takes only store files. *)
+let with_plain ?cache path f =
+  with_target ~accept:[ `Store ] ?cache (Some path) @@ function
+  | Plain inv -> f inv
+  | Live _ | Sharded _ | Remote _ -> assert false
+
+(* --- printing --- *)
+
+let timed f =
   let t0 = Unix.gettimeofday () in
-  let records = L.query ~config t q in
-  let dt = 1000. *. (Unix.gettimeofday () -. t0) in
-  Printf.printf "%d matching record(s) in %.3f ms (%d segment(s) + memtable)\n"
-    (List.length records) dt (L.segment_count t);
-  List.iteri
-    (fun i id ->
-      if i < limit then
-        match L.record_value t id with
-        | Some v -> Format.printf "  #%d: %a@." id Nested.Value.pp v
-        | None -> Printf.printf "  #%d\n" id)
-    records;
-  if List.length records > limit then
-    Printf.printf "  … and %d more (raise --limit)\n"
-      (List.length records - limit)
+  let r = f () in
+  (r, 1000. *. (Unix.gettimeofday () -. t0))
+
+(* The first [limit] items through [pp], then how many were left out
+   ([what k] names those [k]). *)
+let print_records ?(what = fun _ -> "") ~limit pp items =
+  List.iteri (fun i x -> if i < limit then pp x) items;
+  let n = List.length items in
+  if n > limit then
+    Printf.printf "  … and %d more%s (raise --limit)\n" (n - limit)
+      (what (n - limit))
+
+(* One result record; [absent] follows the id when its value is not at
+   hand. *)
+let print_record ?(absent = "") id = function
+  | Some v -> Format.printf "  #%d: %a@." id Nested.Value.pp v
+  | None -> Printf.printf "  #%d%s\n" id absent
+
+let warn_dropped what =
+  List.iter (fun (i, reason) ->
+      Printf.eprintf "nscq: warning: shard %d dropped from %s: %s\n" i what
+        reason)
+
+let ids_of_payload payload =
+  List.filter (fun s -> s <> "") (String.split_on_char ' ' payload)
+
+let query_arg =
+  Arg.(
+    required
+    & pos 0 (some string) None
+    & info [] ~docv:"QUERY" ~doc:"Query in nested-set literal syntax.")
+
+(* --- query --- *)
 
 let query_cmd =
-  let query_arg =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"QUERY" ~doc:"Query in nested-set literal syntax.")
-  in
   let limit_arg =
     Arg.(value & opt int 10 & info [ "limit" ] ~docv:"N" ~doc:"Print at most $(docv) results.")
   in
-  let store_opt_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "s"; "store" ] ~docv:"PATH"
-          ~doc:"Path of the collection store (omit with $(b,--connect)).")
-  in
-  let connect_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "connect" ] ~docv:"HOST:PORT"
-          ~doc:"Send the query to a running $(b,nscq serve) instead of \
-                opening a store in-process.")
-  in
-  let deadline_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "deadline-ms" ] ~docv:"MS"
-          ~doc:"Per-request deadline for $(b,--connect) (0 = none).")
-  in
-  let run store connect deadline_ms backend cache algorithm join embedding anywhere
-      verify spill wildcards partial verbose qs limit =
+  let run store connect deadline_ms cache engine spill partial verbose qs limit =
     setup_logging verbose;
-    let config =
-      {
-        E.algorithm;
-        join;
-        embedding;
-        scope = (if anywhere then E.Anywhere else E.Roots);
-        verify;
-        filter_index = None;
-        td_order = Containment.Top_down.Query_order;
-        spill_to = spill;
-        preflight = false;
-        wildcards;
-        minimize = false;
-      }
-    in
-    match connect with
-    | Some connect -> run_remote_query ~connect ~deadline_ms ~limit qs
-    | None ->
-    let store =
-      match store with
-      | Some s -> s
-      | None ->
-        prerr_endline "nscq: either --store or --connect is required";
-        exit 1
-    in
-    if Shard.Manifest.is_manifest_file store then
-      run_sharded_query ~manifest_path:store ~engine:config ~partial
-        ~deadline_ms ~cache ~limit qs
-    else if L.is_live_dir store then run_live_query ~config ~limit store qs
-    else begin
-    let inv = IF.open_store (open_store backend store) in
-    Fun.protect ~finally:(fun () -> IF.close inv) @@ fun () ->
-    setup_engine inv ~cache;
-    let q = Nested.Syntax.of_string qs in
-    let t0 = Unix.gettimeofday () in
-    let r = E.query ~config inv q in
-    let dt = 1000. *. (Unix.gettimeofday () -. t0) in
-    Printf.printf "%d matching record(s) in %.3f ms\n" (List.length r.E.records) dt;
-    List.iteri
-      (fun i id ->
-        if i < limit then
-          Format.printf "  #%d: %a@." id Nested.Value.pp (IF.record_value inv id))
-      r.E.records;
-    if List.length r.E.records > limit then
-      Printf.printf "  … and %d more (raise --limit)\n" (List.length r.E.records - limit)
-    end
+    let config = { engine with E.spill_to = spill } in
+    with_target ?connect ~deadline_ms ~cache ~partial ~engine:config store
+    @@ function
+    | Remote { client; deadline_ms } ->
+      let payload = remote (Server.Client.query client ~deadline_ms qs) in
+      if String.length (String.trim qs) > 0 && (String.trim qs).[0] = '{' then begin
+        (* literal query: the payload is the matching record ids *)
+        let ids = ids_of_payload payload in
+        Printf.printf "%d matching record(s)\n" (List.length ids);
+        print_records ~limit (Printf.printf "  #%s\n") ids
+      end
+      else begin
+        print_string payload;
+        let n = String.length payload in
+        if n > 0 && payload.[n - 1] <> '\n' then print_newline ()
+      end
+    | Sharded r ->
+      let q = Nested.Syntax.of_string qs in
+      let o, dt = timed (fun () -> Shard.Router.query r q) in
+      warn_dropped "answer" o.Shard.Router.warnings;
+      Printf.printf
+        "%d matching record(s) in %.3f ms (%d shard(s) queried, %d pruned)\n"
+        (List.length o.Shard.Router.records)
+        dt o.Shard.Router.shards_queried o.Shard.Router.shards_skipped;
+      print_records ~limit
+        (fun id ->
+          print_record ~absent:" (remote shard)" id (Shard.Router.record_value r id))
+        o.Shard.Router.records
+    | Live t ->
+      (* across the sealed segments and the memtable, with the same
+         answers as a from-scratch rebuild *)
+      let q = Nested.Syntax.of_string qs in
+      let records, dt = timed (fun () -> L.query ~config t q) in
+      Printf.printf "%d matching record(s) in %.3f ms (%d segment(s) + memtable)\n"
+        (List.length records) dt (L.segment_count t);
+      print_records ~limit (fun id -> print_record id (L.record_value t id)) records
+    | Plain inv ->
+      let q = Nested.Syntax.of_string qs in
+      let r, dt = timed (fun () -> E.query ~config inv q) in
+      Printf.printf "%d matching record(s) in %.3f ms\n" (List.length r.E.records) dt;
+      print_records ~limit
+        (fun id -> print_record id (Some (IF.record_value inv id)))
+        r.E.records
   in
   Cmd.v
     (Cmd.info "query"
-       ~doc:"Run one containment query against a store, a shard manifest, \
-             or a running server (with --connect).")
+       ~doc:"Run one containment query against a store, a live store, a \
+             shard manifest, or a running server (with --connect).")
     Term.(
-      const run $ store_opt_arg $ connect_arg $ deadline_arg $ backend_arg
-      $ cache_arg $ algorithm_arg $ join_arg $ embedding_arg $ anywhere_arg
-      $ verify_arg $ spill_arg $ wildcards_arg $ partial_arg
-      $ verbose_arg $ query_arg $ limit_arg)
+      const run $ Arg.value store_opt $ connect_arg $ deadline_arg $ cache_arg
+      $ engine_term $ spill_arg $ partial_arg $ verbose_arg $ query_arg
+      $ limit_arg)
 
 (* --- join --- *)
 
-(* The three execution modes of `nscq query`, for a whole outer
-   collection at once: a local store runs the prefix-tree join engine
-   in-process, a manifest scatter-gathers through the router, and
-   --connect ships the outer collection under the wire Join verb. All
-   three parse the outer file with the server's own line parser so a
-   collection accepted locally is accepted remotely, byte for byte. *)
+(* `nscq query` for a whole outer collection at once: a local store runs
+   the prefix-tree join engine in-process, a manifest scatter-gathers
+   through the router, and --connect ships the outer collection under
+   the wire Join verb. The outer file is parsed with the server's own
+   line parser so a collection accepted locally is accepted remotely,
+   byte for byte. *)
 let join_cmd =
   let queries_arg =
     Arg.(
@@ -611,29 +603,6 @@ let join_cmd =
       & opt (some file) None
       & info [ "q"; "queries" ] ~docv:"FILE"
           ~doc:"Outer collection: one nested-set literal per line.")
-  in
-  let store_opt_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "s"; "store" ] ~docv:"PATH"
-          ~doc:"Path of the inner collection store or shard manifest (omit \
-                with $(b,--connect)).")
-  in
-  let connect_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "connect" ] ~docv:"HOST:PORT"
-          ~doc:"Send the join to a running $(b,nscq serve) instead of \
-                opening a store in-process.")
-  in
-  let deadline_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "deadline-ms" ] ~docv:"MS"
-          ~doc:"Per-request deadline for $(b,--connect) and remote shards \
-                (0 = none).")
   in
   let limit_arg =
     Arg.(
@@ -663,35 +632,10 @@ let join_cmd =
           ~doc:"Stop refining a prefix-tree node shared by fewer than \
                 $(docv) outer queries.")
   in
-  let print_groups ~limit groups =
-    List.iteri
-      (fun qi ids ->
-        if qi < limit then
-          Printf.printf "  q%d: %s\n" qi
-            (if ids = [] then "-"
-             else String.concat " " (List.map string_of_int ids)))
-      groups;
-    let n = List.length groups in
-    if n > limit then
-      Printf.printf "  … and %d more outer quer%s (raise --limit)\n" (n - limit)
-        (if n - limit = 1 then "y" else "ies")
-  in
-  let run store connect deadline_ms backend cache algorithm join_sem embedding
-      anywhere verify wildcards partial max_depth cut_candidates cut_fanout
-      verbose queries limit =
+  let run store connect deadline_ms cache engine partial max_depth
+      cut_candidates cut_fanout verbose queries_file limit =
     setup_logging verbose;
-    let engine =
-      {
-        E.default with
-        E.algorithm;
-        join = join_sem;
-        embedding;
-        scope = (if anywhere then E.Anywhere else E.Roots);
-        verify;
-        wildcards;
-      }
-    in
-    let text = read_file queries in
+    let text = read_file queries_file in
     let values =
       match Server.Batcher.parse_join text with
       | Ok (Server.Batcher.Join values) -> values
@@ -699,388 +643,158 @@ let join_cmd =
         prerr_endline "nscq: internal: unexpected parse outcome";
         exit 1
       | Error message ->
-        Printf.eprintf "nscq: %s: %s\n" queries message;
+        Printf.eprintf "nscq: %s: %s\n" queries_file message;
         exit 1
     in
     let n_outer = List.length values in
-    match connect with
-    | Some connect -> (
-      with_remote_client ~connect @@ fun client ->
-      let t0 = Unix.gettimeofday () in
-      match Server.Client.join client ~deadline_ms text with
-      | Ok payload -> (
-        let dt = 1000. *. (Unix.gettimeofday () -. t0) in
-        match Server.Wire.split_join payload with
-        | Ok groups ->
-          Printf.printf "%d pair(s) across %d outer quer%s in %.3f ms\n"
-            (List.fold_left (fun acc g -> acc + List.length g) 0 groups)
-            n_outer
-            (if n_outer = 1 then "y" else "ies")
-            dt;
-          print_groups ~limit groups
-        | Error m ->
-          Printf.eprintf "nscq: malformed join payload: %s\n" m;
-          exit 1)
-      | Error (code, message) ->
-        Format.eprintf "nscq: server refused: %a: %s@." Server.Wire.pp_error_code
-          code message;
-        exit 1)
-    | None -> (
-      let store =
-        match store with
-        | Some s -> s
-        | None ->
-          prerr_endline "nscq: either --store or --connect is required";
-          exit 1
+    let queries n = if n = 1 then "query" else "queries" in
+    let print_summary pairs dt where =
+      Printf.printf "%d pair(s) across %d outer %s in %.3f ms%s\n" pairs n_outer
+        (queries n_outer) dt where
+    in
+    let print_groups groups =
+      print_records ~limit
+        ~what:(fun k -> " outer " ^ queries k)
+        (fun (qi, ids) ->
+          Printf.printf "  q%d: %s\n" qi
+            (if ids = [] then "-"
+             else String.concat " " (List.map string_of_int ids)))
+        (List.mapi (fun qi ids -> (qi, ids)) groups)
+    in
+    let config = { Join.Engine.engine; max_depth; cut_candidates; cut_fanout } in
+    with_target ?connect ~deadline_ms ~cache ~partial ~engine store @@ function
+    | Remote { client; deadline_ms } -> (
+      let payload, dt =
+        timed (fun () -> remote (Server.Client.join client ~deadline_ms text))
       in
-      if Shard.Manifest.is_manifest_file store then begin
-        let m = load_manifest store in
-        let config =
-          {
-            Shard.Router.default_config with
-            Shard.Router.engine;
-            fail_mode =
-              (if partial then Shard.Router.Partial else Shard.Router.Fail_fast);
-            remote_deadline_ms = deadline_ms;
-            cache_budget = cache;
-          }
-        in
-        let r = Shard.Router.open_manifest ~config m in
-        Fun.protect ~finally:(fun () -> Shard.Router.close r) @@ fun () ->
-        let t0 = Unix.gettimeofday () in
-        match Shard.Router.join r values with
-        | exception Shard.Router.Shard_failed (i, reason) ->
-          Printf.eprintf
-            "nscq: shard %d failed: %s (use --partial for a degraded answer)\n"
-            i reason;
-          exit 1
-        | o ->
-          let dt = 1000. *. (Unix.gettimeofday () -. t0) in
-          List.iter
-            (fun (i, reason) ->
-              Printf.eprintf "nscq: warning: shard %d dropped from join: %s\n" i
-                reason)
-            o.Shard.Router.join_warnings;
-          Printf.printf
-            "%d pair(s) across %d outer quer%s in %.3f ms (%d shard(s) \
-             queried, %d pruned)\n"
-            (List.length o.Shard.Router.pairs)
-            n_outer
-            (if n_outer = 1 then "y" else "ies")
-            dt o.Shard.Router.join_shards_queried
-            o.Shard.Router.join_shards_skipped;
-          print_groups ~limit
-            (Join.Engine.group ~outer:n_outer o.Shard.Router.pairs)
-      end
-      else if L.is_live_dir store then begin
-        let t = open_live store in
-        Fun.protect ~finally:(fun () -> L.close t) @@ fun () ->
-        let config =
-          { Join.Engine.engine; max_depth; cut_candidates; cut_fanout }
-        in
-        let t0 = Unix.gettimeofday () in
-        let pairs = L.join ~config t values in
-        let dt = 1000. *. (Unix.gettimeofday () -. t0) in
-        Printf.printf
-          "%d pair(s) across %d outer quer%s in %.3f ms (%d segment(s) + \
-           memtable)\n"
-          (List.length pairs) n_outer
-          (if n_outer = 1 then "y" else "ies")
-          dt (L.segment_count t);
-        print_groups ~limit (Join.Engine.group ~outer:n_outer pairs)
-      end
-      else begin
-        let inv = IF.open_store (open_store backend store) in
-        Fun.protect ~finally:(fun () -> IF.close inv) @@ fun () ->
-        setup_engine inv ~cache;
-        let config =
-          { Join.Engine.engine; max_depth; cut_candidates; cut_fanout }
-        in
-        let t0 = Unix.gettimeofday () in
-        let r = Join.Engine.join ~config inv values in
-        let dt = 1000. *. (Unix.gettimeofday () -. t0) in
-        let s = r.Join.Engine.stats in
-        Printf.printf "%d pair(s) across %d outer quer%s in %.3f ms\n"
-          s.Join.Engine.pairs n_outer
-          (if n_outer = 1 then "y" else "ies")
-          dt;
-        Printf.printf
-          "  prefix tree: %d node(s), %d expanded, %d intersection(s) shared \
-           / %d recomputed, %d adaptive cut(s), %d candidate(s) verified, %d \
-           preflight-rejected, %d fallback quer%s\n"
-          s.Join.Engine.tree_nodes s.Join.Engine.nodes_expanded
-          s.Join.Engine.intersections_shared
-          s.Join.Engine.intersections_recomputed s.Join.Engine.limit_cuts
-          s.Join.Engine.candidates_checked s.Join.Engine.preflight_rejected
-          s.Join.Engine.fallback
-          (if s.Join.Engine.fallback = 1 then "y" else "ies");
-        print_groups ~limit (Join.Engine.group ~outer:n_outer r.Join.Engine.pairs)
-      end)
+      match Server.Wire.split_join payload with
+      | Ok groups ->
+        print_summary
+          (List.fold_left (fun acc g -> acc + List.length g) 0 groups)
+          dt "";
+        print_groups groups
+      | Error m ->
+        Printf.eprintf "nscq: malformed join payload: %s\n" m;
+        exit 1)
+    | Sharded r ->
+      let o, dt = timed (fun () -> Shard.Router.join r values) in
+      warn_dropped "join" o.Shard.Router.join_warnings;
+      print_summary (List.length o.Shard.Router.pairs) dt
+        (Printf.sprintf " (%d shard(s) queried, %d pruned)"
+           o.Shard.Router.join_shards_queried o.Shard.Router.join_shards_skipped);
+      print_groups (Join.Engine.group ~outer:n_outer o.Shard.Router.pairs)
+    | Live t ->
+      let pairs, dt = timed (fun () -> L.join ~config t values) in
+      print_summary (List.length pairs) dt
+        (Printf.sprintf " (%d segment(s) + memtable)" (L.segment_count t));
+      print_groups (Join.Engine.group ~outer:n_outer pairs)
+    | Plain inv ->
+      let r, dt = timed (fun () -> Join.Engine.join ~config inv values) in
+      let s = r.Join.Engine.stats in
+      print_summary s.Join.Engine.pairs dt "";
+      Printf.printf
+        "  prefix tree: %d node(s), %d expanded, %d intersection(s) shared \
+         / %d recomputed, %d adaptive cut(s), %d candidate(s) verified, %d \
+         preflight-rejected, %d fallback %s\n"
+        s.Join.Engine.tree_nodes s.Join.Engine.nodes_expanded
+        s.Join.Engine.intersections_shared
+        s.Join.Engine.intersections_recomputed s.Join.Engine.limit_cuts
+        s.Join.Engine.candidates_checked s.Join.Engine.preflight_rejected
+        s.Join.Engine.fallback
+        (queries s.Join.Engine.fallback);
+      print_groups (Join.Engine.group ~outer:n_outer r.Join.Engine.pairs)
   in
   Cmd.v
     (Cmd.info "join"
        ~doc:"Set-containment join: match every query of an outer collection \
-             against a store, a shard manifest, or a running server \
-             (with --connect) in one pass over a shared prefix tree.")
+             against a store, a live store, a shard manifest, or a running \
+             server (with --connect) in one pass over a shared prefix tree.")
     Term.(
-      const run $ store_opt_arg $ connect_arg $ deadline_arg $ backend_arg
-      $ cache_arg $ algorithm_arg $ join_arg $ embedding_arg $ anywhere_arg
-      $ verify_arg $ wildcards_arg $ partial_arg $ max_depth_arg
-      $ cut_candidates_arg $ cut_fanout_arg $ verbose_arg $ queries_arg
-      $ limit_arg)
+      const run $ Arg.value store_opt $ connect_arg $ deadline_arg $ cache_arg
+      $ engine_term $ partial_arg $ max_depth_arg $ cut_candidates_arg
+      $ cut_fanout_arg $ verbose_arg $ queries_arg $ limit_arg)
 
 (* --- trace --- *)
 
-let print_id_count payload =
-  let ids =
-    if payload = "" then []
-    else List.filter (fun s -> s <> "") (String.split_on_char ' ' payload)
-  in
-  Printf.printf "%d matching record(s)\n" (List.length ids)
-
 let trace_cmd =
-  let query_arg =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"QUERY" ~doc:"Query in nested-set literal syntax.")
-  in
-  let store_opt_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "s"; "store" ] ~docv:"PATH"
-          ~doc:"Path of the collection store or shard manifest (omit with \
-                $(b,--connect)).")
-  in
-  let connect_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "connect" ] ~docv:"HOST:PORT"
-          ~doc:"Trace the query on a running $(b,nscq serve): the server \
-                executes it under the wire $(b,Trace) verb and ships its \
-                span tree back.")
-  in
-  let deadline_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "deadline-ms" ] ~docv:"MS"
-          ~doc:"Per-request deadline for $(b,--connect) (0 = none).")
-  in
-  let run store connect deadline_ms backend cache algorithm join embedding
-      anywhere verify wildcards partial verbose qs =
+  let run store connect deadline_ms cache engine partial verbose qs =
     setup_logging verbose;
-    let config =
-      {
-        E.default with
-        E.algorithm;
-        join;
-        embedding;
-        scope = (if anywhere then E.Anywhere else E.Roots);
-        verify;
-        wildcards;
-      }
-    in
     let print_span id span =
       Printf.printf "trace %08x\n" id;
       print_string (Obs.Trace.render span)
     in
-    match connect with
-    | Some connect -> (
-      with_remote_client ~connect @@ fun client ->
-      match Server.Client.trace client ~deadline_ms qs with
-      | Ok payload -> (
-        let result, spans = Server.Wire.split_traced payload in
-        print_id_count result;
-        match Obs.Trace.of_wire spans with
-        | Some (id, span) -> print_span id span
-        | None ->
-          prerr_endline "nscq: the server's reply carried no span tree";
-          exit 1)
-      | Error (code, message) ->
-        Format.eprintf "nscq: server refused: %a: %s@."
-          Server.Wire.pp_error_code code message;
-        exit 1)
-    | None -> (
-      let store =
-        match store with
-        | Some s -> s
-        | None ->
-          prerr_endline "nscq: either --store or --connect is required";
-          exit 1
-      in
+    let local count =
       let q = Nested.Syntax.of_string qs in
       let trace = Obs.Trace.create "query" in
-      if Shard.Manifest.is_manifest_file store then begin
-        let m = load_manifest store in
-        let rconfig =
-          {
-            Shard.Router.default_config with
-            Shard.Router.engine = config;
-            fail_mode =
-              (if partial then Shard.Router.Partial else Shard.Router.Fail_fast);
-            remote_deadline_ms = deadline_ms;
-            cache_budget = cache;
-          }
-        in
-        let r = Shard.Router.open_manifest ~config:rconfig m in
-        Fun.protect ~finally:(fun () -> Shard.Router.close r) @@ fun () ->
-        match Shard.Router.query ~trace r q with
-        | exception Shard.Router.Shard_failed (i, reason) ->
-          Printf.eprintf
-            "nscq: shard %d failed: %s (use --partial for a degraded answer)\n"
-            i reason;
-          exit 1
-        | o ->
-          List.iter
-            (fun (i, reason) ->
-              Printf.eprintf "nscq: warning: shard %d dropped from answer: %s\n"
-                i reason)
-            o.Shard.Router.warnings;
-          Printf.printf "%d matching record(s)\n"
-            (List.length o.Shard.Router.records);
-          print_span (Obs.Trace.id trace) (Obs.Trace.finish trace)
-      end
-      else if L.is_live_dir store then begin
-        let t = open_live store in
-        Fun.protect ~finally:(fun () -> L.close t) @@ fun () ->
-        let records = L.query ~config ~trace t q in
-        Printf.printf "%d matching record(s)\n" (List.length records);
-        print_span (Obs.Trace.id trace) (Obs.Trace.finish trace)
-      end
-      else begin
-        let inv = IF.open_store (open_store backend store) in
-        Fun.protect ~finally:(fun () -> IF.close inv) @@ fun () ->
-        setup_engine inv ~cache;
-        let r = E.query ~config ~trace inv q in
-        Printf.printf "%d matching record(s)\n" (List.length r.E.records);
-        print_span (Obs.Trace.id trace) (Obs.Trace.finish trace)
-      end)
+      Printf.printf "%d matching record(s)\n" (count q trace);
+      print_span (Obs.Trace.id trace) (Obs.Trace.finish trace)
+    in
+    with_target ?connect ~deadline_ms ~cache ~partial ~engine store @@ function
+    | Remote { client; deadline_ms } -> (
+      let result, spans =
+        Server.Wire.split_traced
+          (remote (Server.Client.trace client ~deadline_ms qs))
+      in
+      Printf.printf "%d matching record(s)\n"
+        (List.length (ids_of_payload result));
+      match Obs.Trace.of_wire spans with
+      | Some (id, span) -> print_span id span
+      | None ->
+        prerr_endline "nscq: the server's reply carried no span tree";
+        exit 1)
+    | Sharded r ->
+      local (fun q trace ->
+          let o = Shard.Router.query ~trace r q in
+          warn_dropped "answer" o.Shard.Router.warnings;
+          List.length o.Shard.Router.records)
+    | Live t ->
+      local (fun q trace -> List.length (L.query ~config:engine ~trace t q))
+    | Plain inv ->
+      local (fun q trace ->
+          List.length (E.query ~config:engine ~trace inv q).E.records)
   in
   Cmd.v
     (Cmd.info "trace"
        ~doc:"Run one containment query and print its span tree — per-phase \
              timings (minimize, prefilter, retrieval per atom, merge, \
-             verify) with I/O deltas, per shard over a manifest, and \
-             server-side with --connect.")
+             verify) with I/O deltas, per segment over a live store, per \
+             shard over a manifest, and server-side with --connect.")
     Term.(
-      const run $ store_opt_arg $ connect_arg $ deadline_arg $ backend_arg
-      $ cache_arg $ algorithm_arg $ join_arg $ embedding_arg $ anywhere_arg
-      $ verify_arg $ wildcards_arg $ partial_arg $ verbose_arg
-      $ query_arg)
+      const run $ Arg.value store_opt $ connect_arg $ deadline_arg $ cache_arg
+      $ engine_term $ partial_arg $ verbose_arg $ query_arg)
 
 (* --- explain --- *)
 
 (* Plan-and-profile: unlike `trace` (wall-clock spans), `explain` answers
    the planner questions — atom order with posting stats, estimated vs
-   actual candidates per phase — against any execution target: a plain
-   store, a live directory (per-segment sub-plans), a shard manifest
-   (per-shard sub-plans), or a running server over the wire Explain
-   verb. *)
+   actual candidates per phase — against any target: a plain store, a
+   live directory (per-segment sub-plans), a shard manifest (per-shard
+   sub-plans), or a running server over the wire Explain verb. *)
 let explain_cmd =
-  let query_arg =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"QUERY" ~doc:"Query in nested-set literal syntax.")
-  in
-  let store_opt_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "s"; "store" ] ~docv:"PATH"
-          ~doc:"Path of the collection store, live directory or shard \
-                manifest (omit with $(b,--connect)).")
-  in
-  let connect_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "connect" ] ~docv:"HOST:PORT"
-          ~doc:"Explain on a running $(b,nscq serve): the server plans and \
-                profiles under the wire $(b,Explain) verb and ships the \
-                plan back.")
-  in
-  let deadline_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "deadline-ms" ] ~docv:"MS"
-          ~doc:"Per-request deadline for $(b,--connect) (0 = none).")
-  in
   let json_arg =
     Arg.(
       value & flag
       & info [ "json" ] ~doc:"Emit the plan as JSON instead of text.")
   in
-  let run store connect deadline_ms backend cache algorithm join embedding
-      anywhere verify wildcards partial json verbose qs =
+  let run store connect deadline_ms cache engine partial json verbose qs =
     setup_logging verbose;
-    let config =
-      {
-        E.default with
-        E.algorithm;
-        join;
-        embedding;
-        scope = (if anywhere then E.Anywhere else E.Roots);
-        verify;
-        wildcards;
-      }
-    in
     let print p =
       if json then print_endline (Obs.Explain.to_json p)
       else print_string (Obs.Explain.render p)
     in
-    match connect with
-    | Some connect -> (
-      with_remote_client ~connect @@ fun client ->
-      match Server.Client.explain client ~deadline_ms qs with
-      | Ok payload -> (
-        match Obs.Explain.of_wire payload with
-        | Some p -> print p
-        | None ->
-          prerr_endline "nscq: the server's reply carried no plan";
-          exit 1)
-      | Error (code, message) ->
-        Format.eprintf "nscq: server refused: %a: %s@."
-          Server.Wire.pp_error_code code message;
+    let q () = Nested.Syntax.of_string qs in
+    with_target ?connect ~deadline_ms ~cache ~partial ~engine store @@ function
+    | Remote { client; deadline_ms } -> (
+      match
+        Obs.Explain.of_wire (remote (Server.Client.explain client ~deadline_ms qs))
+      with
+      | Some p -> print p
+      | None ->
+        prerr_endline "nscq: the server's reply carried no plan";
         exit 1)
-    | None -> (
-      let store =
-        match store with
-        | Some s -> s
-        | None ->
-          prerr_endline "nscq: either --store or --connect is required";
-          exit 1
-      in
-      let q = Nested.Syntax.of_string qs in
-      if Shard.Manifest.is_manifest_file store then begin
-        let m = load_manifest store in
-        let rconfig =
-          {
-            Shard.Router.default_config with
-            Shard.Router.engine = config;
-            fail_mode =
-              (if partial then Shard.Router.Partial else Shard.Router.Fail_fast);
-            remote_deadline_ms = deadline_ms;
-            cache_budget = cache;
-          }
-        in
-        let r = Shard.Router.open_manifest ~config:rconfig m in
-        Fun.protect ~finally:(fun () -> Shard.Router.close r) @@ fun () ->
-        print (Shard.Router.explain r q)
-      end
-      else if L.is_live_dir store then begin
-        let t = open_live store in
-        Fun.protect ~finally:(fun () -> L.close t) @@ fun () ->
-        print (L.explain ~config t q)
-      end
-      else begin
-        let inv = IF.open_store (open_store backend store) in
-        Fun.protect ~finally:(fun () -> IF.close inv) @@ fun () ->
-        setup_engine inv ~cache;
-        print (E.explain_profile ~config inv q)
-      end)
+    | Sharded r -> print (Shard.Router.explain r (q ()))
+    | Live t -> print (L.explain ~config:engine t (q ()))
+    | Plain inv -> print (E.explain_profile ~config:engine inv (q ()))
   in
   Cmd.v
     (Cmd.info "explain"
@@ -1089,54 +803,8 @@ let explain_cmd =
              candidate counts per phase — per segment over a live store, \
              per shard over a manifest, server-side with --connect.")
     Term.(
-      const run $ store_opt_arg $ connect_arg $ deadline_arg $ backend_arg
-      $ cache_arg $ algorithm_arg $ join_arg $ embedding_arg $ anywhere_arg
-      $ verify_arg $ wildcards_arg $ partial_arg $ json_arg
-      $ verbose_arg $ query_arg)
-
-(* --- flight --- *)
-
-(* Decode a flight-recorder dump — written by `nscq serve` on SIGUSR1 or
-   automatically next to a slow-query line — into one merged timeline. *)
-let flight_cmd =
-  let dump_cmd =
-    let file_arg =
-      Arg.(
-        required
-        & pos 0 (some string) None
-        & info [] ~docv:"FILE"
-            ~doc:"A flight-recorder dump ($(b,nscq serve --flight) path; \
-                  written on SIGUSR1 or on slow queries).")
-    in
-    let json_arg =
-      Arg.(
-        value & flag
-        & info [ "json" ] ~doc:"Emit the timeline as JSON instead of text.")
-    in
-    let run json file =
-      match Obs.Recorder.read_dump file with
-      | names, events ->
-        if json then print_endline (Obs.Recorder.render_json ~names events)
-        else print_string (Obs.Recorder.render ~names events)
-      | exception Sys_error m ->
-        Printf.eprintf "nscq: cannot read %s: %s\n" file m;
-        exit 1
-      | exception Obs.Recorder.Corrupt m ->
-        Printf.eprintf "nscq: corrupt flight dump %s: %s\n" file m;
-        exit 1
-    in
-    Cmd.v
-      (Cmd.info "dump"
-         ~doc:"Decode a flight-recorder dump file into one timeline \
-               merged across the server's worker domains.")
-      Term.(const run $ json_arg $ file_arg)
-  in
-  Cmd.group
-    (Cmd.info "flight"
-       ~doc:"Inspect the always-on flight recorder: decode the binary \
-             event-ring dumps a server writes on SIGUSR1 or alongside \
-             slow-query log lines.")
-    [ dump_cmd ]
+      const run $ Arg.value store_opt $ connect_arg $ deadline_arg $ cache_arg
+      $ engine_term $ partial_arg $ json_arg $ verbose_arg $ query_arg)
 
 (* --- workload --- *)
 
@@ -1145,10 +813,8 @@ let workload_cmd =
     Arg.(value & opt int 100 & info [ "n"; "count" ] ~docv:"N" ~doc:"Workload size (paper: 100).")
   in
   let seed_arg = Arg.(value & opt int 271 & info [ "seed" ] ~docv:"S" ~doc:"Selection seed.") in
-  let run store backend cache algorithm count seed =
-    let inv = IF.open_store (open_store backend store) in
-    Fun.protect ~finally:(fun () -> IF.close inv) @@ fun () ->
-    setup_engine inv ~cache;
+  let run store cache algorithm count seed =
+    with_plain ~cache store @@ fun inv ->
     let queries =
       Datagen.Workload.values (Datagen.Workload.benchmark_queries ~seed ~count inv)
     in
@@ -1158,15 +824,27 @@ let workload_cmd =
   Cmd.v
     (Cmd.info "workload"
        ~doc:"Time the paper's benchmark workload (Sec. 5.1) against a store.")
-    Term.(const run $ store_arg $ backend_arg $ cache_arg $ algorithm_arg $ count_arg $ seed_arg)
+    Term.(
+      const run $ Arg.required store_opt $ cache_arg $ algorithm_arg $ count_arg
+      $ seed_arg)
 
 (* --- check (integrity) --- *)
 
 let check_cmd =
-  let run store backend =
-    if L.is_live_dir store then begin
-      let t = open_live store in
-      Fun.protect ~finally:(fun () -> L.close t) @@ fun () ->
+  let print_problems ~pp ~repair problems =
+    List.iteri
+      (fun i p ->
+        if i < 20 then pp p
+        else if i = 20 then
+          Printf.printf "... (%d more)\n" (List.length problems - 20))
+      problems;
+    Printf.printf "%d problem(s); run 'nscq repair' to rebuild %s\n"
+      (List.length problems) repair;
+    exit 1
+  in
+  let run store =
+    with_target ~accept:[ `Store; `Live ] ~lenient:true (Some store) @@ function
+    | Live t -> (
       match L.verify t with
       | [] ->
         Printf.printf
@@ -1174,45 +852,26 @@ let check_cmd =
            tombstone(s) — consistent\n"
           (L.live_records t) (L.segment_count t) (L.tombstone_count t)
       | problems ->
-        List.iteri
-          (fun i (what, detail) ->
-            if i < 20 then Printf.printf "PROBLEM %s: %s\n" what detail
-            else if i = 20 then
-              Printf.printf "... (%d more)\n" (List.length problems - 20))
-          problems;
-        Printf.printf
-          "%d problem(s); run 'nscq repair' to rebuild the damaged segments\n"
-          (List.length problems);
-        exit 1
-    end
-    else
-    let kv = open_store backend store in
-    let inv = IF.open_store ~lenient:true kv in
-    Fun.protect ~finally:(fun () -> IF.close inv) @@ fun () ->
-    let recoveries = Storage.Io_stats.recoveries kv.Storage.Kv.stats in
-    if recoveries > 0 then
-      Printf.printf "note: %d recovery action(s) ran while opening the store\n"
-        recoveries;
-    match E.verify_store inv with
-    | [] ->
-      Printf.printf "ok: %d records, %d atoms, %d nodes — consistent\n"
-        (IF.record_count inv) (IF.atom_count inv) (IF.node_count inv)
-    | problems ->
-      List.iteri
-        (fun i p ->
-          if i < 20 then
-            Format.printf "PROBLEM %a@." Invfile.Integrity.pp_problem p
-          else if i = 20 then
-            Printf.printf "... (%d more)\n" (List.length problems - 20))
-        problems;
-      Printf.printf "%d problem(s); run 'nscq repair' to rebuild the index from the records\n"
-        (List.length problems);
-      exit 1
+        print_problems problems ~repair:"the damaged segments"
+          ~pp:(fun (what, detail) -> Printf.printf "PROBLEM %s: %s\n" what detail))
+    | Plain inv -> (
+      let recoveries = Storage.Io_stats.recoveries (IF.store inv).Storage.Kv.stats in
+      if recoveries > 0 then
+        Printf.printf "note: %d recovery action(s) ran while opening the store\n"
+          recoveries;
+      match E.verify_store inv with
+      | [] ->
+        Printf.printf "ok: %d records, %d atoms, %d nodes — consistent\n"
+          (IF.record_count inv) (IF.atom_count inv) (IF.node_count inv)
+      | problems ->
+        print_problems problems ~repair:"the index from the records"
+          ~pp:(Format.printf "PROBLEM %a@." Invfile.Integrity.pp_problem))
+    | Sharded _ | Remote _ -> assert false
   in
   Cmd.v
     (Cmd.info "check"
        ~doc:"Verify a store's integrity (index vs stored records).")
-    Term.(const run $ store_arg $ backend_arg)
+    Term.(const run $ Arg.required store_opt)
 
 (* --- repair --- *)
 
@@ -1223,56 +882,46 @@ let repair_cmd =
       & info [ "dry-run" ]
           ~doc:"Report what repair would do without rewriting anything.")
   in
-  let run store backend dry =
-    if L.is_live_dir store then begin
-      let t = open_live store in
-      Fun.protect ~finally:(fun () -> L.close t) @@ fun () ->
-      if dry then begin
-        match L.verify t with
-        | [] -> print_endline "live store is consistent; nothing to repair"
-        | problems ->
-          List.iter
-            (fun (what, detail) -> Printf.printf "WOULD FIX %s: %s\n" what detail)
-            problems;
-          exit 1
-      end
-      else begin
-        (match L.repair t with
-        | [] -> print_endline "live store is consistent; nothing to repair"
-        | actions -> List.iter print_endline actions);
-        match L.verify t with
-        | [] -> ()
-        | problems ->
-          List.iter
-            (fun (what, detail) ->
-              Printf.printf "STILL BROKEN %s: %s\n" what detail)
-            problems;
-          exit 1
-      end
-    end
-    else
-    let inv = IF.open_store ~lenient:true (open_store backend store) in
-    Fun.protect ~finally:(fun () -> IF.close inv) @@ fun () ->
-    if dry then begin
+  let run store dry =
+    with_target ~accept:[ `Store; `Live ] ~lenient:true (Some store) @@ function
+    | Live t when dry -> (
+      match L.verify t with
+      | [] -> print_endline "live store is consistent; nothing to repair"
+      | problems ->
+        List.iter
+          (fun (what, detail) -> Printf.printf "WOULD FIX %s: %s\n" what detail)
+          problems;
+        exit 1)
+    | Live t -> (
+      (match L.repair t with
+      | [] -> print_endline "live store is consistent; nothing to repair"
+      | actions -> List.iter print_endline actions);
+      match L.verify t with
+      | [] -> ()
+      | problems ->
+        List.iter
+          (fun (what, detail) -> Printf.printf "STILL BROKEN %s: %s\n" what detail)
+          problems;
+        exit 1)
+    | Plain inv when dry -> (
       match E.verify_store inv with
       | [] -> print_endline "store is consistent; nothing to repair"
       | problems ->
         List.iter
           (fun p -> Format.printf "WOULD FIX %a@." Invfile.Integrity.pp_problem p)
           problems;
-        exit 1
-    end
-    else begin
+        exit 1)
+    | Plain inv ->
       let report = E.repair inv in
       Format.printf "%a" E.pp_repair_report report;
       if report.E.problems_after <> [] then exit 1
-    end
+    | Sharded _ | Remote _ -> assert false
   in
   Cmd.v
     (Cmd.info "repair"
        ~doc:"Recover a store: finish pending journal rollbacks and rebuild \
              the index from the stored records if it is inconsistent.")
-    Term.(const run $ store_arg $ backend_arg $ dry_arg)
+    Term.(const run $ Arg.required store_opt $ dry_arg)
 
 (* --- export --- *)
 
@@ -1280,28 +929,22 @@ let export_cmd =
   let out_arg =
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Output file (default stdout).")
   in
-  let run store backend out =
-    if L.is_live_dir store then begin
-      let t = open_live store in
-      Fun.protect ~finally:(fun () -> L.close t) @@ fun () ->
-      with_out out @@ fun oc ->
-      L.fold_live t ~init:() ~f:(fun () _ v ->
-          output_string oc (Nested.Syntax.to_string v);
-          output_char oc '\n')
-    end
-    else begin
-      let inv = IF.open_store (open_store backend store) in
-      Fun.protect ~finally:(fun () -> IF.close inv) @@ fun () ->
-      with_out out @@ fun oc ->
-      IF.iter_records inv (fun _ v ->
-          output_string oc (Nested.Syntax.to_string v);
-          output_char oc '\n')
-    end
+  let run store out =
+    with_target ~accept:[ `Store; `Live ] (Some store) @@ fun target ->
+    with_out out @@ fun oc ->
+    let print v =
+      output_string oc (Nested.Syntax.to_string v);
+      output_char oc '\n'
+    in
+    match target with
+    | Live t -> L.fold_live t ~init:() ~f:(fun () _ v -> print v)
+    | Plain inv -> IF.iter_records inv (fun _ v -> print v)
+    | Sharded _ | Remote _ -> assert false
   in
   Cmd.v
     (Cmd.info "export"
        ~doc:"Write the live records back out as nested-set literals.")
-    Term.(const run $ store_arg $ backend_arg $ out_arg)
+    Term.(const run $ Arg.required store_opt $ out_arg)
 
 (* --- merge --- *)
 
@@ -1310,19 +953,13 @@ let merge_cmd =
     Arg.(
       required
       & opt (some string) None
-      & info [ "from" ] ~docv:"PATH" ~doc:"Source store to append (read-only).")
+      & info [ "from" ] ~docv:"PATH"
+          ~doc:"Source store to append (read-only; its format is read from \
+                its header).")
   in
-  let src_backend_arg =
-    Arg.(
-      value
-      & opt (enum [ ("hash", `Hash); ("btree", `Btree); ("log", `Log) ]) `Hash
-      & info [ "from-backend" ] ~docv:"KIND" ~doc:"Source storage engine.")
-  in
-  let run store backend src src_backend =
-    let dst = IF.open_store (open_store backend store) in
-    Fun.protect ~finally:(fun () -> IF.close dst) @@ fun () ->
-    let src = IF.open_store (open_store src_backend src) in
-    Fun.protect ~finally:(fun () -> IF.close src) @@ fun () ->
+  let run store src =
+    with_plain store @@ fun dst ->
+    with_plain src @@ fun src ->
     let before = IF.record_count dst in
     Invfile.Merger.append ~dst ~src;
     Printf.printf "merged: %d + %d live record(s) -> %d\n" before
@@ -1330,7 +967,7 @@ let merge_cmd =
   in
   Cmd.v
     (Cmd.info "merge" ~doc:"Append another collection's records to a store.")
-    Term.(const run $ store_arg $ backend_arg $ src_arg $ src_backend_arg)
+    Term.(const run $ Arg.required store_opt $ src_arg)
 
 (* --- compact --- *)
 
@@ -1342,68 +979,38 @@ let compact_cmd =
           ~doc:"Over a live store: merge $(i,every) segment into one \
                 (default: one leveled step — the cheapest adjacent pair).")
   in
-  let run store backend all =
-    if L.is_live_dir store then begin
-      let t = open_live store in
-      Fun.protect ~finally:(fun () -> L.close t) @@ fun () ->
+  let run store all =
+    with_target ~accept:[ `Store; `Live ] ~lenient:true (Some store) @@ function
+    | Live t -> (
       match L.compact ~all t with
       | Some n ->
         Printf.printf "compacted %d segment(s) -> %d remaining, %d tombstone(s)\n"
           n (L.segment_count t) (L.tombstone_count t)
-      | None -> print_endline "nothing to compact"
-    end
-    else
-    (match backend with
-    | `Hash ->
-      let kv = Storage.Hash_store.open_existing store in
-      let before = Storage.Hash_store.file_size kv in
-      Storage.Hash_store.optimize kv;
-      Printf.printf "optimized: %d -> %d bytes\n" before (Storage.Hash_store.file_size kv);
-      kv.Storage.Kv.close ()
-    | `Log ->
-      let kv = Storage.Log_store.open_existing store in
-      let dead = Storage.Log_store.dead_bytes kv in
-      Storage.Log_store.compact kv;
-      Printf.printf "compacted: reclaimed %d dead byte(s)\n" dead;
-      kv.Storage.Kv.close ()
-    | `Btree ->
-      prerr_endline "compact: not supported for the btree backend";
-      exit 1)
+      | None -> print_endline "nothing to compact")
+    | Plain inv -> (
+      let kv = IF.store inv in
+      match Storage.Store_file.kind store with
+      | Storage.Store_file.Hash ->
+        let before = Storage.Hash_store.file_size kv in
+        Storage.Hash_store.optimize kv;
+        Printf.printf "optimized: %d -> %d bytes\n" before
+          (Storage.Hash_store.file_size kv)
+      | Storage.Store_file.Log ->
+        let dead = Storage.Log_store.dead_bytes kv in
+        Storage.Log_store.compact kv;
+        Printf.printf "compacted: reclaimed %d dead byte(s)\n" dead
+      | Storage.Store_file.Btree ->
+        prerr_endline "compact: not supported for the btree backend";
+        exit 1)
+    | Sharded _ | Remote _ -> assert false
   in
   Cmd.v
     (Cmd.info "compact"
        ~doc:"Reclaim dead space: merge a live store's segments (purging \
              tombstones), or rewrite a hash/log store file.")
-    Term.(const run $ store_arg $ backend_arg $ all_arg)
+    Term.(const run $ Arg.required store_opt $ all_arg)
 
 (* --- insert / delete / flush (live stores) --- *)
-
-let live_store_opt_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "s"; "store" ] ~docv:"DIR"
-        ~doc:"Live store directory (omit with $(b,--connect)).")
-
-let live_connect_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "connect" ] ~docv:"HOST:PORT"
-        ~doc:"Send the write to a running $(b,nscq serve) over a live \
-              store instead of opening it in-process.")
-
-let write_deadline_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "deadline-ms" ] ~docv:"MS"
-        ~doc:"Per-request deadline for $(b,--connect) (0 = none).")
-
-let require_live_store = function
-  | Some s -> s
-  | None ->
-    prerr_endline "nscq: either --store or --connect is required";
-    exit 1
 
 let insert_cmd =
   let value_arg =
@@ -1413,18 +1020,11 @@ let insert_cmd =
       & info [] ~docv:"RECORD" ~doc:"The record, in nested-set literal syntax.")
   in
   let run store connect deadline_ms vs =
-    match connect with
-    | Some connect -> (
-      with_remote_client ~connect @@ fun client ->
-      match Server.Client.insert client ~deadline_ms vs with
-      | Ok id -> Printf.printf "record %d inserted\n" id
-      | Error (code, message) ->
-        Format.eprintf "nscq: server refused: %a: %s@."
-          Server.Wire.pp_error_code code message;
-        exit 1)
-    | None -> (
-      let t = open_live (require_live_store store) in
-      Fun.protect ~finally:(fun () -> L.close t) @@ fun () ->
+    with_target ~accept:[ `Live ] ?connect ~deadline_ms store @@ function
+    | Remote { client; deadline_ms } ->
+      Printf.printf "record %d inserted\n"
+        (remote (Server.Client.insert client ~deadline_ms vs))
+    | Live t -> (
       match Nested.Syntax.of_string_opt vs with
       | None ->
         prerr_endline "nscq: parse error: expected a nested-set literal";
@@ -1435,14 +1035,14 @@ let insert_cmd =
         | exception Invalid_argument m ->
           Printf.eprintf "nscq: %s\n" m;
           exit 1))
+    | Plain _ | Sharded _ -> assert false
   in
   Cmd.v
     (Cmd.info "insert"
        ~doc:"Insert one record into a live store (WAL-logged, durable on \
              return), in-process or on a running server with --connect.")
     Term.(
-      const run $ live_store_opt_arg $ live_connect_arg $ write_deadline_arg
-      $ value_arg)
+      const run $ Arg.value store_opt $ connect_arg $ deadline_arg $ value_arg)
 
 let delete_cmd =
   let id_arg =
@@ -1453,19 +1053,11 @@ let delete_cmd =
   in
   let run store connect deadline_ms id =
     let deleted =
-      match connect with
-      | Some connect -> (
-        with_remote_client ~connect @@ fun client ->
-        match Server.Client.delete client ~deadline_ms id with
-        | Ok deleted -> deleted
-        | Error (code, message) ->
-          Format.eprintf "nscq: server refused: %a: %s@."
-            Server.Wire.pp_error_code code message;
-          exit 1)
-      | None ->
-        let t = open_live (require_live_store store) in
-        Fun.protect ~finally:(fun () -> L.close t) @@ fun () ->
-        L.delete t id
+      with_target ~accept:[ `Live ] ?connect ~deadline_ms store @@ function
+      | Remote { client; deadline_ms } ->
+        remote (Server.Client.delete client ~deadline_ms id)
+      | Live t -> L.delete t id
+      | Plain _ | Sharded _ -> assert false
     in
     if deleted then Printf.printf "record %d deleted\n" id
     else begin
@@ -1478,22 +1070,22 @@ let delete_cmd =
        ~doc:"Delete one record from a live store by global id, in-process \
              or on a running server with --connect.")
     Term.(
-      const run $ live_store_opt_arg $ live_connect_arg $ write_deadline_arg
-      $ id_arg)
+      const run $ Arg.value store_opt $ connect_arg $ deadline_arg $ id_arg)
 
 let flush_cmd =
   let run store =
-    let t = open_live store in
-    Fun.protect ~finally:(fun () -> L.close t) @@ fun () ->
-    let sealed = L.flush t in
-    Printf.printf "sealed %d record(s); %d segment(s), %d live record(s)\n"
-      sealed (L.segment_count t) (L.live_records t)
+    with_target ~accept:[ `Live ] (Some store) @@ function
+    | Live t ->
+      let sealed = L.flush t in
+      Printf.printf "sealed %d record(s); %d segment(s), %d live record(s)\n"
+        sealed (L.segment_count t) (L.live_records t)
+    | Plain _ | Sharded _ | Remote _ -> assert false
   in
   Cmd.v
     (Cmd.info "flush"
        ~doc:"Seal a live store's memtable into a new segment and rotate \
              the WAL (offline admin; a serving store flushes on its own).")
-    Term.(const run $ store_arg)
+    Term.(const run $ Arg.required store_opt)
 
 (* --- sql (one-shot NSCQL) --- *)
 
@@ -1505,11 +1097,9 @@ let sql_cmd =
       & info [] ~docv:"STATEMENT"
           ~doc:"An NSCQL statement, e.g. 'COUNT CONTAINS {a, {b}} UNDER homeo'.")
   in
-  let run store backend cache verbose stmt =
+  let run store cache verbose stmt =
     setup_logging verbose;
-    let inv = IF.open_store (open_store backend store) in
-    Fun.protect ~finally:(fun () -> IF.close inv) @@ fun () ->
-    setup_engine inv ~cache;
+    with_plain ~cache store @@ fun inv ->
     match Containment.Nscql.run inv stmt with
     | Ok outcome ->
       Format.printf "%a" (Containment.Nscql.pp_outcome ~collection:inv) outcome
@@ -1519,15 +1109,13 @@ let sql_cmd =
   in
   Cmd.v
     (Cmd.info "sql" ~doc:"Run one NSCQL statement against a store.")
-    Term.(const run $ store_arg $ backend_arg $ cache_arg $ verbose_arg $ stmt_arg)
+    Term.(const run $ Arg.required store_opt $ cache_arg $ verbose_arg $ stmt_arg)
 
 (* --- repl --- *)
 
 let repl_cmd =
-  let run store backend cache =
-    let inv = IF.open_store (open_store backend store) in
-    Fun.protect ~finally:(fun () -> IF.close inv) @@ fun () ->
-    setup_engine inv ~cache;
+  let run store cache =
+    with_plain ~cache store @@ fun inv ->
     let config =
       ref { E.default with E.verify = false }
     in
@@ -1547,18 +1135,6 @@ let repl_cmd =
          \t.add RECORD               insert a record incrementally\n\
          \t.delete ID                tombstone a record\n\
          \t.config  .stats  .help  .quit\n"
-    in
-    let parse_join s =
-      match String.lowercase_ascii s with
-      | "containment" | "subset" -> Some Sem.Containment
-      | "equality" -> Some Sem.Equality
-      | "superset" -> Some Sem.Superset
-      | s when String.length s > 8 && String.sub s 0 8 = "overlap=" ->
-        Option.map (fun e -> Sem.Overlap e) (int_of_string_opt (String.sub s 8 (String.length s - 8)))
-      | s when String.length s > 11 && String.sub s 0 11 = "similarity=" ->
-        Option.map (fun r -> Sem.Similarity r)
-          (float_of_string_opt (String.sub s 11 (String.length s - 11)))
-      | _ -> None
     in
     let run_nscql line =
       match Containment.Nscql.run inv line with
@@ -1596,34 +1172,26 @@ let repl_cmd =
       | ".quit" | ".exit" -> raise Exit
       | ".config" ->
         Format.printf "algorithm=%s join=%a embedding=%a scope=%s verify=%b@."
-          (match !config.E.algorithm with
-          | E.Bottom_up -> "bottom-up"
-          | E.Top_down -> "top-down"
-          | E.Top_down_paper -> "top-down-paper"
-          | E.Naive_scan -> "naive"
-          | E.Signature_scan -> "signature-scan")
+          (List.find_map
+             (fun (name, a) -> if a = !config.E.algorithm then Some name else None)
+             algorithms
+          |> Option.value ~default:"signature-scan")
           Sem.pp_join !config.E.join Sem.pp_embedding !config.E.embedding
           (match !config.E.scope with E.Roots -> "roots" | E.Anywhere -> "anywhere")
           !config.E.verify
       | ".stats" -> Format.printf "%a@." Invfile.Stats.pp (Invfile.Stats.compute inv)
       | ".algorithm" -> (
-        match arg with
-        | "bottom-up" -> config := { !config with E.algorithm = E.Bottom_up }
-        | "top-down" -> config := { !config with E.algorithm = E.Top_down }
-        | "top-down-paper" -> config := { !config with E.algorithm = E.Top_down_paper }
-        | "naive" -> config := { !config with E.algorithm = E.Naive_scan }
-        | _ -> print_endline "unknown algorithm")
+        match List.assoc_opt arg algorithms with
+        | Some algorithm -> config := { !config with E.algorithm }
+        | None -> print_endline "unknown algorithm")
       | ".join" -> (
         match parse_join arg with
-        | Some j -> config := { !config with E.join = j }
-        | None -> print_endline "unknown join type")
+        | Ok join -> config := { !config with E.join }
+        | Error _ -> print_endline "unknown join type")
       | ".embedding" -> (
-        match arg with
-        | "hom" -> config := { !config with E.embedding = Sem.Hom }
-        | "iso" -> config := { !config with E.embedding = Sem.Iso }
-        | "homeo" -> config := { !config with E.embedding = Sem.Homeo }
-        | "homeo-full" -> config := { !config with E.embedding = Sem.Homeo_full }
-        | _ -> print_endline "unknown embedding")
+        match List.assoc_opt arg embeddings with
+        | Some embedding -> config := { !config with E.embedding }
+        | None -> print_endline "unknown embedding")
       | ".scope" -> (
         match arg with
         | "roots" -> config := { !config with E.scope = E.Roots }
@@ -1685,7 +1253,51 @@ let repl_cmd =
   in
   Cmd.v
     (Cmd.info "repl" ~doc:"Interactive query shell over a store.")
-    Term.(const run $ store_arg $ backend_arg $ cache_arg)
+    Term.(const run $ Arg.required store_opt $ cache_arg)
+
+(* --- flight --- *)
+
+(* Decode a flight-recorder dump — written by `nscq serve` on SIGUSR1 or
+   automatically next to a slow-query line — into one merged timeline. *)
+let flight_cmd =
+  let dump_cmd =
+    let file_arg =
+      Arg.(
+        required
+        & pos 0 (some string) None
+        & info [] ~docv:"FILE"
+            ~doc:"A flight-recorder dump ($(b,nscq serve --flight) path; \
+                  written on SIGUSR1 or on slow queries).")
+    in
+    let json_arg =
+      Arg.(
+        value & flag
+        & info [ "json" ] ~doc:"Emit the timeline as JSON instead of text.")
+    in
+    let run json file =
+      match Obs.Recorder.read_dump file with
+      | names, events ->
+        if json then print_endline (Obs.Recorder.render_json ~names events)
+        else print_string (Obs.Recorder.render ~names events)
+      | exception Sys_error m ->
+        Printf.eprintf "nscq: cannot read %s: %s\n" file m;
+        exit 1
+      | exception Obs.Recorder.Corrupt m ->
+        Printf.eprintf "nscq: corrupt flight dump %s: %s\n" file m;
+        exit 1
+    in
+    Cmd.v
+      (Cmd.info "dump"
+         ~doc:"Decode a flight-recorder dump file into one timeline \
+               merged across the server's worker domains.")
+      Term.(const run $ json_arg $ file_arg)
+  in
+  Cmd.group
+    (Cmd.info "flight"
+       ~doc:"Inspect the always-on flight recorder: decode the binary \
+             event-ring dumps a server writes on SIGUSR1 or alongside \
+             slow-query log lines.")
+    [ dump_cmd ]
 
 (* --- serve --- *)
 
@@ -1752,43 +1364,24 @@ let serve_cmd =
       & info [ "no-flight" ]
           ~doc:"Disable the always-on flight recorder entirely.")
   in
-  let store_opt_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "s"; "store" ] ~docv:"PATH"
-          ~doc:"Path of the collection store (or a shard manifest — \
-                detected automatically).")
-  in
-  let manifest_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "shard-manifest" ] ~docv:"PATH"
-          ~doc:"Serve a sharded collection: every worker scatter-gathers \
-                over the manifest's shards instead of opening one store.")
-  in
-  let run store manifest backend cache port host domains queue_cap max_batch
+  let run store cache port host domains queue_cap max_batch
       stats_interval slow_query_ms flight no_flight partial verbose =
     setup_logging verbose;
     Logs.set_level (Some (if verbose then Logs.Debug else Logs.Info));
     let host = resolve_host host in
+    let store =
+      match store with
+      | Some s -> s
+      | None ->
+        prerr_endline "nscq: --store is required";
+        exit 1
+    in
     (* the flight recorder is on for the server's whole life: per-event
        cost is one atomic fetch-and-add plus a 16-byte ring write, cheap
        enough to leave running so tail-latency incidents are always
        attributable after the fact *)
     let flight = if no_flight then None else Some flight in
     if flight <> None then Obs.Recorder.enable ();
-    let source =
-      match (manifest, store) with
-      | Some m, _ -> `Manifest m
-      | None, Some s when Shard.Manifest.is_manifest_file s -> `Manifest s
-      | None, Some s when L.is_live_dir s -> `Live s
-      | None, Some s -> `Store s
-      | None, None ->
-        prerr_endline "nscq: either --store or --shard-manifest is required";
-        exit 1
-    in
     let domains =
       if domains > 0 then domains else Containment.Parallel.default_domains ()
     in
@@ -1809,9 +1402,11 @@ let serve_cmd =
     (* probe up front either way: fail fast (and with the one-line error)
        before binding the port, and report the collection size *)
     let records, described, start, cleanup =
-      match source with
-      | `Store store ->
-        let open_handle () = IF.open_store (open_store backend store) in
+      match classify store with
+      | `Store ->
+        let open_handle () =
+          IF.open_store (Storage.Store_file.open_existing store)
+        in
         let probe = open_handle () in
         let records = IF.record_count probe in
         IF.close probe;
@@ -1819,31 +1414,24 @@ let serve_cmd =
           store,
           (fun () -> Server.Service.start cfg ~open_handle),
           ignore )
-      | `Live dir ->
+      | `Live ->
         (* one shared handle across every worker (the store serializes
            internally); the server accepts writes, so compaction runs in
            the background and NSCQL INSERT/DELETE are admitted *)
-        let t = open_live ~config:{ L.default with L.auto_compact = true } dir in
+        let t = L.open_store ~config:{ L.default with L.auto_compact = true } store in
         ( L.live_records t,
-          Printf.sprintf "%s (live, %d segment(s))" dir (L.segment_count t),
+          Printf.sprintf "%s (live, %d segment(s))" store (L.segment_count t),
           (fun () ->
             Server.Service.start_with
               { cfg with Server.Service.writable = true }
               ~open_backend:(fun () -> Server.Dispatch.live_backend ~store:t ())),
           fun () -> L.close t )
-      | `Manifest path ->
-        let m = load_manifest path in
-        let rconfig =
-          {
-            Shard.Router.default_config with
-            Shard.Router.cache_budget = cache;
-            fail_mode =
-              (if partial then Shard.Router.Partial else Shard.Router.Fail_fast);
-          }
-        in
+      | `Manifest ->
+        let m = load_manifest store in
+        let rconfig = router_config ~cache ~partial () in
         Shard.Router.close (Shard.Router.open_manifest ~config:rconfig m);
         ( Shard.Manifest.live_records m,
-          Printf.sprintf "%s (%d shard(s))" path
+          Printf.sprintf "%s (%d shard(s))" store
             (Array.length m.Shard.Manifest.shards),
           (fun () ->
             Server.Service.start_with cfg
@@ -1891,10 +1479,11 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:"Serve containment queries over the nscq wire protocol until \
              SIGINT (which drains in-flight requests and closes the \
-             store cleanly). With --shard-manifest, each worker routes \
-             queries over the manifest's shards.")
+             store cleanly). Over a shard manifest, each worker routes \
+             queries over the manifest's shards; over a live store, the \
+             server also accepts writes.")
     Term.(
-      const run $ store_opt_arg $ manifest_arg $ backend_arg $ cache_arg
+      const run $ Arg.value store_opt $ cache_arg
       $ port_arg $ host_arg $ domains_arg $ queue_cap_arg $ max_batch_arg
       $ stats_interval_arg $ slow_query_arg $ flight_arg $ no_flight_arg
       $ partial_arg $ verbose_arg)
@@ -1904,21 +1493,6 @@ let serve_cmd =
 let stats_cmd =
   let detailed_arg =
     Arg.(value & flag & info [ "detailed" ] ~doc:"Scan the collection for shape and frequency profiles.")
-  in
-  let store_opt_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "s"; "store" ] ~docv:"PATH"
-          ~doc:"Path of the collection store (omit with $(b,--connect)).")
-  in
-  let connect_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "connect" ] ~docv:"HOST:PORT"
-          ~doc:"Ask a running $(b,nscq serve) for its server statistics \
-                (throughput, queue, batching, latency quantiles).")
   in
   let metrics_arg =
     Arg.(
@@ -1941,67 +1515,33 @@ let stats_cmd =
     if json then print_string (Obs.Metrics.render_json reg)
     else print_string (Obs.Metrics.render_text reg)
   in
-  let run store connect backend detailed metrics json =
+  let run store connect detailed metrics json =
     let metrics = metrics || json in
-    match connect with
-    | Some connect -> (
-      if json then begin
-        prerr_endline
-          "nscq: --json applies to local stores and manifests (a server's \
-           stats verb returns the text exposition)";
-        exit 1
-      end;
-      with_remote_client ~connect @@ fun client ->
-      match Server.Client.stats client with
-      | Ok payload -> print_string payload
-      | Error (code, message) ->
-        Format.eprintf "nscq: server refused: %a: %s@."
-          Server.Wire.pp_error_code code message;
-        exit 1)
-    | None ->
-      let store =
-        match store with
-        | Some s -> s
-        | None ->
-          prerr_endline "nscq: either --store or --connect is required";
-          exit 1
-      in
-      if Shard.Manifest.is_manifest_file store then begin
-        (* a sharded collection: the manifest summary, plus per-shard
-           index sizes straight from the shard stores *)
-        let m = load_manifest store in
-        Format.printf "%a" Shard.Manifest.pp m;
-        Array.iteri
-          (fun i (s : Shard.Manifest.shard) ->
-            match s.Shard.Manifest.location with
-            | Shard.Manifest.Local { path; _ } when not (Sys.file_exists path)
-              -> Printf.printf "warning: shard %d store %s is missing\n" i path
-            | _ -> ())
-          m.Shard.Manifest.shards;
-        if metrics then begin
-          let router = Shard.Router.open_manifest m in
-          Fun.protect ~finally:(fun () -> Shard.Router.close router)
-          @@ fun () ->
-          let reg = Obs.Metrics.create () in
-          Shard.Router.register reg router;
-          render_registry ~json reg
-        end
+    if json && connect <> None then begin
+      prerr_endline
+        "nscq: --json applies to local stores and manifests (a server's \
+         stats verb returns the text exposition)";
+      exit 1
+    end;
+    with_target ?connect store @@ function
+    | Remote { client; _ } -> print_string (remote (Server.Client.stats client))
+    | Sharded r ->
+      (* a sharded collection: the manifest summary, plus per-shard
+         index sizes straight from the shard stores *)
+      Format.printf "%a" Shard.Manifest.pp (Shard.Router.manifest r);
+      if metrics then begin
+        let reg = Obs.Metrics.create () in
+        Shard.Router.register reg r;
+        render_registry ~json reg
       end
-      else if L.is_live_dir store then begin
-        let t = open_live store in
-        Fun.protect ~finally:(fun () -> L.close t) @@ fun () ->
-        List.iter
-          (fun (name, v) -> Printf.printf "%-18s %d\n" name v)
-          (L.totals t);
-        if metrics then begin
-          let reg = Obs.Metrics.create () in
-          L.register reg t;
-          render_registry ~json reg
-        end
+    | Live t ->
+      List.iter (fun (name, v) -> Printf.printf "%-18s %d\n" name v) (L.totals t);
+      if metrics then begin
+        let reg = Obs.Metrics.create () in
+        L.register reg t;
+        render_registry ~json reg
       end
-      else begin
-      let inv = IF.open_store (open_store backend store) in
-      Fun.protect ~finally:(fun () -> IF.close inv) @@ fun () ->
+    | Plain inv ->
       if detailed then Format.printf "%a@." Invfile.Stats.pp (Invfile.Stats.compute inv)
       else begin
         Printf.printf "records        %d\n" (IF.record_count inv);
@@ -2020,7 +1560,6 @@ let stats_cmd =
           (IF.store inv).Storage.Kv.stats;
         render_registry ~json reg
       end
-      end
   in
   Cmd.v
     (Cmd.info "stats"
@@ -2028,7 +1567,7 @@ let stats_cmd =
              a running server's with --connect); --metrics adds the \
              unified registry view.")
     Term.(
-      const run $ store_opt_arg $ connect_arg $ backend_arg $ detailed_arg
+      const run $ Arg.value store_opt $ connect_arg $ detailed_arg
       $ metrics_arg $ json_arg)
 
 (* --- shard (build | status | reshard) --- *)
@@ -2143,6 +1682,7 @@ let shard_cmd =
        ~doc:"Sharded collections: partitioned build, status, reshard.")
     [ shard_build_cmd; shard_status_cmd; shard_reshard_cmd ]
 
+
 (* The store named on the command line, for error messages raised after
    the command has opened it. *)
 let store_of_argv () =
@@ -2168,15 +1708,28 @@ let () =
         sql_cmd; serve_cmd; shard_cmd; check_cmd; repair_cmd; export_cmd;
         merge_cmd; compact_cmd; insert_cmd; delete_cmd; flush_cmd ]
   in
-  (* A damaged store is a one-line error (exit 1), not an internal error;
+  (* A damaged store, a file that is not a store, a failed shard or a
+     refused request is a one-line error (exit 1), not an internal error;
      every other exception still reports as Cmdliner's would. *)
+  let fail fmt = Printf.ksprintf (fun m -> prerr_endline ("nscq: " ^ m); exit 1) fmt in
+  let at_store msg =
+    match store_of_argv () with
+    | Some path -> fail "%s: %s" path msg
+    | None -> fail "%s" msg
+  in
   match Cmd.eval ~catch:false cmd with
   | code -> exit code
-  | exception (IF.Malformed msg | Storage.Codec.Corrupt msg) ->
-    (match store_of_argv () with
-    | Some path -> Printf.eprintf "nscq: %s: %s\n" path msg
-    | None -> Printf.eprintf "nscq: %s\n" msg);
-    exit 1
+  | exception (IF.Malformed msg | Storage.Codec.Corrupt msg) -> at_store msg
+  | exception (Live.Live_manifest.Corrupt msg | Live.Wal.Corrupt msg) ->
+    at_store (msg ^ " (try 'nscq repair')")
+  | exception Storage.Store_file.Not_a_store (path, reason) ->
+    fail "%s: %s" path reason
+  | exception Shard.Router.Shard_failed (i, reason) ->
+    fail "shard %d failed: %s (use --partial for a degraded answer)" i reason
+  | exception Refused (code, message) ->
+    fail "server refused: %s: %s"
+      (Format.asprintf "%a" Server.Wire.pp_error_code code)
+      message
   | exception e ->
     Printf.eprintf "nscq: internal error, uncaught exception:\n  %s\n"
       (Printexc.to_string e);

@@ -16,7 +16,8 @@
     silently routing queries to the wrong shards. *)
 
 type backend = [ `Hash | `Btree | `Log ]
-(** Storage engine of a local shard store (mirrors the CLI's --backend). *)
+(** Storage engine a local shard store was built with; opening it reads
+    the format from the store file's own header. *)
 
 type location =
   | Local of { path : string; backend : backend }

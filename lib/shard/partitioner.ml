@@ -21,12 +21,6 @@ let create_store backend path =
   | `Btree -> Storage.Btree_store.create path
   | `Log -> Storage.Log_store.create path
 
-let open_store backend path =
-  match backend with
-  | `Hash -> Storage.Hash_store.open_existing path
-  | `Btree -> Storage.Btree_store.open_existing path
-  | `Log -> Storage.Log_store.open_existing path
-
 (* Runs [f i] for every shard index, at most [max_domains] concurrently
    (one domain per in-flight shard build), preserving index order in the
    result list. *)
@@ -116,7 +110,7 @@ let local_shards manifest =
   Array.map
     (fun (s : Manifest.shard) ->
       match s.Manifest.location with
-      | Manifest.Local { path; backend } -> (s, path, backend)
+      | Manifest.Local { path; _ } -> (s, path)
       | Manifest.Remote { host; port } ->
         invalid_arg
           (Printf.sprintf
@@ -126,7 +120,7 @@ let local_shards manifest =
     manifest.Manifest.shards
 
 let check_no_collision sources path =
-  if Array.exists (fun (_, p, _) -> p = path) sources then
+  if Array.exists (fun (_, p) -> p = path) sources then
     invalid_arg
       (Printf.sprintf
          "Partitioner.reshard: output store %s collides with a source shard \
@@ -166,8 +160,8 @@ let merge_groups ~backend ~output ~shards sources =
         let dst = Invfile.Builder.finish (Invfile.Builder.create dst_store) in
         let ids = ref [] in
         Array.iter
-          (fun ((entry : Manifest.shard), src_path, src_backend) ->
-            let src = IF.open_store (open_store src_backend src_path) in
+          (fun ((entry : Manifest.shard), src_path) ->
+            let src = IF.open_store (Storage.Store_file.open_existing src_path) in
             Fun.protect
               ~finally:(fun () -> IF.close src)
               (fun () ->
@@ -211,8 +205,8 @@ let reshard ?(backend = `Hash) ~shards ~output manifest =
        builders, keeping each record's global id *)
     let pairs =
       Array.to_list sources
-      |> List.concat_map (fun ((entry : Manifest.shard), path, sbackend) ->
-             let inv = IF.open_store (open_store sbackend path) in
+      |> List.concat_map (fun ((entry : Manifest.shard), path) ->
+             let inv = IF.open_store (Storage.Store_file.open_existing path) in
              Fun.protect
                ~finally:(fun () -> IF.close inv)
                (fun () -> live_globals entry inv))

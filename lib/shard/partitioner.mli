@@ -22,10 +22,6 @@ val shard_store_path : manifest_path:string -> backend:Manifest.backend -> int -
 (** Where [build]/[reshard] place shard [i]'s store file, derived from
     the manifest path (e.g. [data.manifest] → [data.shard0.tch]). *)
 
-val open_store : Manifest.backend -> string -> Storage.Kv.t
-(** Opens an existing shard store with the right storage engine —
-    how the {!Router} gets at a manifest's local shards. *)
-
 val build :
   ?policy:Manifest.policy ->
   ?backend:Manifest.backend ->

@@ -60,8 +60,8 @@ let open_manifest ?(config = default_config) m =
     Array.map
       (fun (s : Manifest.shard) ->
         match s.Manifest.location with
-        | Manifest.Local { path; backend } ->
-          let inv = IF.open_store (Partitioner.open_store backend path) in
+        | Manifest.Local { path; _ } ->
+          let inv = IF.open_store (Storage.Store_file.open_existing path) in
           if config.cache_budget > 0 then
             IF.attach_cache inv
               (Invfile.Cache.create Invfile.Cache.Static

@@ -10,6 +10,9 @@
     build-once / read-mostly usage of an inverted file and are documented
     limitations. *)
 
+val magic : string
+(** The 8-byte header every file of this format starts with. *)
+
 val create : ?page_size:int -> ?cache_pages:int -> string -> Kv.t
 (** Creates a fresh store (truncating [path]). Keys are limited to
     [page_size/16] bytes. [iter] visits keys in ascending order. *)

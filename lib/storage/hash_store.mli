@@ -17,6 +17,9 @@
     Cabinet behaves the same until [optimize] is called). The bucket count
     is fixed at creation time. *)
 
+val magic : string
+(** The 8-byte header every file of this format starts with. *)
+
 val create : ?buckets:int -> string -> Kv.t
 (** [create path] creates a fresh store at [path], truncating any existing
     file. [buckets] defaults to [65536] and is rounded up to a power of

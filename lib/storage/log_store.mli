@@ -19,6 +19,9 @@
     an O(file) scan at open, in exchange for crash safety and strictly
     sequential writes. *)
 
+val magic : string
+(** The 8-byte header every file of this format starts with. *)
+
 val create : string -> Kv.t
 (** Creates a fresh store (truncating [path]). *)
 

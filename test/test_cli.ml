@@ -50,61 +50,61 @@ let with_store backend f () =
           let _ =
             expect_ok [ "build"; "-i"; data; "-o"; store; "--backend"; backend ]
           in
-          f ~store ~backend))
+          f ~store))
 
 let test_build_reports backend =
-  with_store backend (fun ~store:_ ~backend:_ -> ())
+  with_store backend (fun ~store:_ -> ())
 
 let test_stats backend =
-  with_store backend (fun ~store ~backend ->
-      let out = expect_ok [ "stats"; "-s"; store; "--backend"; backend ] in
+  with_store backend (fun ~store ->
+      let out = expect_ok [ "stats"; "-s"; store ] in
       check_bool "records reported" true (contains_s out "records        4");
-      let out = expect_ok [ "stats"; "-s"; store; "--backend"; backend; "--detailed" ] in
+      let out = expect_ok [ "stats"; "-s"; store; "--detailed" ] in
       check_bool "detailed histograms" true (contains_s out "nodes per depth"))
 
 let test_query backend =
-  with_store backend (fun ~store ~backend ->
+  with_store backend (fun ~store ->
       let out =
         expect_ok
-          [ "query"; "-s"; store; "--backend"; backend; "--cache"; "10";
+          [ "query"; "-s"; store; "--cache"; "10";
             "{{UK, {A, motorbike}}}" ]
       in
       check_bool "three matches" true (contains_s out "3 matching record(s)");
       let out =
         expect_ok
-          [ "query"; "-s"; store; "--backend"; backend; "--join"; "superset";
+          [ "query"; "-s"; store; "--join"; "superset";
             (List.hd Testutil.licences_strings) ]
       in
       check_bool "superset matches itself" true (contains_s out "1 matching record(s)");
       let out =
         expect_ok
-          [ "explain"; "-s"; store; "--backend"; backend; "--embedding"; "homeo";
+          [ "explain"; "-s"; store; "--embedding"; "homeo";
             "{{C}}" ]
       in
       check_bool "explain profile shown" true (contains_s out "phases:"))
 
 let test_sql backend =
-  with_store backend (fun ~store ~backend ->
+  with_store backend (fun ~store ->
       let out =
         expect_ok
-          [ "sql"; "-s"; store; "--backend"; backend;
+          [ "sql"; "-s"; store;
             "COUNT CONTAINS {{UK, {A, motorbike}}}" ]
       in
       check_bool "count is 3" true (contains_s out "3");
       let out =
         expect_ok
-          [ "sql"; "-s"; store; "--backend"; backend; "WITNESS CONTAINS {Boston}" ]
+          [ "sql"; "-s"; store; "WITNESS CONTAINS {Boston}" ]
       in
       check_bool "witness rendered" true (contains_s out "match at node");
       (* parse errors exit non-zero *)
-      let code, _ = run_cli [ "sql"; "-s"; store; "--backend"; backend; "FROB {a}" ] in
+      let code, _ = run_cli [ "sql"; "-s"; store; "FROB {a}" ] in
       check_int "bad statement fails" 1 code)
 
 let test_workload backend =
-  with_store backend (fun ~store ~backend ->
+  with_store backend (fun ~store ->
       let out =
         expect_ok
-          [ "workload"; "-s"; store; "--backend"; backend; "-n"; "4"; "--cache"; "5" ]
+          [ "workload"; "-s"; store; "-n"; "4"; "--cache"; "5" ]
       in
       check_bool "stats line" true (contains_s out "4 queries in"))
 
@@ -144,17 +144,16 @@ let test_admin_commands () =
                   close_out oc;
                   ignore (expect_ok [ "build"; "-i"; data; "-o"; store; "--backend"; "log" ]);
                   ignore (expect_ok [ "build"; "-i"; data; "-o"; store2; "--backend"; "log" ]);
-                  let out = expect_ok [ "check"; "-s"; store; "--backend"; "log" ] in
+                  let out = expect_ok [ "check"; "-s"; store ] in
                   check_bool "consistent" true (contains_s out "consistent");
                   let out =
                     expect_ok
-                      [ "merge"; "-s"; store; "--backend"; "log"; "--from"; store2;
-                        "--from-backend"; "log" ]
+                      [ "merge"; "-s"; store; "--from"; store2 ]
                   in
                   check_bool "merged to 8" true (contains_s out "-> 8");
-                  let out = expect_ok [ "check"; "-s"; store; "--backend"; "log" ] in
+                  let out = expect_ok [ "check"; "-s"; store ] in
                   check_bool "still consistent" true (contains_s out "consistent");
-                  ignore (expect_ok [ "export"; "-s"; store; "--backend"; "log"; "-o"; export ]);
+                  ignore (expect_ok [ "export"; "-s"; store; "-o"; export ]);
                   let ic = open_in export in
                   let lines = ref 0 in
                   (try
@@ -164,7 +163,7 @@ let test_admin_commands () =
                      done
                    with End_of_file -> close_in ic);
                   check_int "exported 8 records" 8 !lines;
-                  let out = expect_ok [ "compact"; "-s"; store; "--backend"; "log" ] in
+                  let out = expect_ok [ "compact"; "-s"; store ] in
                   check_bool "compacted" true (contains_s out "compacted")))))
 
 let test_malformed_endpoints_fail () =
@@ -226,13 +225,17 @@ let test_shard_cli () =
   let out = expect_ok [ "query"; "-s"; resharded; "{{UK, {A, motorbike}}}" ] in
   check_bool "resharded query matches" true (contains_s out "3 matching record(s)")
 
-(* The live-store lifecycle as a user drives it: build --live, online
-   insert/delete, flush, compact, and every read/admin command detecting
-   the directory. *)
-let test_live_cli () =
+let write_licences data =
+  let oc = open_out data in
+  List.iter (fun s -> output_string oc (s ^ "\n")) Testutil.licences_strings;
+  close_out oc
+
+(* [f ~build data dir]: the licences fixture as a nested-set file and as
+   a live store directory built from it; [build] is the build command's
+   output. *)
+let with_live_dir f =
   Testutil.with_temp_path ".ns" @@ fun data ->
   Testutil.with_temp_path ".live" @@ fun dir ->
-  Testutil.with_temp_path ".export" @@ fun export ->
   Sys.remove dir;
   let rec rm path =
     if Sys.file_exists path then
@@ -243,10 +246,16 @@ let test_live_cli () =
       else Sys.remove path
   in
   Fun.protect ~finally:(fun () -> rm dir) @@ fun () ->
-  let oc = open_out data in
-  List.iter (fun s -> output_string oc (s ^ "\n")) Testutil.licences_strings;
-  close_out oc;
-  let out = expect_ok [ "build"; "-i"; data; "-o"; dir; "--live" ] in
+  write_licences data;
+  let build = expect_ok [ "build"; "-i"; data; "-o"; dir; "--live" ] in
+  f ~build data dir
+
+(* The live-store lifecycle as a user drives it: build --live, online
+   insert/delete, flush, compact, and every read/admin command detecting
+   the directory. *)
+let test_live_cli () =
+  with_live_dir @@ fun ~build:out data dir ->
+  Testutil.with_temp_path ".export" @@ fun export ->
   check_bool "live build reports" true (contains_s out "ingested 4 record(s)");
   (* reads auto-detect the directory *)
   let out = expect_ok [ "query"; "-s"; dir; "{{UK, {A, motorbike}}}" ] in
@@ -299,10 +308,10 @@ let test_live_cli () =
   check_bool "sql names the live store" true (contains_s out "is a live store")
 
 let test_trace_cli () =
-  with_store "hash" (fun ~store ~backend ->
+  with_store "hash" (fun ~store ->
       let out =
         expect_ok
-          [ "trace"; "-s"; store; "--backend"; backend; "--cache"; "10";
+          [ "trace"; "-s"; store; "--cache"; "10";
             "{{UK, {A, motorbike}}}" ]
       in
       check_bool "result count" true (contains_s out "3 matching record(s)");
@@ -314,16 +323,16 @@ let test_trace_cli () =
     ()
 
 let test_stats_metrics_cli () =
-  with_store "hash" (fun ~store ~backend ->
+  with_store "hash" (fun ~store ->
       let out =
-        expect_ok [ "stats"; "-s"; store; "--backend"; backend; "--metrics" ]
+        expect_ok [ "stats"; "-s"; store; "--metrics" ]
       in
       check_bool "text exposition" true
         (contains_s out "# TYPE nscq_io_reads_total counter");
       check_bool "both io sources" true
         (contains_s out "{source=\"store\"}");
       let out =
-        expect_ok [ "stats"; "-s"; store; "--backend"; backend; "--json" ]
+        expect_ok [ "stats"; "-s"; store; "--json" ]
       in
       check_bool "json dump" true
         (contains_s out "\"name\":\"nscq_io_reads_total\""))
@@ -347,7 +356,7 @@ let test_missing_store_fails () =
    (exit 1), check reports the payload, and after repair the answers
    match the naive scan. *)
 let test_retired_codec_store =
-  with_store "hash" (fun ~store ~backend ->
+  with_store "hash" (fun ~store ->
       let kv = Storage.Hash_store.open_existing store in
       let key = Invfile.Inverted_file.atom_key "UK" in
       (match kv.Storage.Kv.get key with
@@ -355,29 +364,122 @@ let test_retired_codec_store =
       | None -> Alcotest.fail "no list for UK");
       kv.Storage.Kv.close ();
       let q = "{{UK, {A, motorbike}}}" in
-      let code, out = run_cli [ "query"; "-s"; store; "--backend"; backend; q ] in
+      let code, out = run_cli [ "query"; "-s"; store; q ] in
       check_int "query exits 1" 1 code;
       check_bool "one line" true
         (List.length (String.split_on_char '\n' (String.trim out)) = 1);
       check_bool "names the store" true (contains_s out ("nscq: " ^ store ^ ": "));
       check_bool "names the codec" true (contains_s out "retired bitpacked");
       check_bool "names the repair" true (contains_s out "nscq repair");
-      let code, out = run_cli [ "check"; "-s"; store; "--backend"; backend ] in
+      let code, out = run_cli [ "check"; "-s"; store ] in
       check_int "check exits 1" 1 code;
       check_bool "check reports the payload" true (contains_s out "\"UK\"");
-      ignore (expect_ok [ "repair"; "-s"; store; "--backend"; backend ]);
-      ignore (expect_ok [ "check"; "-s"; store; "--backend"; backend ]);
+      ignore (expect_ok [ "repair"; "-s"; store ]);
+      ignore (expect_ok [ "check"; "-s"; store ]);
       List.iter
         (fun q ->
           (* the records, without the first line's timing *)
           let run extra =
-            expect_ok ([ "query"; "-s"; store; "--backend"; backend ] @ extra @ [ q ])
+            expect_ok ([ "query"; "-s"; store ] @ extra @ [ q ])
             |> String.split_on_char '\n'
             |> List.tl
           in
           Alcotest.(check (list string)) ("repaired answers " ^ q)
             (run [ "--algorithm"; "naive" ]) (run []))
         [ q; "{UK}"; "{London, UK}" ])
+
+(* Starts [nscq serve] with [args] on an ephemeral port, runs [f port],
+   then stops the server with SIGINT. *)
+let with_server args f =
+  let r, w = Unix.pipe () in
+  let pid =
+    Unix.create_process nscq
+      (Array.of_list
+         ((nscq :: "serve" :: args)
+         @ [ "--port"; "0"; "--stats-interval"; "0"; "--no-flight" ]))
+      Unix.stdin w Unix.stderr
+  in
+  Unix.close w;
+  let ic = Unix.in_channel_of_descr r in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.kill pid Sys.sigint with Unix.Unix_error _ -> ());
+      ignore (Unix.waitpid [] pid);
+      close_in_noerr ic)
+  @@ fun () ->
+  let marker = "listening on 127.0.0.1:" in
+  let m = String.length marker in
+  let rec find_port () =
+    match input_line ic with
+    | exception End_of_file -> Alcotest.fail "server exited before listening"
+    | line ->
+      let rec at i =
+        if i + m > String.length line then None
+        else if String.sub line i m = marker then
+          Some
+            (Scanf.sscanf
+               (String.sub line (i + m) (String.length line - i - m))
+               "%d" Fun.id)
+        else at (i + 1)
+      in
+      (match at 0 with Some port -> port | None -> find_port ())
+  in
+  f (find_port ())
+
+(* Every verb that takes --connect, against a writable server over a
+   live directory. *)
+let test_connect_cli () =
+  with_live_dir @@ fun ~build:_ _data dir ->
+  Testutil.with_temp_path ".outer" @@ fun outer ->
+  let oc = open_out outer in
+  output_string oc "{{UK, {A, motorbike}}}\n{{FR}}\n";
+  close_out oc;
+  with_server [ "-s"; dir ] @@ fun port ->
+  let connect = [ "--connect"; Printf.sprintf "127.0.0.1:%d" port ] in
+  let q = "{{UK, {A, motorbike}}}" in
+  let out = expect_ok ([ "query" ] @ connect @ [ q ]) in
+  check_bool "query" true (contains_s out "3 matching record(s)");
+  let out = expect_ok ([ "join" ] @ connect @ [ "-q"; outer ]) in
+  check_bool "join" true (contains_s out "4 pair(s) across 2 outer queries");
+  let out = expect_ok ([ "trace" ] @ connect @ [ q ]) in
+  check_bool "trace count" true (contains_s out "3 matching record(s)");
+  check_bool "trace spans" true (contains_s out "trace ");
+  let out = expect_ok ([ "explain" ] @ connect @ [ q ]) in
+  check_bool "explain" true (contains_s out "phases:");
+  ignore (expect_ok ([ "stats" ] @ connect));
+  let out = expect_ok ([ "insert" ] @ connect @ [ "{UK, {fresh}}" ]) in
+  check_bool "insert" true (contains_s out "record 4 inserted");
+  let out = expect_ok ([ "delete" ] @ connect @ [ "4" ]) in
+  check_bool "delete" true (contains_s out "record 4 deleted")
+
+(* No format flag on the read verbs: each store file names its own
+   format in its header, and a file that is not a store is a one-line
+   error, not an internal one. *)
+let test_store_format_from_header () =
+  List.iter
+    (fun backend ->
+      with_store backend
+        (fun ~store ->
+          let out = expect_ok [ "query"; "-s"; store; "{{UK, {A, motorbike}}}" ] in
+          check_bool (backend ^ " query") true
+            (contains_s out "3 matching record(s)");
+          let out = expect_ok [ "check"; "-s"; store ] in
+          check_bool (backend ^ " check") true (contains_s out "consistent");
+          let out = expect_ok [ "stats"; "-s"; store ] in
+          check_bool (backend ^ " stats") true (contains_s out "records        4");
+          let out = expect_ok [ "export"; "-s"; store ] in
+          check_int (backend ^ " export") 4
+            (List.length (String.split_on_char '\n' (String.trim out))))
+        ())
+    [ "log"; "btree" ];
+  Testutil.with_temp_path ".ns" @@ fun data ->
+  write_licences data;
+  let code, out = run_cli [ "query"; "-s"; data; "{UK}" ] in
+  check_int "not a store: exit 1" 1 code;
+  check_bool "one line" true
+    (List.length (String.split_on_char '\n' (String.trim out)) = 1);
+  check_bool "names the file" true (contains_s out ("nscq: " ^ data));
+  check_bool "no internal error" false (contains_s out "internal error")
 
 let backend_cases backend =
   [
@@ -408,6 +510,10 @@ let () =
             test_shard_cli;
           Alcotest.test_case "live build/insert/delete/flush/compact" `Quick
             test_live_cli;
+          Alcotest.test_case "--connect against a live server" `Quick
+            test_connect_cli;
+          Alcotest.test_case "store format is read from the header" `Quick
+            test_store_format_from_header;
         ] );
       ( "observability",
         [

@@ -319,9 +319,9 @@ let serve_cfg =
 let serve_shard (s : M.shard) =
   match s.M.location with
   | M.Remote _ -> assert false
-  | M.Local { path; backend } ->
+  | M.Local { path; _ } ->
     Server.Service.start serve_cfg ~open_handle:(fun () ->
-        IF.open_store (P.open_store backend path))
+        IF.open_store (Storage.Store_file.open_existing path))
 
 let remote_manifest (m : M.t) ports =
   M.make ~policy:m.M.policy ~total_records:m.M.total_records

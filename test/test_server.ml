@@ -292,7 +292,7 @@ let test_sigint_leaves_clean_store () =
   let r, w = Unix.pipe () in
   let pid =
     Unix.create_process nscq
-      [| nscq; "serve"; "-s"; path; "--backend"; "log"; "--port"; "0";
+      [| nscq; "serve"; "-s"; path; "--port"; "0";
          "--domains"; "2"; "--stats-interval"; "0" |]
       Unix.stdin w Unix.stderr
   in

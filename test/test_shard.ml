@@ -126,9 +126,9 @@ let serve_cfg =
 let serve_shard (s : M.shard) =
   match s.M.location with
   | M.Remote _ -> assert false
-  | M.Local { path; backend } ->
+  | M.Local { path; _ } ->
     Server.Service.start serve_cfg ~open_handle:(fun () ->
-        IF.open_store (P.open_store backend path))
+        IF.open_store (Storage.Store_file.open_existing path))
 
 let remote_manifest (m : M.t) ports =
   M.make ~policy:m.M.policy ~total_records:m.M.total_records
@@ -234,7 +234,7 @@ let test_reshard_equivalence ~from_shards ~to_shards () =
       | Some want -> check_ids (V.to_string q) want (R.query r q).R.records)
     queries
 
-(* --- serving a manifest: nscq serve --shard-manifest in-process --- *)
+(* --- serving a manifest: nscq serve -s <manifest>, in-process --- *)
 
 let test_serve_sharded () =
   with_built ~shards:3 @@ fun _mpath m ->

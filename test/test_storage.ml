@@ -211,6 +211,40 @@ let test_btree_reopen () =
       check_int "count" 500 (s2.Storage.Kv.length ());
       s2.Storage.Kv.close ())
 
+(* The format comes from the file's header; anything else is one typed
+   error naming the path. *)
+let test_store_file_header () =
+  List.iter
+    (fun (create, kind) ->
+      Testutil.with_temp_path ".store" (fun path ->
+          let s = create path in
+          s.Storage.Kv.put "k" "v";
+          s.Storage.Kv.close ();
+          check_bool "kind" true (Storage.Store_file.kind path = kind);
+          let s = Storage.Store_file.open_existing path in
+          Alcotest.(check (option string)) "reopened" (Some "v") (s.Storage.Kv.get "k");
+          s.Storage.Kv.close ()))
+    [
+      ((fun p -> Storage.Hash_store.create ~buckets:16 p), Storage.Store_file.Hash);
+      ((fun p -> Storage.Btree_store.create p), Storage.Store_file.Btree);
+      (Storage.Log_store.create, Storage.Store_file.Log);
+    ];
+  let refused path =
+    match Storage.Store_file.open_existing path with
+    | s ->
+      s.Storage.Kv.close ();
+      false
+    | exception Storage.Store_file.Not_a_store (p, _) -> String.equal p path
+  in
+  List.iter
+    (fun contents ->
+      Testutil.with_temp_path ".other" (fun path ->
+          Out_channel.with_open_bin path (fun oc -> output_string oc contents);
+          check_bool ("refused: " ^ contents) true (refused path)))
+    [ ""; "NSCQ"; "NSCQXXX1 and some more bytes" ];
+  check_bool "directory" true (refused (Filename.get_temp_dir_name ()));
+  check_bool "missing" true (refused "/nonexistent/store")
+
 let test_btree_sorted_iter_and_range () =
   Testutil.with_temp_path ".tcb" (fun path ->
       let s = Storage.Btree_store.create ~page_size:512 path in
@@ -524,6 +558,8 @@ let () =
         [
           Alcotest.test_case "hash reopen" `Quick test_hash_reopen;
           Alcotest.test_case "btree reopen" `Quick test_btree_reopen;
+          Alcotest.test_case "store file format from header" `Quick
+            test_store_file_header;
           Alcotest.test_case "btree sorted iter + range" `Quick
             test_btree_sorted_iter_and_range;
           Alcotest.test_case "hash io stats" `Quick test_hash_io_stats_count;
