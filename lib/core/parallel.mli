@@ -3,9 +3,9 @@
     The paper's implementation is "a single threaded process" (Sec. 5.1);
     queries over a read-only inverted file are embarrassingly parallel, so
     this module adds the obvious scale-up on OCaml 5 domains. Every domain
-    opens its {e own} store handle (separate file descriptors — the stores'
-    seek-then-read access is not shareable) and its own cache, and runs a
-    slice of the workload. *)
+    opens its {e own} store handle (separate file descriptors — a store
+    handle and its I/O counters are unsynchronised, so no two domains
+    share one) and its own cache, and runs a slice of the workload. *)
 
 type result = {
   elapsed_s : float;  (** wall clock for the whole batch *)

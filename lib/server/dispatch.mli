@@ -3,10 +3,10 @@
 
     Each worker domain opens its {e own} execution {!backend} — by
     default a store handle and cache via {!store_backend} (exactly as
-    {!Containment.Parallel} does — the stores' seek-then-read access is
-    not shareable across domains) — and loops: dequeue a batch of
-    compatible requests ({!Batcher.coalesce}), run it as one block,
-    reply.
+    {!Containment.Parallel} does — a store handle and its I/O counters
+    are unsynchronised, so no two domains share one) — and loops:
+    dequeue a batch of compatible requests ({!Batcher.coalesce}), run it
+    as one block, reply.
 
     Admission is explicitly bounded: {!submit} refuses with [`Overloaded]
     when [queue_cap] requests are already waiting, instead of queueing

@@ -60,14 +60,18 @@ let read_byte r =
   r.pos <- r.pos + 1;
   b
 
+(* A loop over local refs rather than an inner recursive function, which
+   would allocate a closure over [r] on every call. *)
 let read_varint r =
-  let rec loop shift acc =
-    if shift > 62 then raise (Corrupt "varint too large");
+  let acc = ref 0 and shift = ref 0 and more = ref true in
+  while !more do
+    if !shift > 62 then raise (Corrupt "varint too large");
     let b = read_byte r in
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b land 0x80 = 0 then acc else loop (shift + 7) acc
-  in
-  loop 0 0
+    acc := !acc lor ((b land 0x7f) lsl !shift);
+    shift := !shift + 7;
+    more := b land 0x80 <> 0
+  done;
+  !acc
 
 let read_int_list r =
   let n = read_varint r in

@@ -1,6 +1,6 @@
 (* Layout: the backing file is a sequence of records [len(4) | bytes],
    oldest (deepest) first; [frames] records each spilled record's offset so
-   pops can seek back. The in-memory buffer holds the newest entries. *)
+   pops can read them back. The in-memory buffer holds the newest entries. *)
 
 type t = {
   fd : Unix.file_descr;
@@ -34,34 +34,6 @@ let is_empty t = length t = 0
 let spilled_items t = List.length t.frames
 let stats t = t.stats
 
-let write_at t ~off buf =
-  Io_stats.record_seek t.stats;
-  ignore (Unix.lseek t.fd off Unix.SEEK_SET);
-  let len = Bytes.length buf in
-  let rec loop pos remaining =
-    if remaining > 0 then begin
-      let n = Unix.write t.fd buf pos remaining in
-      loop (pos + n) (remaining - n)
-    end
-  in
-  loop 0 len;
-  Io_stats.record_write t.stats ~bytes:len
-
-let read_at t ~off len =
-  Io_stats.record_seek t.stats;
-  ignore (Unix.lseek t.fd off Unix.SEEK_SET);
-  let buf = Bytes.create len in
-  let rec loop pos remaining =
-    if remaining > 0 then begin
-      let n = Unix.read t.fd buf pos remaining in
-      if n = 0 then failwith "Ext_stack: truncated file";
-      loop (pos + n) (remaining - n)
-    end
-  in
-  loop 0 len;
-  Io_stats.record_read t.stats ~bytes:len;
-  Bytes.unsafe_to_string buf
-
 (* Spills the *bottom* half of the buffer to disk, keeping the newest
    entries in memory. *)
 let spill t =
@@ -83,7 +55,7 @@ let spill t =
       let buf = Bytes.create (4 + len) in
       Bytes.set_int32_le buf 0 (Int32.of_int len);
       Bytes.blit_string s 0 buf 4 len;
-      write_at t ~off:t.file_end buf;
+      Pio.write_all t.stats t.fd ~off:t.file_end buf 0 (4 + len);
       t.frames <- (t.file_end + 4, len) :: t.frames;
       t.file_end <- t.file_end + 4 + len)
     spill_list;
@@ -104,7 +76,10 @@ let refill t =
   t.frames <- rest;
   (* newest is newest-first; push oldest of them first *)
   List.iter
-    (fun (off, len) -> Stack.push (read_at t ~off len) t.buffer)
+    (fun (off, len) ->
+      let buf = Bytes.create len in
+      Pio.read_exact t.stats t.fd ~off buf 0 len;
+      Stack.push (Bytes.unsafe_to_string buf) t.buffer)
     (List.rev newest);
   (* reclaim the file tail when everything spilled has been consumed *)
   if t.frames = [] then begin

@@ -38,30 +38,13 @@ let fnv1a s =
 let bucket_of_key t key = fnv1a key land (t.buckets - 1)
 let bucket_offset b = header_size + (8 * b)
 
-let really_pread t ~off buf pos len =
-  Io_stats.record_seek t.stats;
-  ignore (Unix.lseek t.fd off Unix.SEEK_SET);
-  let rec loop pos len =
-    if len > 0 then begin
-      let n = Unix.read t.fd buf pos len in
-      if n = 0 then failwith "Hash_store: unexpected end of file";
-      loop (pos + n) (len - n)
-    end
-  in
-  loop pos len;
-  Io_stats.record_read t.stats ~bytes:len
+let truncated () = failwith "Hash_store: unexpected end of file"
 
-let really_pwrite t ~off buf pos len =
-  Io_stats.record_seek t.stats;
-  ignore (Unix.lseek t.fd off Unix.SEEK_SET);
-  let rec loop pos len =
-    if len > 0 then begin
-      let n = Unix.write t.fd buf pos len in
-      loop (pos + n) (len - n)
-    end
-  in
-  loop pos len;
-  Io_stats.record_write t.stats ~bytes:len
+let pread t ~off buf =
+  let len = Bytes.length buf in
+  if Pio.read_upto t.stats t.fd ~off buf 0 len < len then truncated ()
+
+let pwrite t ~off buf = Pio.write_all t.stats t.fd ~off buf 0 (Bytes.length buf)
 
 let read_u64 buf pos = Int64.to_int (Bytes.get_int64_le buf pos)
 let write_u64 buf pos v = Bytes.set_int64_le buf pos (Int64.of_int v)
@@ -70,28 +53,17 @@ let write_u32 buf pos v = Bytes.set_int32_le buf pos (Int32.of_int v)
 
 let read_offset t ~off =
   let buf = Bytes.create 8 in
-  really_pread t ~off buf 0 8;
+  pread t ~off buf;
   read_u64 buf 0
 
 let write_offset t ~off v =
   let buf = Bytes.create 8 in
   write_u64 buf 0 v;
-  really_pwrite t ~off buf 0 8
+  pwrite t ~off buf
 
-(* Reads the fixed part of a record; returns (next, key_len, val_len). *)
-let read_record_header t ~off =
-  let buf = Bytes.create record_header_size in
-  really_pread t ~off buf 0 record_header_size;
-  (read_u64 buf 0, read_u32 buf 8, read_u32 buf 12)
-
-let read_record_key t ~off ~key_len =
-  let buf = Bytes.create key_len in
-  really_pread t ~off:(off + record_header_size) buf 0 key_len;
-  Bytes.unsafe_to_string buf
-
-let read_record_value t ~off ~key_len ~val_len =
-  let buf = Bytes.create val_len in
-  really_pread t ~off:(off + record_header_size + key_len) buf 0 val_len;
+let read_string t ~off len =
+  let buf = Bytes.create len in
+  pread t ~off buf;
   Bytes.unsafe_to_string buf
 
 let write_header t =
@@ -99,7 +71,7 @@ let write_header t =
   Bytes.blit_string magic 0 buf 0 8;
   write_u64 buf 8 t.buckets;
   write_u64 buf 16 t.count;
-  really_pwrite t ~off:0 buf 0 header_size
+  pwrite t ~off:0 buf
 
 let append_record t ~next ~key ~value =
   let key_len = String.length key and val_len = String.length value in
@@ -110,45 +82,59 @@ let append_record t ~next ~key ~value =
   Bytes.blit_string key 0 buf record_header_size key_len;
   Bytes.blit_string value 0 buf (record_header_size + key_len) val_len;
   let off = t.file_end in
-  really_pwrite t ~off buf 0 (Bytes.length buf);
+  pwrite t ~off buf;
   t.file_end <- off + Bytes.length buf;
   off
 
-(* Walks the chain of [key]'s bucket. Returns the offset holding the pointer
-   to the matching record (bucket slot or predecessor's next field) and the
-   record's header, if present. *)
+type found = { ptr_off : int; rec_off : int; next : int; val_len : int }
+
+(* Walks the chain of [key]'s bucket with one read per record, covering
+   its header and a key-sized prefix of its body (shorter at the end of
+   the file). Returns the bucket's slot offset, its chain head, and the
+   matching record, if any: [ptr_off] holds the pointer to it (the slot
+   or the predecessor's next field). *)
 let find_in_chain t key =
-  let slot = bucket_offset (bucket_of_key t key) in
-  let rec walk ptr_off =
-    let rec_off = read_offset t ~off:ptr_off in
+  let klen = String.length key in
+  let buf = Bytes.create (record_header_size + klen) in
+  let rec walk ptr_off rec_off =
     if rec_off = 0 then None
-    else
-      let next, key_len, val_len = read_record_header t ~off:rec_off in
-      if key_len = String.length key && read_record_key t ~off:rec_off ~key_len = key
-      then Some (ptr_off, rec_off, next, key_len, val_len)
-      else walk rec_off (* record's next field is at offset [rec_off] *)
+    else begin
+      let n = Pio.read_upto t.stats t.fd ~off:rec_off buf 0 (Bytes.length buf) in
+      if n < record_header_size then truncated ();
+      let next = read_u64 buf 0 and same_len = read_u32 buf 8 = klen in
+      if same_len && n < Bytes.length buf then truncated ();
+      if same_len && String.equal key (Bytes.sub_string buf record_header_size klen)
+      then Some { ptr_off; rec_off; next; val_len = read_u32 buf 12 }
+      else walk rec_off next (* the record's next field is at [rec_off] *)
+    end
   in
-  walk slot
+  let slot = bucket_offset (bucket_of_key t key) in
+  let head = read_offset t ~off:slot in
+  (slot, head, walk slot head)
 
 let check_open t = if t.closed then failwith "Hash_store: store is closed"
 
 let get t key =
   check_open t;
   match find_in_chain t key with
-  | None -> None
-  | Some (_, rec_off, _, key_len, val_len) ->
-    Some (read_record_value t ~off:rec_off ~key_len ~val_len)
+  | _, _, None -> None
+  | _, _, Some r ->
+    Some
+      (read_string t ~off:(r.rec_off + record_header_size + String.length key)
+         r.val_len)
 
 let put t key value =
   check_open t;
-  (match find_in_chain t key with
-  | Some (ptr_off, _, next, _, _) ->
-    (* Unlink the stale record. *)
-    write_offset t ~off:ptr_off next;
-    t.count <- t.count - 1
-  | None -> ());
-  let slot = bucket_offset (bucket_of_key t key) in
-  let head = read_offset t ~off:slot in
+  let slot, head, found = find_in_chain t key in
+  let head =
+    match found with
+    | None -> head
+    | Some r ->
+      (* Unlink the stale record; it may have been the head. *)
+      write_offset t ~off:r.ptr_off r.next;
+      t.count <- t.count - 1;
+      if r.ptr_off = slot then r.next else head
+  in
   let rec_off = append_record t ~next:head ~key ~value in
   write_offset t ~off:slot rec_off;
   t.count <- t.count + 1
@@ -156,9 +142,9 @@ let put t key value =
 let delete t key =
   check_open t;
   match find_in_chain t key with
-  | None -> false
-  | Some (ptr_off, _, next, _, _) ->
-    write_offset t ~off:ptr_off next;
+  | _, _, None -> false
+  | _, _, Some r ->
+    write_offset t ~off:r.ptr_off r.next;
     t.count <- t.count - 1;
     true
 
@@ -167,11 +153,13 @@ let iter t f =
   for b = 0 to t.buckets - 1 do
     let rec walk off =
       if off <> 0 then begin
-        let next, key_len, val_len = read_record_header t ~off in
-        let key = read_record_key t ~off ~key_len in
-        let value = read_record_value t ~off ~key_len ~val_len in
-        f key value;
-        walk next
+        let hdr = Bytes.create record_header_size in
+        pread t ~off hdr;
+        let key_len = read_u32 hdr 8 and val_len = read_u32 hdr 12 in
+        let body = Bytes.create (key_len + val_len) in
+        pread t ~off:(off + record_header_size) body;
+        f (Bytes.sub_string body 0 key_len) (Bytes.sub_string body key_len val_len);
+        walk (read_u64 hdr 0)
       end
     in
     walk (read_offset t ~off:(bucket_offset b))
@@ -194,6 +182,15 @@ let round_up_pow2 n =
   let rec loop p = if p >= n then p else loop (p * 2) in
   loop 1
 
+(* A fresh file: the header and an empty bucket directory. *)
+let create_file ~buckets ~stats path =
+  let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
+  let file_end = header_size + (8 * buckets) in
+  let t = { fd; buckets; count = 0; file_end; stats; path; closed = false } in
+  write_header t;
+  pwrite t ~off:header_size (Bytes.make (8 * buckets) '\000');
+  t
+
 let to_kv t =
   Reg.put ("hash:" ^ t.path) t;
   {
@@ -210,23 +207,8 @@ let to_kv t =
 
 let create ?(buckets = 65536) path =
   if buckets <= 0 then invalid_arg "Hash_store.create: buckets must be positive";
-  let buckets = round_up_pow2 buckets in
-  let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-  let t =
-    {
-      fd;
-      buckets;
-      count = 0;
-      file_end = header_size + (8 * buckets);
-      stats = Io_stats.create ();
-      path;
-      closed = false;
-    }
-  in
-  write_header t;
-  (* Zero the bucket directory in one write. *)
-  let dir = Bytes.make (8 * buckets) '\000' in
-  really_pwrite t ~off:header_size dir 0 (Bytes.length dir);
+  let stats = Io_stats.create () in
+  let t = create_file ~buckets:(round_up_pow2 buckets) ~stats path in
   Io_stats.reset t.stats;
   to_kv t
 
@@ -243,7 +225,7 @@ let open_existing path =
       path; closed = false }
   in
   let buf = Bytes.create header_size in
-  really_pread t ~off:0 buf 0 header_size;
+  pread t ~off:0 buf;
   if Bytes.sub_string buf 0 8 <> magic then
     failwith "Hash_store.open_existing: bad magic";
   let buckets = read_u64 buf 8 and count = read_u64 buf 16 in
@@ -264,26 +246,12 @@ let file_size kv =
 let optimize kv =
   let t = find_handle kv "optimize" in
   let tmp_path = t.path ^ ".optimize" in
-  let fd = Unix.openfile tmp_path [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-  let fresh =
-    {
-      fd;
-      buckets = t.buckets;
-      count = 0;
-      file_end = header_size + (8 * t.buckets);
-      stats = t.stats;
-      path = tmp_path;
-      closed = false;
-    }
-  in
-  write_header fresh;
-  let dir = Bytes.make (8 * t.buckets) '\000' in
-  really_pwrite fresh ~off:header_size dir 0 (Bytes.length dir);
+  let fresh = create_file ~buckets:t.buckets ~stats:t.stats tmp_path in
   iter t (fun key value -> put fresh key value);
   write_header fresh;
-  Unix.fsync fd;
+  Unix.fsync fresh.fd;
   Unix.rename tmp_path t.path;
   Unix.close t.fd;
-  t.fd <- fd;
+  t.fd <- fresh.fd;
   t.count <- fresh.count;
   t.file_end <- fresh.file_end

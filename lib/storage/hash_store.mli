@@ -12,6 +12,16 @@
     - an append-only record heap; each record is
       [next(8) | key_len(4) | val_len(4) | key | value].
 
+    I/O plan: every access goes through {!Pio}, one [pread]/[pwrite] at an
+    explicit offset. A [get] reads the bucket head, then one block per chain
+    record walked, covering its 16-byte header and a key-sized prefix of its
+    body, where the key is compared; a hit reads the value with one more
+    read. A hit at chain depth d costs 2 + d reads, a miss over a chain of
+    d records 1 + d. A [put] reads the bucket head once and walks the chain
+    the same way before it appends. The {!Pio} stub keeps the domain lock
+    for the call, so other threads of the calling domain wait for it; a
+    handle belongs to one domain.
+
     Replacement unlinks the stale record from its chain and appends the new
     one; dead space is not reclaimed (compaction is out of scope — Tokyo
     Cabinet behaves the same until [optimize] is called). The bucket count

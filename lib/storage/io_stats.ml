@@ -3,7 +3,6 @@ type t = {
   mutable writes : int;
   mutable bytes_read : int;
   mutable bytes_written : int;
-  mutable seeks : int;
   mutable hits : int;
   mutable misses : int;
   mutable lookups : int;
@@ -12,7 +11,7 @@ type t = {
 }
 
 let create () =
-  { reads = 0; writes = 0; bytes_read = 0; bytes_written = 0; seeks = 0;
+  { reads = 0; writes = 0; bytes_read = 0; bytes_written = 0;
     hits = 0; misses = 0; lookups = 0; faults = 0; recoveries = 0 }
 
 let reset t =
@@ -20,7 +19,6 @@ let reset t =
   t.writes <- 0;
   t.bytes_read <- 0;
   t.bytes_written <- 0;
-  t.seeks <- 0;
   t.hits <- 0;
   t.misses <- 0;
   t.lookups <- 0;
@@ -35,7 +33,6 @@ let record_write t ~bytes =
   t.writes <- t.writes + 1;
   t.bytes_written <- t.bytes_written + bytes
 
-let record_seek t = t.seeks <- t.seeks + 1
 let record_hit t = t.hits <- t.hits + 1
 let record_miss t = t.misses <- t.misses + 1
 let record_lookup t = t.lookups <- t.lookups + 1
@@ -46,7 +43,6 @@ let reads t = t.reads
 let writes t = t.writes
 let bytes_read t = t.bytes_read
 let bytes_written t = t.bytes_written
-let seeks t = t.seeks
 let hits t = t.hits
 let misses t = t.misses
 let lookups t = t.lookups
@@ -63,7 +59,6 @@ let merge a b =
     writes = a.writes + b.writes;
     bytes_read = a.bytes_read + b.bytes_read;
     bytes_written = a.bytes_written + b.bytes_written;
-    seeks = a.seeks + b.seeks;
     hits = a.hits + b.hits;
     misses = a.misses + b.misses;
     lookups = a.lookups + b.lookups;
@@ -73,9 +68,8 @@ let merge a b =
 
 let pp ppf t =
   Format.fprintf ppf
-    "reads=%d (%d B) writes=%d (%d B) seeks=%d cache hits=%d misses=%d \
-     (ratio %.3f)"
-    t.reads t.bytes_read t.writes t.bytes_written t.seeks t.hits t.misses
+    "reads=%d (%d B) writes=%d (%d B) cache hits=%d misses=%d (ratio %.3f)"
+    t.reads t.bytes_read t.writes t.bytes_written t.hits t.misses
     (hit_ratio t);
   if t.faults > 0 || t.recoveries > 0 then
     Format.fprintf ppf " faults=%d recoveries=%d" t.faults t.recoveries
@@ -109,7 +103,6 @@ let register reg ?(labels = []) t =
   c "nscq_io_writes_total" "Store write operations" writes;
   c "nscq_io_bytes_read_total" "Bytes read from the store" bytes_read;
   c "nscq_io_bytes_written_total" "Bytes written to the store" bytes_written;
-  c "nscq_io_seeks_total" "Store seeks" seeks;
   c "nscq_io_lookups_total" "Logical inverted-list lookups" lookups;
   c "nscq_io_cache_hits_total" "Lookups served from the decoded-list cache"
     hits;

@@ -14,7 +14,6 @@ val reset : t -> unit
 
 val record_read : t -> bytes:int -> unit
 val record_write : t -> bytes:int -> unit
-val record_seek : t -> unit
 val record_hit : t -> unit
 (** A lookup served from a main-memory cache. *)
 
@@ -38,7 +37,6 @@ val reads : t -> int
 val writes : t -> int
 val bytes_read : t -> int
 val bytes_written : t -> int
-val seeks : t -> int
 val hits : t -> int
 val misses : t -> int
 val lookups : t -> int
@@ -52,7 +50,7 @@ val merge : t -> t -> t
 (** Pointwise sum, as a fresh counter. *)
 
 val pp : Format.formatter -> t -> unit
-(** One line: reads/writes/seeks and cache hits/misses with the hit ratio
+(** One line: reads/writes and cache hits/misses with the hit ratio
     rendered as [ratio %.3f] (matching [Server_stats.render] precision). *)
 
 val attribute : ?trace:Obs.Trace.t -> ?store:t -> t -> (unit -> 'a) -> 'a

@@ -31,31 +31,10 @@ module Reg = Registry.Make (struct
   let kind = "Log_store"
 end)
 
-let really_pread t ~off buf pos len =
-  Io_stats.record_seek t.stats;
-  ignore (Unix.lseek t.fd off Unix.SEEK_SET);
-  let rec loop pos len =
-    if len > 0 then begin
-      let n = Unix.read t.fd buf pos len in
-      if n = 0 then failwith "Log_store: unexpected end of file";
-      loop (pos + n) (len - n)
-    end
-  in
-  loop pos len;
-  Io_stats.record_read t.stats ~bytes:len
+let pread t ~off buf pos len = Pio.read_exact t.stats t.fd ~off buf pos len
 
-let really_write t buf =
-  Io_stats.record_seek t.stats;
-  ignore (Unix.lseek t.fd t.file_end Unix.SEEK_SET);
-  let len = Bytes.length buf in
-  let rec loop pos remaining =
-    if remaining > 0 then begin
-      let n = Unix.write t.fd buf pos remaining in
-      loop (pos + n) (remaining - n)
-    end
-  in
-  loop 0 len;
-  Io_stats.record_write t.stats ~bytes:len
+(* Appends at the end of the log. *)
+let write_end t buf = Pio.write_all t.stats t.fd ~off:t.file_end buf 0 (Bytes.length buf)
 
 let encode_record ?(flags = 0) ~key ~value () =
   let klen = String.length key and vlen = String.length value in
@@ -75,7 +54,7 @@ let check_open t = if t.closed then failwith "Log_store: store is closed"
 
 let append t ~flags key value =
   let buf = encode_record ~flags ~key ~value () in
-  really_write t buf;
+  write_end t buf;
   let offset = t.file_end in
   t.file_end <- offset + Bytes.length buf;
   (offset, Bytes.length buf)
@@ -99,7 +78,7 @@ let get t key =
   | None -> None
   | Some e ->
     let buf = Bytes.create e.val_len in
-    really_pread t
+    pread t
       ~off:(e.offset + record_header_size + String.length key)
       buf 0 e.val_len;
     Some (Bytes.unsafe_to_string buf)
@@ -126,7 +105,7 @@ let scan t ~file_size =
   let ok = ref true in
   while !ok && !pos + record_header_size <= file_size do
     let hdr = Bytes.create record_header_size in
-    really_pread t ~off:!pos hdr 0 record_header_size;
+    pread t ~off:!pos hdr 0 record_header_size;
     let stored_crc = Bytes.get_int32_le hdr 0 in
     let flags = Char.code (Bytes.get hdr 4) in
     let klen = Int32.to_int (Bytes.get_int32_le hdr 5) in
@@ -138,7 +117,7 @@ let scan t ~file_size =
     else begin
       let body = Bytes.create (9 + klen + vlen) in
       Bytes.blit hdr 4 body 0 9;
-      really_pread t ~off:(!pos + record_header_size) body 9 (klen + vlen);
+      pread t ~off:(!pos + record_header_size) body 9 (klen + vlen);
       let crc = Checksum.crc32_bytes body ~pos:0 ~len:(Bytes.length body) in
       if crc <> stored_crc then ok := false
       else begin
@@ -199,7 +178,7 @@ let create path =
       closed = false;
     }
   in
-  really_write t (Bytes.of_string magic);
+  write_end t (Bytes.of_string magic);
   t.file_end <- header_size;
   Io_stats.reset t.stats;
   to_kv t
@@ -225,7 +204,7 @@ let open_existing ?(to_last_commit = false) path =
     }
   in
   let hdr = Bytes.create header_size in
-  really_pread t ~off:0 hdr 0 header_size;
+  pread t ~off:0 hdr 0 header_size;
   if Bytes.to_string hdr <> magic then failwith "Log_store.open_existing: bad magic";
   let consistent = scan t ~file_size:size in
   (* Torn tail (crash during the final append): truncate it away. Under
@@ -280,7 +259,7 @@ let compact kv =
       closed = false;
     }
   in
-  really_write fresh (Bytes.of_string magic);
+  write_end fresh (Bytes.of_string magic);
   fresh.file_end <- header_size;
   List.iter (fun key -> put fresh key (Option.get (get t key))) live;
   Unix.fsync tmp_fd;

@@ -15,30 +15,13 @@ let stats t = t.stats
 
 let check_open t = if t.closed then failwith "Pager: file is closed"
 
-let really_pread t ~off buf len =
-  Io_stats.record_seek t.stats;
-  ignore (Unix.lseek t.fd off Unix.SEEK_SET);
-  let rec loop pos len =
-    if len > 0 then begin
-      let n = Unix.read t.fd buf pos len in
-      if n = 0 then Bytes.fill buf pos len '\000' (* sparse tail *)
-      else loop (pos + n) (len - n)
-    end
-  in
-  loop 0 len;
-  Io_stats.record_read t.stats ~bytes:len
+(* A read past the end of the file zero-fills the rest (a sparse tail). *)
+let pread t ~off buf =
+  let len = Bytes.length buf in
+  let n = Pio.read_upto t.stats t.fd ~off buf 0 len in
+  if n < len then Bytes.fill buf n (len - n) '\000'
 
-let really_pwrite t ~off buf len =
-  Io_stats.record_seek t.stats;
-  ignore (Unix.lseek t.fd off Unix.SEEK_SET);
-  let rec loop pos len =
-    if len > 0 then begin
-      let n = Unix.write t.fd buf pos len in
-      loop (pos + n) (len - n)
-    end
-  in
-  loop 0 len;
-  Io_stats.record_write t.stats ~bytes:len
+let pwrite t ~off buf = Pio.write_all t.stats t.fd ~off buf 0 (Bytes.length buf)
 
 (* Second-chance (clock-ish) bounded cache: on overflow, evict the oldest
    inserted page. The insertion queue carries page numbers; stale queue
@@ -68,7 +51,7 @@ let read_page t page =
   | _ ->
     Io_stats.record_miss t.stats;
     let buf = Bytes.create t.page_size in
-    really_pread t ~off:(page * t.page_size) buf t.page_size;
+    pread t ~off:(page * t.page_size) buf;
     cache_insert t page buf;
     buf
 
@@ -77,7 +60,7 @@ let write_page t page buf =
   if Bytes.length buf <> t.page_size then
     invalid_arg "Pager.write_page: buffer size mismatch";
   if page < 0 then invalid_arg "Pager.write_page: negative page";
-  really_pwrite t ~off:(page * t.page_size) buf t.page_size;
+  pwrite t ~off:(page * t.page_size) buf;
   if page >= t.pages then t.pages <- page + 1;
   cache_insert t page buf
 
@@ -93,7 +76,7 @@ let append_blob t s =
   let first = t.pages in
   let buf = Bytes.make (n_pages * t.page_size) '\000' in
   Bytes.blit_string s 0 buf 0 len;
-  really_pwrite t ~off:(first * t.page_size) buf (Bytes.length buf);
+  pwrite t ~off:(first * t.page_size) buf;
   t.pages <- first + n_pages;
   first
 
@@ -105,7 +88,7 @@ let read_blob t ~first_page ~len =
     if first_page < 0 || first_page + n_pages > t.pages then
       invalid_arg "Pager.read_blob: out of bounds";
     let buf = Bytes.create (n_pages * t.page_size) in
-    really_pread t ~off:(first_page * t.page_size) buf (Bytes.length buf);
+    pread t ~off:(first_page * t.page_size) buf;
     Bytes.sub_string buf 0 len
   end
 

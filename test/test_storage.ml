@@ -46,6 +46,22 @@ let test_string_roundtrip () =
   check_string "hello" "hello" (C.read_string r);
   check_int "binary blob" 1000 (String.length (C.read_string r))
 
+(* An inner recursive [loop] would allocate a closure over the reader on
+   every call; every posting decode reads several varints. *)
+let test_varint_no_alloc () =
+  let w = C.writer () in
+  for i = 0 to 999 do
+    C.write_varint w (i * 1_000_003)
+  done;
+  let r = C.reader (C.contents w) in
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (C.read_varint r : int)
+  done;
+  let words = Gc.minor_words () -. before in
+  check_bool (Printf.sprintf "1000 calls allocate %.0f words" words) true
+    (words < 1000.)
+
 let test_corrupt_detection () =
   (match C.read_varint (C.reader "\x80") with
   | exception C.Corrupt _ -> ()
@@ -275,6 +291,47 @@ let test_hash_io_stats_count () =
       ignore (s.Storage.Kv.get "a");
       check_bool "get does real reads" true
         (Storage.Io_stats.reads s.Storage.Kv.stats > r0);
+      s.Storage.Kv.close ())
+
+(* One bucket puts every key on one chain, and a put prepends to it. A
+   get reads the bucket head, one block per record walked (header plus a
+   key-sized prefix) and, on a hit, the value. *)
+let test_hash_read_plan () =
+  Testutil.with_temp_path ".tch" (fun path ->
+      let s = Storage.Hash_store.create ~buckets:1 path in
+      let reads f =
+        let r0 = Storage.Io_stats.reads s.Storage.Kv.stats in
+        f ();
+        Storage.Io_stats.reads s.Storage.Kv.stats - r0
+      in
+      let get_is key v () =
+        Alcotest.(check (option string)) ("get " ^ key) v (s.Storage.Kv.get key)
+      in
+      List.iter (fun k -> s.Storage.Kv.put k ("v" ^ k)) [ "k3"; "k2"; "k1" ];
+      List.iter
+        (fun (k, depth) ->
+          check_int
+            (Printf.sprintf "hit at depth %d" depth)
+            (2 + depth)
+            (reads (get_is k (Some ("v" ^ k)))))
+        [ ("k1", 1); ("k2", 2); ("k3", 3) ];
+      check_int "miss over 3 records" 4 (reads (get_is "k9" None));
+      check_int "miss, longer key" 4 (reads (get_is "absent-key" None));
+      check_int "put of a new key" 4 (reads (fun () -> s.Storage.Kv.put "k4" "vk4"));
+      (* chain: k4 k1 k2 k3 *)
+      check_int "replace at depth 3" 4 (reads (fun () -> s.Storage.Kv.put "k2" "new"));
+      (* chain: k2 k4 k1 k3; replacing the head relinks through its next *)
+      check_int "replace the head" 2 (reads (fun () -> s.Storage.Kv.put "k2" "newer"));
+      check_int "count" 4 (s.Storage.Kv.length ());
+      List.iter
+        (fun (k, v) -> get_is k (Some v) ())
+        [ ("k1", "vk1"); ("k2", "newer"); ("k3", "vk3"); ("k4", "vk4") ];
+      let seen = ref [] in
+      s.Storage.Kv.iter (fun k v -> seen := (k, v) :: !seen);
+      Alcotest.(check (list (pair string string)))
+        "iter walks the relinked chain"
+        [ ("k2", "newer"); ("k4", "vk4"); ("k1", "vk1"); ("k3", "vk3") ]
+        (List.rev !seen);
       s.Storage.Kv.close ())
 
 let test_hash_closed_raises () =
@@ -519,6 +576,43 @@ let test_pager_cache_hits () =
         (Storage.Io_stats.hits (Storage.Pager.stats p) >= 1);
       Storage.Pager.close p)
 
+let test_pager_sparse_tail () =
+  Testutil.with_temp_path ".pg" (fun path ->
+      let p = Storage.Pager.create ~page_size:128 path in
+      ignore (Storage.Pager.append_page p (Bytes.make 128 'a'));
+      ignore (Storage.Pager.append_page p (Bytes.make 128 'b'));
+      Unix.truncate path (128 + 32);
+      check_string "tail past end of file reads as zeros"
+        (String.make 32 'b' ^ String.make 96 '\000')
+        (Bytes.to_string (Storage.Pager.read_page p 1));
+      Storage.Pager.close p)
+
+(* --- positioned I/O --- *)
+
+let test_pio_short_read () =
+  Testutil.with_temp_path ".pio" (fun path ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc "0123456789");
+      let fd = Unix.openfile path [ Unix.O_RDWR ] 0o644 in
+      let stats = Storage.Io_stats.create () in
+      let buf = Bytes.make 8 '.' in
+      check_int "short count past end of file" 4
+        (Storage.Pio.read_upto stats fd ~off:6 buf 0 8);
+      check_string "read bytes land at pos" "6789...." (Bytes.to_string buf);
+      check_int "at end of file" 0 (Storage.Pio.read_upto stats fd ~off:10 buf 0 8);
+      Alcotest.check_raises "read_exact past end" End_of_file (fun () ->
+          Storage.Pio.read_exact stats fd ~off:6 buf 0 8);
+      Storage.Pio.write_all stats fd ~off:2 (Bytes.of_string "xy") 0 2;
+      Bytes.fill buf 0 8 '.';
+      Storage.Pio.read_exact stats fd ~off:0 buf 2 4;
+      check_string "write_all lands at off" "..01xy.." (Bytes.to_string buf);
+      check_int "reads counted" 4 (Storage.Io_stats.reads stats);
+      check_int "bytes read counted" 12 (Storage.Io_stats.bytes_read stats);
+      check_int "writes counted" 1 (Storage.Io_stats.writes stats);
+      (match Storage.Pio.read_upto stats fd ~off:0 buf 6 4 with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.fail "expected a range error");
+      Unix.close fd)
+
 (* --- io stats --- *)
 
 let test_io_stats_merge_and_ratio () =
@@ -547,6 +641,8 @@ let () =
             test_int_array_monotone_enforced;
           Alcotest.test_case "string roundtrip" `Quick test_string_roundtrip;
           Alcotest.test_case "corruption detection" `Quick test_corrupt_detection;
+          Alcotest.test_case "read_varint allocates nothing" `Quick
+            test_varint_no_alloc;
           prop_int_list_roundtrip;
           prop_mixed_stream;
         ] );
@@ -563,6 +659,7 @@ let () =
           Alcotest.test_case "btree sorted iter + range" `Quick
             test_btree_sorted_iter_and_range;
           Alcotest.test_case "hash io stats" `Quick test_hash_io_stats_count;
+          Alcotest.test_case "hash read plan" `Quick test_hash_read_plan;
           Alcotest.test_case "closed store raises" `Quick test_hash_closed_raises;
         ] );
       ( "btree model",
@@ -586,7 +683,9 @@ let () =
           Alcotest.test_case "blob" `Quick test_pager_blob;
           Alcotest.test_case "bounds" `Quick test_pager_bounds;
           Alcotest.test_case "cache hits" `Quick test_pager_cache_hits;
+          Alcotest.test_case "sparse tail" `Quick test_pager_sparse_tail;
         ] );
+      ("pio", [ Alcotest.test_case "short read" `Quick test_pio_short_read ]);
       ( "io stats",
         [ Alcotest.test_case "merge & ratio" `Quick test_io_stats_merge_and_ratio ] );
     ]
