@@ -1,11 +1,26 @@
-(** Multicore workload execution.
+(** Multicore execution on OCaml 5 domains.
 
     The paper's implementation is "a single threaded process" (Sec. 5.1);
     queries over a read-only inverted file are embarrassingly parallel, so
-    this module adds the obvious scale-up on OCaml 5 domains. Every domain
-    opens its {e own} store handle (separate file descriptors — a store
-    handle and its I/O counters are unsynchronised, so no two domains
-    share one) and its own cache, and runs a slice of the workload. *)
+    this module adds the obvious scale-up. {!map} is the one domain
+    fan-out every parallel caller goes through: the workload runner
+    below, the shard router's local shards ({!Partitioned.fan_out}) and
+    the partitioner's shard builds. *)
+
+val map : domains:int -> ('a -> 'b) -> 'a list -> 'b list
+(** [map ~domains f items] is [List.map f items], evaluated on at most
+    [domains] domains at once: the calling domain plus up to
+    [domains - 1] spawned ones, items dealt round-robin. Results keep
+    item order. With [domains = 1] or fewer than two items everything
+    runs in the caller and no domain is spawned.
+
+    When calls raise, every spawned domain is joined first and then the
+    exception of the {e first raising item in item order} is re-raised
+    with its backtrace — so an error that every item would raise (an
+    engine refusal, say) escapes as itself, whichever domain hit it
+    first. [f] must be safe to run on several domains at once: no two
+    calls may share a store handle, a cache or a {!Obs.Trace.t}.
+    @raise Invalid_argument if [domains < 1]. *)
 
 type result = {
   elapsed_s : float;  (** wall clock for the whole batch *)
@@ -20,11 +35,13 @@ val run_workload :
   ?cache_budget:int ->
   Nested.Value.t list ->
   result
-(** [open_handle] must return a fresh handle onto the same collection (it
-    is called once per domain, in that domain); each handle is closed when
-    its slice completes. [cache_budget] attaches the static cache per
-    domain (0 = none, the default). Queries are dealt round-robin.
-    [domains] defaults to {!default_domains}.
+(** Runs a query workload through {!map}, one slice per domain. Every
+    slice opens its {e own} store handle (separate file descriptors — a
+    store handle and its I/O counters are unsynchronised, so no two
+    domains share one) through [open_handle], in the domain that runs
+    it, and closes it when the slice completes. [cache_budget] attaches
+    the static cache per slice (0 = none, the default). Queries are
+    dealt round-robin. [domains] defaults to {!default_domains}.
     @raise Invalid_argument if [domains < 1]. *)
 
 val recommended_domains : unit -> int

@@ -1,6 +1,7 @@
 module IF = Invfile.Inverted_file
 module E = Containment.Engine
 module M = Live_manifest
+module P = Containment.Partitioned
 
 type config = {
   flush_records : int;
@@ -282,7 +283,14 @@ let delete t gid =
         end
       end)
 
-(* --- queries --- *)
+(* --- queries ---
+
+   A containment query is a per-record semi-join, so every path below
+   evaluates each part — the sealed segments oldest first, then the
+   memtable — through the one fan-out, in the calling domain under the
+   lock. Segment gid ranges are disjoint and ascending, memtable last, so
+   concatenating the translated answers in part order is already the
+   sorted merge. *)
 
 let check_engine_config (config : E.config) =
   match config.E.filter_index with
@@ -291,133 +299,86 @@ let check_engine_config (config : E.config) =
       "Live_store: filter_index is per-store and cannot span segments"
   | None -> ()
 
-let translate seg locals tombstones =
-  List.filter_map
-    (fun local ->
-      let gid = Segment.global seg local in
-      if Hashtbl.mem tombstones gid then None else Some gid)
-    locals
+let parts t =
+  List.map
+    (fun seg ->
+      {
+        P.label = "segment:" ^ seg.Segment.file;
+        src = seg.Segment.inv;
+        translate =
+          (fun local ->
+            let gid = Segment.global seg local in
+            if Hashtbl.mem t.tombstones gid then None else Some gid);
+      })
+    t.segments
+  @ [
+      {
+        P.label = "memtable";
+        src = t.mem;
+        translate = (fun local -> Some t.mem_gids.(local));
+      };
+    ]
 
-let translate_mem t locals = List.map (fun local -> t.mem_gids.(local)) locals
+let over_parts t config f =
+  check_engine_config config;
+  locked t (fun () ->
+      ensure_open t;
+      f (parts t))
 
 let query ?(config = E.default) ?trace t v =
-  check_engine_config config;
-  locked t (fun () ->
-      ensure_open t;
-      let seg_part seg =
-        let locals =
-          Obs.Trace.opt_span trace ("segment:" ^ seg.Segment.file) (fun () ->
-              (E.query ~config ?trace seg.Segment.inv v).E.records)
-        in
-        translate seg locals t.tombstones
-      in
-      let mem_part () =
-        let locals =
-          Obs.Trace.opt_span trace "memtable" (fun () ->
-              (E.query ~config ?trace t.mem v).E.records)
-        in
-        translate_mem t locals
-      in
-      (* segment gid ranges are disjoint and ascending, memtable last, so
-         concatenation is already the sorted merge *)
-      List.concat_map seg_part t.segments @ mem_part ())
+  over_parts t config @@ fun parts ->
+  List.concat
+    (P.answers ?trace ~translate:P.ids parts ~run:(fun ?trace p ->
+         (E.query ~config ?trace p.P.src v).E.records))
 
 let query_batch ?(config = E.default) t values =
-  check_engine_config config;
-  locked t (fun () ->
-      ensure_open t;
-      let per_seg =
-        List.map
-          (fun seg ->
-            ( seg,
-              List.map
-                (fun (r : E.result) -> r.E.records)
-                (E.query_batch ~config seg.Segment.inv values) ))
-          t.segments
-      in
-      let mem_rs =
+  over_parts t config @@ fun parts ->
+  let per_part =
+    P.answers parts
+      ~translate:(fun tr -> List.map (P.ids tr))
+      ~run:(fun ?trace:_ p ->
         List.map
           (fun (r : E.result) -> r.E.records)
-          (E.query_batch ~config t.mem values)
-      in
-      List.mapi
-        (fun i _ ->
-          List.concat_map
-            (fun (seg, rs) -> translate seg (List.nth rs i) t.tombstones)
-            per_seg
-          @ translate_mem t (List.nth mem_rs i))
-        values)
+          (E.query_batch ~config p.P.src values))
+  in
+  List.fold_right (List.map2 ( @ )) per_part (List.map (fun _ -> []) values)
 
 (* One evaluation per part: each part runs under its own trace, the
    profile is derived from that same trace ([E.profile_of_trace]), and
    the reported record counts are the post-tombstone global ids — so the
    top-level total equals what {!query} returns and the per-part phase
-   counts reconcile with a traced {!query}'s per-segment spans. *)
+   counts reconcile with a traced {!query}'s per-part spans. *)
 let explain ?(config = E.default) ?(target = "live") t v =
-  check_engine_config config;
-  locked t (fun () ->
-      ensure_open t;
-      let run_part label inv translate_fn =
+  over_parts t config @@ fun parts ->
+  let subs =
+    P.answers parts
+      ~translate:(fun tr (plan, locals) -> (plan, List.length (P.ids tr locals)))
+      ~run:(fun ?trace:_ p ->
         let trace = Obs.Trace.create "explain" in
-        let locals = (E.query ~config ~trace inv v).E.records in
-        let root = Obs.Trace.finish trace in
-        let gids = translate_fn locals in
-        ( E.profile_of_trace ~config ~target:label inv v root
-            (List.length locals),
-          List.length gids )
-      in
-      let parts =
-        List.map
-          (fun seg ->
-            run_part
-              ("segment:" ^ seg.Segment.file)
-              seg.Segment.inv
-              (fun locals -> translate seg locals t.tombstones))
-          t.segments
-        @ [ run_part "memtable" t.mem (translate_mem t) ]
-      in
-      Obs.Explain.make ~target
-        ~query:(Nested.Syntax.to_string v)
-        ~config:
-          [
-            ("segments", string_of_int (List.length t.segments));
-            ("memtable_records", string_of_int t.mem_live);
-            ("tombstones", string_of_int (Hashtbl.length t.tombstones));
-          ]
-        ~records:(List.fold_left (fun n (_, k) -> n + k) 0 parts)
-        ~subs:(List.map fst parts) ())
+        let locals = (E.query ~config ~trace p.P.src v).E.records in
+        ( E.profile_of_trace ~config ~target:p.P.label p.P.src v
+            (Obs.Trace.finish trace) (List.length locals),
+          locals ))
+  in
+  Obs.Explain.make ~target
+    ~query:(Nested.Syntax.to_string v)
+    ~config:
+      [
+        ("segments", string_of_int (List.length t.segments));
+        ("memtable_records", string_of_int t.mem_live);
+        ("tombstones", string_of_int (Hashtbl.length t.tombstones));
+      ]
+    ~records:(List.fold_left (fun n (_, k) -> n + k) 0 subs)
+    ~subs:(List.map fst subs) ()
 
+(* Per-part pairs ascend by outer index then gid and the parts' gid
+   ranges ascend, so a stable sort on the outer index alone merges. *)
 let join ?(config = Join.Engine.default) ?trace t values =
-  check_engine_config config.Join.Engine.engine;
-  locked t (fun () ->
-      ensure_open t;
-      let outer = List.length values in
-      let buckets = Array.make (max 1 outer) [] in
-      let add o gid = buckets.(o) <- gid :: buckets.(o) in
-      let run_seg seg =
-        let pairs =
-          Obs.Trace.opt_span trace ("segment:" ^ seg.Segment.file) (fun () ->
-              (Join.Engine.join ~config ?trace seg.Segment.inv values)
-                .Join.Engine.pairs)
-        in
-        List.iter
-          (fun (o, local) ->
-            let gid = Segment.global seg local in
-            if not (Hashtbl.mem t.tombstones gid) then add o gid)
-          pairs
-      in
-      List.iter run_seg t.segments;
-      let mem_pairs =
-        Obs.Trace.opt_span trace "memtable" (fun () ->
-            (Join.Engine.join ~config ?trace t.mem values).Join.Engine.pairs)
-      in
-      List.iter (fun (o, local) -> add o t.mem_gids.(local)) mem_pairs;
-      let acc = ref [] in
-      for o = outer - 1 downto 0 do
-        (* buckets hold gids newest-first; prepending re-reverses them *)
-        List.iter (fun gid -> acc := (o, gid) :: !acc) buckets.(o)
-      done;
-      !acc)
+  over_parts t config.Join.Engine.engine @@ fun parts ->
+  P.answers ?trace ~translate:P.pairs parts ~run:(fun ?trace p ->
+      (Join.Engine.join ~config ?trace p.P.src values).Join.Engine.pairs)
+  |> List.concat
+  |> List.stable_sort (fun (o1, _) (o2, _) -> Int.compare o1 o2)
 
 let record_value t gid =
   locked t (fun () ->

@@ -31,6 +31,13 @@
     qcheck differential suite in [test/test_live.ml] pins this, byte for
     byte, including across crash-recovery at every write boundary.
 
+    Every read path ({!query}, {!query_batch}, {!explain}, {!join}) is
+    one {!Containment.Partitioned} fan-out over the {e parts} — the
+    sealed segments oldest first, then the memtable — run in the calling
+    domain under the lock. A part translates its local record ids to
+    global ids and drops the tombstoned ones; the parts' gid ranges
+    ascend, so answers concatenated in part order are already sorted.
+
     {2 Concurrency}
 
     All public operations serialize on one {!Lockdep} mutex
@@ -116,24 +123,29 @@ val delete : t -> int -> bool
 val query :
   ?config:Containment.Engine.config -> ?trace:Obs.Trace.t ->
   t -> Nested.Value.t -> int list
-(** With [?trace], one [segment:<file>] span per sealed segment plus a
-    [memtable] span, each carrying the engine's own phase spans. *)
+(** With [?trace], one span per part in part order — [segment:<file>]
+    per sealed segment, oldest first, then [memtable] — each carrying
+    the engine's own phase spans; without it no trace is allocated.
+    Tombstoned records are filtered before the answer is returned. *)
 
 val query_batch :
   ?config:Containment.Engine.config ->
   t -> Nested.Value.t list -> int list list
 (** One lock acquisition and one {!Containment.Engine.query_batch} per
-    segment for the whole block. *)
+    part for the whole block; results in input order, each equal to
+    {!query}'s, in time linear in the block size. *)
 
 val explain :
   ?config:Containment.Engine.config -> ?target:string ->
   t -> Nested.Value.t -> Obs.Explain.t
 (** The live-store EXPLAIN: one
-    {!Containment.Engine.profile_of_trace} sub-plan per sealed segment
-    (target [segment:<file>]) plus one for the memtable, each derived
+    {!Containment.Engine.profile_of_trace} sub-plan per part, in the
+    same part order and under the same names as {!query}'s spans
+    (target [segment:<file>] per sealed segment, then [memtable]), each derived
     from a single evaluation of that part, under the top-level [target]
     (default ["live"]) whose [records] is the post-tombstone total —
-    exactly {!query}'s result count. Rejects a [filter_index] config as
+    exactly {!query}'s result count. A sub-plan's own counts are the
+    part's, before tombstone filtering. Rejects a [filter_index] config as
     {!query} does. *)
 
 val join :

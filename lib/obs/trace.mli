@@ -3,9 +3,10 @@
     A trace is a tree of timed spans, one trace per query, threaded through
     {!Containment.Engine.query} so each evaluation phase (minimize,
     prefilter, per-atom list retrieval, merge, verify) records where its
-    time and I/O went. The router grafts per-shard sub-traces into the
-    caller's tree, and {!to_wire}/{!of_wire} carry a span tree across the
-    wire protocol so [nscq trace --connect] sees remote phases too.
+    time and I/O went. A partitioned evaluation (shards, live segments)
+    grafts per-part sub-traces into the caller's tree, and
+    {!to_wire}/{!of_wire} carry a span tree across the wire protocol so
+    [nscq trace --connect] sees remote phases too.
 
     Tracing is strictly opt-in: the engine takes [?trace] and records
     nothing when it is absent, so the zero-trace hot path stays free of
@@ -62,8 +63,9 @@ val root : t -> span
 
 (** {1 Assembling trees by hand}
 
-    The router builds shard spans from wire payloads and pre-measured
-    timings rather than by running code under {!span}. *)
+    For spans not recorded by running code under {!span}: trees parsed
+    from the wire ({!of_wire} builds them with {!make_span}) and
+    finished sub-traces recorded on another domain or thread. *)
 
 val make_span :
   ?attrs:(string * string) list -> ?children:span list ->

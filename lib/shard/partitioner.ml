@@ -21,31 +21,6 @@ let create_store backend path =
   | `Btree -> Storage.Btree_store.create path
   | `Log -> Storage.Log_store.create path
 
-(* Runs [f i] for every shard index, at most [max_domains] concurrently
-   (one domain per in-flight shard build), preserving index order in the
-   result list. *)
-let parallel_shards ~max_domains ~shards f =
-  let max_domains = max 1 max_domains in
-  let rec waves acc = function
-    | [] -> List.concat (List.rev acc)
-    | pending ->
-      let rec take n = function
-        | x :: rest when n > 0 ->
-          let taken, rest = take (n - 1) rest in
-          (x :: taken, rest)
-        | rest -> ([], rest)
-      in
-      let now, later = take max_domains pending in
-      let results =
-        if List.length now = 1 then List.map f now
-        else
-          List.map Domain.join
-            (List.map (fun i -> Domain.spawn (fun () -> f i)) now)
-      in
-      waves (results :: acc) later
-  in
-  waves [] (List.init shards Fun.id)
-
 (* Builds one shard store from its (global id, value) assignments and
    returns the manifest entry. *)
 let build_shard ~backend ~record_format path assigned =
@@ -71,10 +46,12 @@ let build_assigned ~policy ~backend ~record_format ~max_domains ~total_records
     ~manifest_path per_shard =
   let shards = Array.length per_shard in
   let entries =
-    parallel_shards ~max_domains ~shards (fun i ->
+    Containment.Parallel.map ~domains:(max 1 max_domains)
+      (fun i ->
         build_shard ~backend ~record_format
           (shard_store_path ~manifest_path ~backend i)
           per_shard.(i))
+      (List.init shards Fun.id)
   in
   let manifest = Manifest.make ~policy ~total_records entries in
   Manifest.save manifest manifest_path;

@@ -1,6 +1,7 @@
 module IF = Invfile.Inverted_file
 module E = Containment.Engine
 module Sem = Containment.Semantics
+module P = Containment.Partitioned
 
 let src = Logs.Src.create "nscq.shard" ~doc:"scatter-gather query router"
 
@@ -113,14 +114,35 @@ let prunable (cfg : E.config) =
   | Sem.Containment | Sem.Equality -> true
   | Sem.Superset | Sem.Overlap _ | Sem.Similarity _ -> false
 
-let shard_relevant inv atoms = List.for_all (IF.mem_atom inv) atoms
+(* A local shard is relevant when some query's atoms are all present in
+   it (for a join, per-query pruning inside a relevant shard falls out of
+   the prefix tree's own empty intersections); remote shards always are. *)
+let relevant t values =
+  let atom_sets =
+    if prunable t.config.engine then List.map Nested.Value.atom_universe values
+    else []
+  in
+  fun (p : target P.part) ->
+    match p.P.src with
+    | Remote_addr _ -> true
+    | Local_handle inv ->
+      atom_sets = [] || List.exists (List.for_all (IF.mem_atom inv)) atom_sets
 
-(* --- per-shard execution --- *)
+(* --- the parts: one per shard, ids translated through the manifest --- *)
 
-type shard_outcome =
-  | Skipped
-  | Answered of int list  (* shard-local record ids *)
-  | Failed of string
+let parts t =
+  List.mapi
+    (fun i src ->
+      let translate local =
+        let ids = t.manifest.Manifest.shards.(i).Manifest.ids in
+        if local >= 0 && local < Array.length ids then Some ids.(local)
+        else
+          raise
+            (Shard_failed
+               (i, Printf.sprintf "returned unmapped record id %d" local))
+      in
+      { P.label = Printf.sprintf "shard:%d" i; src; translate })
+    (Array.to_list t.targets)
 
 let describe_exn = function
   | Unix.Unix_error (e, _, _) -> Unix.error_message e
@@ -129,60 +151,92 @@ let describe_exn = function
   | Server.Wire.Closed -> "connection closed"
   | exn -> Printexc.to_string exn
 
-(* Each traced local shard evaluates into its own sub-trace (same trace
-   id, root named [shard:i]) — a Trace.t is single-owner mutable state, so
-   domains must never share one. The finished sub-trees are grafted into
-   the caller's trace after the gather barrier. *)
-let run_local t ?trace value i inv =
-  match E.query ~config:t.config.engine ?trace inv value with
-  | r -> Answered r.E.records
-  | exception ((Sem.Unsupported _ | Invalid_argument _) as exn) ->
-    (* a config the engine refuses is refused identically on every
-       shard: surface it as the error the single-store engine raises *)
-    raise exn
-  | exception exn -> Failed (Printf.sprintf "shard %d: %s" i (describe_exn exn))
+(* A local shard's evaluation. A config or value the engine refuses is
+   refused identically on every shard, so it escapes as the error the
+   single-store engine raises; anything else is this shard's failure. *)
+let on_local f =
+  match f () with
+  | v -> Ok v
+  | exception ((Sem.Unsupported _ | Invalid_argument _) as exn) -> raise exn
+  | exception exn -> Error (describe_exn exn)
 
-let parse_id_payload payload =
-  if payload = "" then Answered []
-  else
-    let rec go acc = function
-      | [] -> Answered (List.rev acc)
-      | s :: rest -> (
-        match int_of_string_opt s with
-        | Some id -> go (id :: acc) rest
-        | None -> Failed (Printf.sprintf "malformed result id %S" s))
-    in
-    go [] (List.filter (fun s -> s <> "") (String.split_on_char ' ' payload))
-
-(* Under tracing, a remote shard is queried with the wire [Trace] verb so
-   its server-side phase spans come back alongside the ids; the parsed
-   tree is returned for grafting. A remote server predating the verb
-   answers with an error, surfaced per [fail_mode] like any shard
-   failure. *)
-let run_remote t ?trace_id text ~host ~port =
+(* One wire request to a remote shard under the configured deadline: a
+   refused connection, an error reply or a malformed payload is the
+   shard's failure reason. *)
+let on_remote t ~host ~port request parse =
   match Server.Client.connect ~host ~port () with
-  | exception exn -> (Failed (describe_exn exn), None)
+  | exception exn -> Error (describe_exn exn)
   | client -> (
     Fun.protect ~finally:(fun () -> Server.Client.close client) @@ fun () ->
-    let deadline_ms = t.config.remote_deadline_ms in
-    match trace_id with
-    | None -> (
-      match Server.Client.query client ~deadline_ms text with
-      | Ok payload -> (parse_id_payload payload, None)
-      | Error (code, msg) ->
-        (Failed (Format.asprintf "%a: %s" Server.Wire.pp_error_code code msg), None)
-      | exception exn -> (Failed (describe_exn exn), None))
-    | Some tid -> (
-      match Server.Client.trace client ~deadline_ms ~trace_id:tid text with
-      | Ok payload ->
-        let result, spans = Server.Wire.split_traced payload in
-        let span = Option.map snd (Obs.Trace.of_wire spans) in
-        (parse_id_payload result, span)
-      | Error (code, msg) ->
-        (Failed (Format.asprintf "%a: %s" Server.Wire.pp_error_code code msg), None)
-      | exception exn -> (Failed (describe_exn exn), None)))
+    match request client ~deadline_ms:t.config.remote_deadline_ms with
+    | Ok payload -> parse payload
+    | Error (code, msg) ->
+      Error (Format.asprintf "%a: %s" Server.Wire.pp_error_code code msg)
+    | exception exn -> Error (describe_exn exn))
 
-(* --- scatter-gather --- *)
+let parse_ids payload =
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | "" :: rest -> go acc rest
+    | s :: rest -> (
+      match int_of_string_opt s with
+      | Some id -> go (id :: acc) rest
+      | None -> Error (Printf.sprintf "malformed result id %S" s))
+  in
+  go [] (String.split_on_char ' ' payload)
+
+(* --- scatter-gather ---
+
+   Local shards run through the fan-out's domains, remote shards each on
+   a thread of their own (they block on sockets). The gather applies the
+   failure policy and the per-shard stats in shard order. *)
+
+type 'a gathered = {
+  answers : 'a list;  (* answered shards' results, last shard first *)
+  warnings : (int * string) list;
+  queried : int;
+  skipped : int;
+}
+
+let on_thread job =
+  let th = Thread.create job () in
+  fun () -> Thread.join th
+
+let scatter ?trace t ~relevant ~run ~translate ~size =
+  let gather g i _ ~ms outcome =
+    let st = t.stats.(i) in
+    match outcome with
+    | P.Skipped ->
+      st.skips <- st.skips + 1;
+      { g with skipped = g.skipped + 1 }
+    | P.Answered v ->
+      st.queries <- st.queries + 1;
+      st.total_ms <- st.total_ms +. ms;
+      st.max_ms <- Float.max st.max_ms ms;
+      st.results <- st.results + size v;
+      { g with answers = v :: g.answers; queried = g.queried + 1 }
+    | P.Failed reason ->
+      st.queries <- st.queries + 1;
+      st.failures <- st.failures + 1;
+      if t.config.fail_mode = Fail_fast then raise (Shard_failed (i, reason));
+      { g with warnings = (i, reason) :: g.warnings; queried = g.queried + 1 }
+  in
+  let is_remote (p : target P.part) =
+    match p.P.src with Remote_addr _ -> true | Local_handle _ -> false
+  in
+  let g =
+    P.fan_out ?trace ~domains:t.config.domains ~relevant
+      ~detach:(is_remote, on_thread) ~run ~translate ~fold:gather
+      { answers = []; warnings = []; queried = 0; skipped = 0 }
+      (parts t)
+  in
+  Option.iter
+    (fun tr ->
+      Obs.Trace.add_attr tr "shards_queried" (string_of_int g.queried);
+      Obs.Trace.add_attr tr "shards_skipped" (string_of_int g.skipped))
+    trace;
+  if g.warnings <> [] then t.partial_answers <- t.partial_answers + 1;
+  { g with warnings = List.rev g.warnings }
 
 type outcome = {
   records : int list;
@@ -191,169 +245,45 @@ type outcome = {
   shards_skipped : int;
 }
 
-let slice ~slices i items = List.filteri (fun j _ -> j mod slices = i) items
-
+(* Under tracing, a remote shard is queried with the wire [Trace] verb so
+   its server-side phase spans come back alongside the ids and nest under
+   the shard's span. A remote server predating the verb answers with an
+   error, surfaced per [fail_mode] like any shard failure. *)
 let query ?trace t value =
   if t.closed then invalid_arg "Router.query: router is closed";
-  let n = Array.length t.targets in
-  let atoms =
-    if prunable t.config.engine then Nested.Value.atom_universe value else []
+  let run ?trace (p : target P.part) =
+    match (p.P.src, trace) with
+    | Local_handle inv, _ ->
+      on_local (fun () ->
+          (E.query ~config:t.config.engine ?trace inv value).E.records)
+    | Remote_addr { host; port }, None ->
+      on_remote t ~host ~port
+        (fun c ~deadline_ms ->
+          Server.Client.query c ~deadline_ms (Nested.Value.to_string value))
+        parse_ids
+    | Remote_addr { host; port }, Some sub ->
+      on_remote t ~host ~port
+        (fun c ~deadline_ms ->
+          Server.Client.trace c ~deadline_ms ~trace_id:(Obs.Trace.id sub)
+            (Nested.Value.to_string value))
+        (fun payload ->
+          let result, spans = Server.Wire.split_traced payload in
+          Obs.Trace.add_attr sub "remote" "true";
+          Option.iter
+            (fun (_, span) -> Obs.Trace.graft sub span)
+            (Obs.Trace.of_wire spans);
+          parse_ids result)
   in
-  let outcomes = Array.make n Skipped in
-  let elapsed = Array.make n 0. in
-  let started = Array.make n 0. in
-  (* per-shard span sources when tracing: a sub-trace per local shard, a
-     parsed wire tree per remote shard *)
-  let subtraces = Array.make n None in
-  let remote_spans = Array.make n None in
-  let trace_id = Option.map Obs.Trace.id trace in
-  let timed i f =
-    let t0 = Unix.gettimeofday () in
-    started.(i) <- t0;
-    let r = f () in
-    elapsed.(i) <- 1000. *. (Unix.gettimeofday () -. t0);
-    r
+  let g =
+    scatter ?trace t ~relevant:(relevant t [ value ]) ~run ~translate:P.ids
+      ~size:List.length
   in
-  (* split the shard list by kind; remote shards run on threads (they
-     block on sockets), local shards on domains *)
-  let locals = ref [] and remotes = ref [] in
-  Array.iteri
-    (fun i -> function
-      | Local_handle inv ->
-        if atoms = [] || shard_relevant inv atoms then
-          locals := (i, inv) :: !locals
-      | Remote_addr { host; port } -> remotes := (i, host, port) :: !remotes)
-    t.targets;
-  let locals = List.rev !locals and remotes = List.rev !remotes in
-  (match trace with
-  | None -> ()
-  | Some tr ->
-    List.iter
-      (fun (i, _) ->
-        subtraces.(i) <-
-          Some
-            (Obs.Trace.create ~id:(Obs.Trace.id tr)
-               (Printf.sprintf "shard:%d" i)))
-      locals);
-  let text = lazy (Nested.Value.to_string value) in
-  let remote_threads =
-    List.map
-      (fun (i, host, port) ->
-        Thread.create
-          (fun () ->
-            let o, span =
-              timed i (fun () ->
-                  run_remote t ?trace_id (Lazy.force text) ~host ~port)
-            in
-            outcomes.(i) <- o;
-            remote_spans.(i) <- span)
-          ())
-      remotes
-  in
-  (* engine refusals (unsupported semantics, atom query) must propagate
-     as such, not as shard failures — run one local shard in the calling
-     domain first so the exception escapes before any fan-out result is
-     folded; the rest run in parallel *)
-  let run_locals jobs =
-    List.map
-      (fun (i, inv) ->
-        (i, timed i (fun () -> run_local t ?trace:subtraces.(i) value i inv)))
-      jobs
-  in
-  let local_results =
-    match locals with
-    | [] -> []
-    | (i0, inv0) :: rest ->
-      let first =
-        (i0, timed i0 (fun () -> run_local t ?trace:subtraces.(i0) value i0 inv0))
-      in
-      let slices = min (t.config.domains - 1) (List.length rest) in
-      let others =
-        if slices <= 1 then run_locals rest
-        else
-          List.init slices (fun k ->
-              Domain.spawn (fun () -> run_locals (slice ~slices k rest)))
-          |> List.concat_map Domain.join
-      in
-      first :: others
-  in
-  List.iter (fun (i, o) -> outcomes.(i) <- o) local_results;
-  List.iter Thread.join remote_threads;
-  (* fold in shard order: deterministic gathering *)
-  let parts = ref [] and warnings = ref [] and queried = ref 0 and skipped = ref 0 in
-  Array.iteri
-    (fun i o ->
-      let st = t.stats.(i) in
-      match o with
-      | Skipped -> incr skipped; st.skips <- st.skips + 1
-      | Answered locals ->
-        incr queried;
-        st.queries <- st.queries + 1;
-        st.total_ms <- st.total_ms +. elapsed.(i);
-        if elapsed.(i) > st.max_ms then st.max_ms <- elapsed.(i);
-        let ids = t.manifest.Manifest.shards.(i).Manifest.ids in
-        let translated =
-          List.map
-            (fun local ->
-              if local >= 0 && local < Array.length ids then ids.(local)
-              else
-                raise
-                  (Shard_failed
-                     (i, Printf.sprintf "returned unmapped record id %d" local)))
-            locals
-        in
-        st.results <- st.results + List.length translated;
-        parts := translated :: !parts
-      | Failed reason -> (
-        incr queried;
-        st.queries <- st.queries + 1;
-        st.failures <- st.failures + 1;
-        match t.config.fail_mode with
-        | Fail_fast -> raise (Shard_failed (i, reason))
-        | Partial -> warnings := (i, reason) :: !warnings))
-    outcomes;
-  (* graft per-shard span trees in shard order, then summarize on the
-     caller's innermost span *)
-  (match trace with
-  | None -> ()
-  | Some tr ->
-    Array.iteri
-      (fun i o ->
-        let shard_span =
-          match subtraces.(i) with
-          | Some sub -> Some (Obs.Trace.finish sub)
-          | None -> (
-            match remote_spans.(i) with
-            | Some remote ->
-              Some
-                (Obs.Trace.make_span
-                   ~name:(Printf.sprintf "shard:%d" i)
-                   ~start_s:started.(i)
-                   ~duration_s:(elapsed.(i) /. 1000.)
-                   ~attrs:[ ("remote", "true") ]
-                   ~children:[ remote ] ())
-            | None -> (
-              match o with
-              | Failed reason ->
-                Some
-                  (Obs.Trace.make_span
-                     ~name:(Printf.sprintf "shard:%d" i)
-                     ~start_s:started.(i)
-                     ~duration_s:(elapsed.(i) /. 1000.)
-                     ~attrs:[ ("failed", reason) ] ())
-              | Skipped | Answered _ -> None))
-        in
-        Option.iter (Obs.Trace.graft tr) shard_span)
-      outcomes;
-    Obs.Trace.add_attr tr "shards_queried" (string_of_int !queried);
-    Obs.Trace.add_attr tr "shards_skipped" (string_of_int !skipped));
   t.total_queries <- t.total_queries + 1;
-  if !warnings <> [] then t.partial_answers <- t.partial_answers + 1;
   {
-    records = List.sort Int.compare (List.concat !parts);
-    warnings = List.rev !warnings;
-    shards_queried = !queried;
-    shards_skipped = !skipped;
+    records = List.sort Int.compare (List.concat g.answers);
+    warnings = g.warnings;
+    shards_queried = g.queried;
+    shards_skipped = g.skipped;
   }
 
 (* --- scatter-gather join --- *)
@@ -365,239 +295,54 @@ type join_outcome = {
   join_shards_skipped : int;
 }
 
-(* Per-shard join outcomes carry one local-id list per outer query. *)
-type shard_join =
-  | J_skipped
-  | J_answered of int list list
-  | J_failed of string
-
-let join_config t = { Join.Engine.default with Join.Engine.engine = t.config.engine }
-
-let run_local_join t ?trace values i inv =
-  match Join.Engine.join ~config:(join_config t) ?trace inv values with
-  | r ->
-    J_answered
-      (Join.Engine.group ~outer:(List.length values) r.Join.Engine.pairs)
-  | exception ((Sem.Unsupported _ | Invalid_argument _) as exn) ->
-    (* a config or value the join engine refuses is refused identically
-       on every shard: surface it as the single-store engine would *)
-    raise exn
-  | exception exn -> J_failed (Printf.sprintf "shard %d: %s" i (describe_exn exn))
-
-(* The Join verb carries no trace part (unlike Trace): a traced sharded
-   join shows remote shards as flat [remote=true] spans with timings
-   only. *)
-let run_remote_join t text ~host ~port =
-  match Server.Client.connect ~host ~port () with
-  | exception exn -> J_failed (describe_exn exn)
-  | client -> (
-    Fun.protect ~finally:(fun () -> Server.Client.close client) @@ fun () ->
-    match
-      Server.Client.join client ~deadline_ms:t.config.remote_deadline_ms text
-    with
-    | Ok payload -> (
-      match Server.Wire.split_join payload with
-      | Ok groups -> J_answered groups
-      | Error m -> J_failed ("malformed join payload: " ^ m))
-    | Error (code, msg) ->
-      J_failed (Format.asprintf "%a: %s" Server.Wire.pp_error_code code msg)
-    | exception exn -> J_failed (describe_exn exn))
-
+(* The outer collection is broadcast to every relevant shard. The Join
+   verb carries no trace part (unlike Trace): a traced sharded join shows
+   remote shards as flat [remote=true] spans with timings only. *)
 let join ?trace t values =
   if t.closed then invalid_arg "Router.join: router is closed";
-  let n = Array.length t.targets in
   let n_outer = List.length values in
-  if n_outer = 0 then begin
-    t.total_joins <- t.total_joins + 1;
-    Array.iter (fun st -> st.skips <- st.skips + 1) t.stats;
-    { pairs = []; join_warnings = []; join_shards_queried = 0;
-      join_shards_skipped = n }
-  end
-  else begin
-    (* broadcast the outer collection; prune a local shard only when *no*
-       outer query's atoms are all present (per-query pruning inside the
-       shard falls out of the join's own empty intersections) *)
-    let atom_sets =
-      if prunable t.config.engine then
-        List.map Nested.Value.atom_universe values
-      else []
-    in
-    let relevant inv =
-      atom_sets = [] || List.exists (fun atoms -> shard_relevant inv atoms) atom_sets
-    in
-    let outcomes = Array.make n J_skipped in
-    let elapsed = Array.make n 0. in
-    let started = Array.make n 0. in
-    let subtraces = Array.make n None in
-    let timed i f =
-      let t0 = Unix.gettimeofday () in
-      started.(i) <- t0;
-      let r = f () in
-      elapsed.(i) <- 1000. *. (Unix.gettimeofday () -. t0);
-      r
-    in
-    let locals = ref [] and remotes = ref [] in
-    Array.iteri
-      (fun i -> function
-        | Local_handle inv -> if relevant inv then locals := (i, inv) :: !locals
-        | Remote_addr { host; port } -> remotes := (i, host, port) :: !remotes)
-      t.targets;
-    let locals = List.rev !locals and remotes = List.rev !remotes in
-    (match trace with
-    | None -> ()
-    | Some tr ->
-      List.iter
-        (fun (i, _) ->
-          subtraces.(i) <-
-            Some
-              (Obs.Trace.create ~id:(Obs.Trace.id tr)
-                 (Printf.sprintf "shard:%d" i)))
-        locals);
-    let text =
-      lazy (String.concat "\n" (List.map Nested.Value.to_string values))
-    in
-    let remote_threads =
-      List.map
-        (fun (i, host, port) ->
-          Thread.create
-            (fun () ->
-              outcomes.(i) <-
-                timed i (fun () ->
-                    run_remote_join t (Lazy.force text) ~host ~port))
-            ())
-        remotes
-    in
-    (* engine refusals propagate from the first local shard, run in the
-       calling domain, before any fan-out result is folded (cf. query) *)
-    let run_locals jobs =
-      List.map
-        (fun (i, inv) ->
-          (i, timed i (fun () ->
-                 run_local_join t ?trace:subtraces.(i) values i inv)))
-        jobs
-    in
-    let local_results =
-      match locals with
-      | [] -> []
-      | (i0, inv0) :: rest ->
-        let first =
-          ( i0,
-            timed i0 (fun () ->
-                run_local_join t ?trace:subtraces.(i0) values i0 inv0) )
-        in
-        let slices = min (t.config.domains - 1) (List.length rest) in
-        let others =
-          if slices <= 1 then run_locals rest
-          else
-            List.init slices (fun k ->
-                Domain.spawn (fun () -> run_locals (slice ~slices k rest)))
-            |> List.concat_map Domain.join
-        in
-        first :: others
-    in
-    List.iter (fun (i, o) -> outcomes.(i) <- o) local_results;
-    List.iter Thread.join remote_threads;
-    (* fold in shard order: deterministic gathering *)
-    let parts = ref []
-    and warnings = ref []
-    and queried = ref 0
-    and skipped = ref 0 in
-    let fail i reason st =
-      st.failures <- st.failures + 1;
-      match t.config.fail_mode with
-      | Fail_fast -> raise (Shard_failed (i, reason))
-      | Partial -> warnings := (i, reason) :: !warnings
-    in
-    Array.iteri
-      (fun i o ->
-        let st = t.stats.(i) in
-        match o with
-        | J_skipped ->
-          incr skipped;
-          st.skips <- st.skips + 1
-        | J_answered groups ->
-          incr queried;
-          st.queries <- st.queries + 1;
-          st.total_ms <- st.total_ms +. elapsed.(i);
-          if elapsed.(i) > st.max_ms then st.max_ms <- elapsed.(i);
-          if List.length groups <> n_outer then
-            fail i
+  let config = { Join.Engine.default with Join.Engine.engine = t.config.engine } in
+  let run ?trace (p : target P.part) =
+    match p.P.src with
+    | Local_handle inv ->
+      on_local (fun () ->
+          (Join.Engine.join ~config ?trace inv values).Join.Engine.pairs)
+    | Remote_addr { host; port } ->
+      on_remote t ~host ~port
+        (fun c ~deadline_ms ->
+          Server.Client.join c ~deadline_ms
+            (String.concat "\n" (List.map Nested.Value.to_string values)))
+        (fun payload ->
+          match Server.Wire.split_join payload with
+          | Error m -> Error ("malformed join payload: " ^ m)
+          | Ok groups when List.length groups <> n_outer ->
+            Error
               (Printf.sprintf "returned %d result line(s) for %d outer quer%s"
                  (List.length groups) n_outer
                  (if n_outer = 1 then "y" else "ies"))
-              st
-          else begin
-            let ids = t.manifest.Manifest.shards.(i).Manifest.ids in
-            let count = ref 0 in
-            List.iteri
-              (fun qi locals ->
-                List.iter
-                  (fun local ->
-                    if local >= 0 && local < Array.length ids then begin
-                      parts := (qi, ids.(local)) :: !parts;
-                      incr count
-                    end
-                    else
-                      raise
-                        (Shard_failed
-                           ( i,
-                             Printf.sprintf "returned unmapped record id %d"
-                               local )))
-                  locals)
-              groups;
-            st.results <- st.results + !count
-          end
-        | J_failed reason ->
-          incr queried;
-          st.queries <- st.queries + 1;
-          fail i reason st)
-      outcomes;
-    (match trace with
-    | None -> ()
-    | Some tr ->
-      Array.iteri
-        (fun i o ->
-          let shard_span =
-            match subtraces.(i) with
-            | Some sub -> Some (Obs.Trace.finish sub)
-            | None -> (
-              match o with
-              | J_answered _ ->
-                Some
-                  (Obs.Trace.make_span
-                     ~name:(Printf.sprintf "shard:%d" i)
-                     ~start_s:started.(i)
-                     ~duration_s:(elapsed.(i) /. 1000.)
-                     ~attrs:[ ("remote", "true") ] ())
-              | J_failed reason ->
-                Some
-                  (Obs.Trace.make_span
-                     ~name:(Printf.sprintf "shard:%d" i)
-                     ~start_s:started.(i)
-                     ~duration_s:(elapsed.(i) /. 1000.)
-                     ~attrs:[ ("failed", reason) ] ())
-              | J_skipped -> None)
-          in
-          Option.iter (Obs.Trace.graft tr) shard_span)
-        outcomes;
-      Obs.Trace.add_attr tr "shards_queried" (string_of_int !queried);
-      Obs.Trace.add_attr tr "shards_skipped" (string_of_int !skipped));
-    t.total_joins <- t.total_joins + 1;
-    if !warnings <> [] then t.partial_answers <- t.partial_answers + 1;
-    let pair_compare (o1, r1) (o2, r2) =
-      if o1 <> o2 then Int.compare o1 o2 else Int.compare r1 r2
-    in
-    {
-      pairs = List.sort pair_compare !parts;
-      join_warnings = List.rev !warnings;
-      join_shards_queried = !queried;
-      join_shards_skipped = !skipped;
-    }
-  end
+          | Ok groups ->
+            Option.iter (fun sub -> Obs.Trace.add_attr sub "remote" "true") trace;
+            Ok
+              (List.concat
+                 (List.mapi (fun o -> List.map (fun id -> (o, id))) groups)))
+  in
+  let relevant = if values = [] then fun _ -> false else relevant t values in
+  let g = scatter ?trace t ~relevant ~run ~translate:P.pairs ~size:List.length in
+  t.total_joins <- t.total_joins + 1;
+  {
+    pairs =
+      List.sort
+        (fun (o1, r1) (o2, r2) ->
+          if o1 <> o2 then Int.compare o1 o2 else Int.compare r1 r2)
+        (List.concat g.answers);
+    join_warnings = g.warnings;
+    join_shards_queried = g.queried;
+    join_shards_skipped = g.skipped;
+  }
 
-(* --- explain --- *)
+(* --- explain ---
 
-(* Sequential scatter: EXPLAIN is a diagnostic verb, so the per-shard
+   Sequential scatter: EXPLAIN is a diagnostic verb, so the per-shard
    sub-plans are produced one at a time in shard order — determinism over
    latency. Pruned shards still appear in the plan, flagged, so the
    pruning decision itself is visible; a failed remote becomes a stub
@@ -605,70 +350,54 @@ let join ?trace t values =
    degrade, not die). *)
 let explain t value =
   if t.closed then invalid_arg "Router.explain: router is closed";
-  let query_text = Nested.Value.to_string value in
-  let atoms =
-    if prunable t.config.engine then Nested.Value.atom_universe value else []
+  let query = Nested.Value.to_string value in
+  let addr = function
+    | Remote_addr { host; port } -> [ ("remote", Printf.sprintf "%s:%d" host port) ]
+    | Local_handle _ -> []
   in
-  let pruned = ref 0 and answered = ref 0 in
-  let sub_of_shard i target =
-    let label = Printf.sprintf "shard:%d" i in
-    match target with
+  let run ?trace:_ (p : target P.part) =
+    match p.P.src with
     | Local_handle inv ->
-      if atoms <> [] && not (shard_relevant inv atoms) then begin
-        incr pruned;
-        Obs.Explain.make ~target:label ~query:query_text
-          ~config:[ ("pruned", "atom-relevance") ]
-          ~records:0 ()
-      end
-      else begin
-        incr answered;
-        E.explain_profile ~config:t.config.engine ~target:label inv value
-      end
-    | Remote_addr { host; port } -> (
-      let failed reason =
-        Obs.Explain.make ~target:label ~query:query_text
-          ~config:
-            [ ("remote", Printf.sprintf "%s:%d" host port);
-              ("failed", reason) ]
-          ~records:0 ()
-      in
-      match Server.Client.connect ~host ~port () with
-      | exception exn -> failed (describe_exn exn)
-      | client -> (
-        Fun.protect ~finally:(fun () -> Server.Client.close client)
-        @@ fun () ->
-        match
-          Server.Client.explain client
-            ~deadline_ms:t.config.remote_deadline_ms query_text
-        with
-        | Ok payload -> (
+      Ok (E.explain_profile ~config:t.config.engine ~target:p.P.label inv value)
+    | Remote_addr { host; port } ->
+      on_remote t ~host ~port
+        (fun c ~deadline_ms -> Server.Client.explain c ~deadline_ms query)
+        (fun payload ->
           match Obs.Explain.of_wire payload with
           | Some sub ->
-            incr answered;
-            Obs.Explain.make ~target:label ~query:query_text
-              ~config:[ ("remote", Printf.sprintf "%s:%d" host port) ]
-              ~records:sub.Obs.Explain.records ~subs:[ sub ] ()
-          | None -> failed "malformed explain payload")
-        | Error (code, msg) ->
-          failed (Format.asprintf "%a: %s" Server.Wire.pp_error_code code msg)
-        | exception exn -> failed (describe_exn exn)))
+            Ok
+              (Obs.Explain.make ~target:p.P.label ~query ~config:(addr p.P.src)
+                 ~records:sub.Obs.Explain.records ~subs:[ sub ] ())
+          | None -> Error "malformed explain payload")
   in
-  let subs =
-    List.init (Array.length t.targets) (fun i -> sub_of_shard i t.targets.(i))
+  let stub (p : target P.part) config =
+    Obs.Explain.make ~target:p.P.label ~query ~config ~records:0 ()
   in
-  let records = List.fold_left (fun n s -> n + s.Obs.Explain.records) 0 subs in
-  Obs.Explain.make ~target:"router" ~query:query_text
+  let sub (subs, answered, pruned) _ p ~ms:_ = function
+    | P.Skipped ->
+      (stub p [ ("pruned", "atom-relevance") ] :: subs, answered, pruned + 1)
+    | P.Answered plan -> (plan :: subs, answered + 1, pruned)
+    | P.Failed reason ->
+      (stub p (addr p.P.src @ [ ("failed", reason) ]) :: subs, answered, pruned)
+  in
+  let subs, answered, pruned =
+    P.fan_out ~relevant:(relevant t [ value ]) ~run ~translate:(fun _ plan -> plan)
+      ~fold:sub ([], 0, 0) (parts t)
+  in
+  let subs = List.rev subs in
+  Obs.Explain.make ~target:"router" ~query
     ~config:
       [
         ("shards", string_of_int (Array.length t.targets));
-        ("answered", string_of_int !answered);
-        ("pruned", string_of_int !pruned);
+        ("answered", string_of_int answered);
+        ("pruned", string_of_int pruned);
         ( "fail_mode",
           match t.config.fail_mode with
           | Fail_fast -> "fail-fast"
           | Partial -> "partial" );
       ]
-    ~records ~subs ()
+    ~records:(List.fold_left (fun n s -> n + s.Obs.Explain.records) 0 subs)
+    ~subs ()
 
 (* --- record access --- *)
 
@@ -881,13 +610,10 @@ let dispatch_backend ?(config = default_config) m () =
   {
     Server.Dispatch.run_literals =
       (fun ?(traces = []) values ->
+        let traces = Array.of_list traces in
         List.mapi
-          (fun idx v ->
-            let trace = match List.nth_opt traces idx with
-              | Some t -> t
-              | None -> None
-            in
-            run_one ?trace v)
+          (fun i v ->
+            run_one ?trace:(if i < Array.length traces then traces.(i) else None) v)
           values);
     run_statement =
       (fun _ ->

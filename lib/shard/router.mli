@@ -3,24 +3,30 @@
 
     A router opens every local shard of a {!Manifest} (one
     {!Invfile.Inverted_file} handle each, optionally with a static
-    cache) and answers containment queries by fanning out — local shards
-    run concurrently on OCaml 5 domains, remote shards are queried
-    through {!Server.Client} with a per-request deadline — then
-    translating each shard's local record ids to global ids through the
-    manifest and merging the partial semi-join results into one
-    deterministic, ascending id list.
+    cache). Each shard is one part of a {!Containment.Partitioned}
+    fan-out — label [shard:<i>], local ids translated to global ids
+    through the manifest — so a query, a join or an explain is one call
+    of that fan-out. What the router adds is its own:
+
+    - the remote call: a remote shard is queried through
+      {!Server.Client} on a thread of its own, with a per-request
+      deadline, under the wire verb that matches the call ([Query] or
+      [Trace], [Join], [Explain]);
+    - the failure policy and per-shard statistics. [Fail_fast] (the
+      default) raises {!Shard_failed} if any shard cannot be reached or
+      errors, while [Partial] returns the surviving shards' results plus
+      a warning per failed shard — the degraded mode a serving
+      deployment prefers over going dark.
+
+    Local shards run on up to [domains] domains through
+    {!Containment.Parallel.map}; the merged answer is deterministic
+    (ascending global ids) whatever the concurrency.
 
     Shards that provably cannot contribute are skipped: under the
     containment and equality joins (without wildcards) every query atom
     must occur in a matching record, so a local shard missing one of the
     query's atoms is pruned with key-existence probes before any list is
-    read. Remote shards are always queried.
-
-    Failure handling is configurable: [Fail_fast] (the default) raises
-    {!Shard_failed} if any shard cannot be reached or errors, while
-    [Partial] returns the surviving shards' results plus a warning per
-    failed shard — the degraded mode a serving deployment prefers over
-    going dark. *)
+    read. Remote shards are always queried. *)
 
 type fail_mode = Fail_fast | Partial
 
@@ -32,8 +38,10 @@ type config = {
           the wire and enforced by the remote server's {!Server.Dispatch}
           deadline machinery *)
   domains : int;
-      (** max local shards queried concurrently (1 = sequential — the
-          right setting inside a server worker domain) *)
+      (** max local shards evaluated at once, the calling domain
+          included ({!Containment.Parallel.map}); 1 = sequential in the
+          caller, the right setting inside a server worker domain.
+          Remote shards are not counted: each runs on its own thread. *)
   cache_budget : int;  (** static cache per local shard handle; 0 = none *)
 }
 
@@ -69,17 +77,21 @@ val query : ?trace:Obs.Trace.t -> t -> Nested.Value.t -> outcome
 (** Scatter, gather, translate, merge — see the module header.
 
     With [?trace], the fan-out is recorded as one [shard:<i>] span per
-    shard in shard order, grafted into the caller's innermost open span
-    after the gather barrier: local shards evaluate into their own
-    sub-trace (a {!Obs.Trace.t} is single-owner mutable state, so domains
-    never share the caller's) carrying the engine's phase spans; remote
-    shards are queried with the wire [Trace] verb and their server-side
-    span tree is parsed back and nested under a [remote=true] span.
-    Failed shards get a span with a [failed] attribute; skipped shards
-    get none. [shards_queried]/[shards_skipped] are attached as
+    queried shard in shard order, grafted into the caller's innermost
+    open span after the gather barrier: every shard evaluates into its
+    own sub-trace (a {!Obs.Trace.t} is single-owner mutable state, so
+    domains never share the caller's). A local shard's span carries the
+    engine's phase spans; a remote shard is queried with the wire
+    [Trace] verb and its server-side span tree is parsed back and nested
+    under a span marked [remote=true]. Failed shards' spans carry a
+    [failed] attribute; skipped shards get none. [shards_queried]/[shards_skipped] are attached as
     attributes. A remote server predating the [Trace] verb answers with
     an error, handled per [fail_mode] like any shard failure.
-    @raise Shard_failed under [Fail_fast].
+    A config the engine refuses ({!Containment.Semantics.Unsupported},
+    [Invalid_argument]) escapes as itself, not as a shard failure,
+    whatever [domains] is.
+    @raise Shard_failed under [Fail_fast], or when a shard answers with
+    a record id its manifest entry does not map.
     @raise Invalid_argument if the query is an atom. *)
 
 type join_outcome = {

@@ -38,7 +38,10 @@ let fnv1a s =
 let bucket_of_key t key = fnv1a key land (t.buckets - 1)
 let bucket_offset b = header_size + (8 * b)
 
-let truncated () = failwith "Hash_store: unexpected end of file"
+(* A record or bucket read past the end of the file: the heap was cut
+   short, so the store is corrupt rather than the call wrong. *)
+let truncated () =
+  raise (Codec.Corrupt "hash store: unexpected end of file (try 'nscq repair')")
 
 let pread t ~off buf =
   let len = Bytes.length buf in

@@ -25,7 +25,11 @@
     Replacement unlinks the stale record from its chain and appends the new
     one; dead space is not reclaimed (compaction is out of scope — Tokyo
     Cabinet behaves the same until [optimize] is called). The bucket count
-    is fixed at creation time. *)
+    is fixed at creation time.
+
+    A read that runs past the end of the file — a record heap cut short —
+    raises {!Codec.Corrupt}, the typed corruption error the CLI reports
+    as one line (exit 1). *)
 
 val magic : string
 (** The 8-byte header every file of this format starts with. *)

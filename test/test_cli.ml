@@ -388,6 +388,32 @@ let test_retired_codec_store =
             (run [ "--algorithm"; "naive" ]) (run []))
         [ q; "{UK}"; "{London, UK}" ])
 
+(* A hash store whose record heap was cut short: check and repair both
+   fail with one typed line naming the store and the repair (exit 1),
+   never an internal error. *)
+let test_truncated_hash_store () =
+  Testutil.with_temp_path ".ns" @@ fun data ->
+  Testutil.with_temp_path ".tch" @@ fun store ->
+  ignore
+    (expect_ok
+       [ "generate"; "-n"; "40"; "--seed"; "9"; "--labels"; "150"; "-o"; data ]);
+  ignore
+    (expect_ok
+       [ "build"; "--backend"; "hash"; "--buckets"; "16"; "-i"; data; "-o"; store ]);
+  Unix.truncate store ((Unix.stat store).Unix.st_size - 300);
+  List.iter
+    (fun verb ->
+      let code, out = run_cli [ verb; "-s"; store ] in
+      check_int (verb ^ " exits 1") 1 code;
+      check_bool (verb ^ ": one line") true
+        (List.length (String.split_on_char '\n' (String.trim out)) = 1);
+      check_bool (verb ^ ": names the store") true
+        (contains_s out ("nscq: " ^ store ^ ": "));
+      check_bool (verb ^ ": names the repair") true (contains_s out "nscq repair");
+      check_bool (verb ^ ": no internal error") false
+        (contains_s out "internal error"))
+    [ "check"; "repair" ]
+
 (* Starts [nscq serve] with [args] on an ephemeral port, runs [f port],
    then stops the server with SIGINT. *)
 let with_server args f =
@@ -504,6 +530,8 @@ let () =
           Alcotest.test_case "missing store" `Quick test_missing_store_fails;
           Alcotest.test_case "retired codec: error, check, repair" `Quick
             test_retired_codec_store;
+          Alcotest.test_case "truncated hash store: typed error" `Quick
+            test_truncated_hash_store;
           Alcotest.test_case "malformed endpoints" `Quick
             test_malformed_endpoints_fail;
           Alcotest.test_case "shard build/status/query/reshard" `Quick

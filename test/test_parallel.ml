@@ -88,6 +88,45 @@ let test_domains_match_top_down () =
         expected_pos r.P.positives)
     [ 2; 4 ]
 
+(* --- Parallel.map: order, and exceptions only after every join --- *)
+
+exception Item of int
+
+let test_map_preserves_order () =
+  let items = List.init 23 Fun.id in
+  List.iter
+    (fun domains ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "order at %d domain(s)" domains)
+        (List.map (fun i -> i * i) items)
+        (P.map ~domains (fun i -> i * i) items))
+    [ 1; 2; 4 ]
+
+(* Items 1 and 3 raise at once while item 5 — dealt to a spawned domain
+   at 2 and at 4 domains — is still running: item 1's exception must
+   surface, and only after every other item has finished, i.e. after
+   every domain was joined. *)
+let test_map_first_exception_after_join () =
+  List.iter
+    (fun domains ->
+      let finished = Atomic.make 0 in
+      let f i =
+        if i = 1 || i = 3 then raise (Item i);
+        if i = 5 then Unix.sleepf 0.05;
+        Atomic.incr finished
+      in
+      match P.map ~domains f (List.init 6 Fun.id) with
+      | _ -> Alcotest.fail "map must re-raise"
+      | exception Item i ->
+        check_int (Printf.sprintf "first raising item at %d domain(s)" domains) 1 i;
+        (* sequentially the map stops at item 1 (only item 0 ran); in
+           parallel every non-raising item has run to completion *)
+        check_int
+          (Printf.sprintf "items finished before the raise at %d domain(s)" domains)
+          (if domains = 1 then 1 else 4)
+          (Atomic.get finished))
+    [ 1; 2; 4 ]
+
 (* default_domains must never answer 0, whatever NSCQ_DOMAINS holds —
    every consumer passes the result straight to Domain.spawn loops. *)
 let test_default_domains_never_zero () =
@@ -121,6 +160,13 @@ let () =
             test_domains_match_sequential;
           Alcotest.test_case "2/4 domains = sequential (top-down)" `Quick
             test_domains_match_top_down;
+        ] );
+      ( "map",
+        [
+          Alcotest.test_case "order at 1/2/4 domains" `Quick
+            test_map_preserves_order;
+          Alcotest.test_case "first exception in item order, after joins"
+            `Quick test_map_first_exception_after_join;
         ] );
       ( "default_domains",
         [

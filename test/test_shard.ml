@@ -51,9 +51,7 @@ let with_built ?(policy = M.Hash) ~shards f =
   let m = P.build ~policy ~shards ~manifest_path:mpath collection in
   Fun.protect ~finally:(fun () -> remove_stores m) (fun () -> f mpath m)
 
-(* Unsupported algorithm × join combinations must refuse identically on
-   both sides; when the router prunes every shard first it cannot see
-   the refusal, so such pairs are simply skipped. *)
+(* [None]: the single-store engine refuses the config. *)
 let oracle_records config inv q =
   match E.query ~config inv q with
   | r -> Some r.E.records
@@ -61,6 +59,9 @@ let oracle_records config inv q =
 
 (* --- result equivalence, local shards --- *)
 
+(* The last config is one the engine refuses (superset under isomorphic
+   embedding); the superset join prunes no shard, so every shard sees
+   the refusal. *)
 let configs =
   List.concat_map
     (fun algorithm ->
@@ -68,32 +69,46 @@ let configs =
         (fun join -> { E.default with E.algorithm; join })
         [ Sem.Containment; Sem.Equality; Sem.Superset ])
     [ E.Bottom_up; E.Top_down ]
+  @ [ { E.default with E.join = Sem.Superset; embedding = Sem.Iso } ]
 
 let config_label (c : E.config) =
   Format.asprintf "%s/%a"
     (match c.E.algorithm with E.Bottom_up -> "bottom-up" | _ -> "top-down")
     Sem.pp_join c.E.join
 
+(* Every config at 1, 2 and 4 local domains (3 shards: sequential, the
+   caller plus one spawned domain, the caller plus two). A config the
+   engine refuses escapes from the spawned domains as the engine's own
+   exception, not as a shard failure. *)
 let test_local_equivalence policy () =
   with_built ~policy ~shards:3 @@ fun _mpath m ->
   with_oracle @@ fun oracle ->
   List.iter
-    (fun config ->
-      let r = R.open_manifest ~config:{ R.default_config with R.engine = config } m in
+    (fun (config, domains) ->
+      let r =
+        R.open_manifest
+          ~config:{ R.default_config with R.engine = config; domains }
+          m
+      in
       Fun.protect ~finally:(fun () -> R.close r) @@ fun () ->
       List.iter
         (fun q ->
+          let label =
+            Printf.sprintf "%s %s at %d domain(s)" (config_label config)
+              (V.to_string q) domains
+          in
           match oracle_records config oracle q with
-          | None -> ()
+          | None -> (
+            match R.query r q with
+            | _ -> Alcotest.failf "%s: must be refused" label
+            | exception Sem.Unsupported _ -> ())
           | Some want ->
             let o = R.query r q in
             Alcotest.(check (list (pair int string)))
               "no warnings" [] o.R.warnings;
-            check_ids
-              (Printf.sprintf "%s %s" (config_label config) (V.to_string q))
-              want o.R.records)
+            check_ids label want o.R.records)
         queries)
-    configs
+    (List.concat_map (fun c -> List.map (fun d -> (c, d)) [ 1; 2; 4 ]) configs)
 
 let test_record_value_roundtrip () =
   with_built ~shards:3 @@ fun _mpath m ->
