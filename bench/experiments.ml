@@ -920,7 +920,8 @@ let intersect scale =
     "Micro-benchmark of the list-intersection kernels over synthetic \
      postings: two-pointer merge on materialized arrays (the Plist_ref \
      oracle), Plist_stream galloping over in-memory cursors (cached \
-     lists), decode-then-merge over 'V' payloads, and Plist_stream's \
+     lists), decode-then-merge over 'V' payloads (both lists decoded \
+     whole into columns, then galloped), and Plist_stream's \
      block skipping over 'C' payload cursors. Sweeps the length ratio of the two \
      lists and the density of the big one; every kernel's result is \
      checked against the oracle before timing. Summary written to \
@@ -975,34 +976,40 @@ let intersect scale =
     List.concat_map
       (fun (density, stride) ->
         let big = Array.init big_n (fun i -> posting_of_id (i * stride)) in
-        let big_v = L.to_bytes ~codec:L.Varint big in
-        let big_c = L.to_bytes ~codec:L.Blocked big in
+        let big_l = L.of_postings big in
+        let big_v = L.to_bytes ~codec:L.Varint big_l in
+        let big_c = L.to_bytes ~codec:L.Blocked big_l in
         List.map
           (fun ratio ->
             let small = sample big (max 1 (big_n / ratio)) in
-            let small_v = L.to_bytes ~codec:L.Varint small in
-            let small_c = L.to_bytes ~codec:L.Blocked small in
+            let small_l = L.of_postings small in
+            let small_v = L.to_bytes ~codec:L.Varint small_l in
+            let small_c = L.to_bytes ~codec:L.Blocked small_l in
             let expect = R.inter small big in
             let check name got =
-              if got <> expect then
+              if L.to_postings got <> expect then
                 failwith
                   (Printf.sprintf "E23: %s kernel diverges from the oracle (%s 1:%d)"
                      name density ratio)
             in
             let gallop () =
-              St.inter_many [ St.cursor_of_plist small; St.cursor_of_plist big ]
+              St.inter_many [ St.cursor_of_plist small_l; St.cursor_of_plist big_l ]
+            in
+            (* decode both lists whole, then intersect the decoded columns *)
+            let varint () =
+              St.inter_many
+                [ St.cursor_of_plist (L.of_bytes small_v);
+                  St.cursor_of_plist (L.of_bytes big_v) ]
             in
             let blocked () =
               St.inter_many [ St.cursor_of_bytes small_c; St.cursor_of_bytes big_c ]
             in
             check "gallop" (gallop ());
-            check "varint" (R.inter (L.of_bytes small_v) (L.of_bytes big_v));
+            check "varint" (varint ());
             check "blocked" (blocked ());
             let t_merge = time (fun () -> R.inter small big) in
             let t_gallop = time gallop in
-            let t_varint =
-              time (fun () -> R.inter (L.of_bytes small_v) (L.of_bytes big_v))
-            in
+            let t_varint = time varint in
             let t_blocked = time blocked in
             let speedup = t_varint /. t_blocked in
             if stride > 1 && ratio = 4096 then headline := speedup;

@@ -25,7 +25,10 @@
    round-tripped through every payload codec and driven through the
    cursor kernels — over random mixes of in-memory, 'C' and 'V' cursors,
    as a query with some cached and some uncached atoms reads them —
-   against the Plist_ref oracle.
+   against the Plist_ref oracle. Every payload is then mutated (bits
+   flipped, tails cut, bytes overwritten): a mutant must either decode,
+   to a list that re-encodes to the mutant's own bytes and that a cursor
+   drains identically, or raise Storage.Codec.Corrupt.
 
    Exits non-zero on the first divergence, printing a reproducer. *)
 
@@ -490,6 +493,24 @@ let random_plist rng =
   done;
   Array.of_list (List.rev !out)
 
+(* A random mutation of a payload: one flipped bit, a cut tail, or one
+   to four bytes overwritten. *)
+let mutate rng s =
+  let n = String.length s in
+  match Random.State.int rng 3 with
+  | 0 ->
+    let b = Bytes.of_string s in
+    let i = Random.State.int rng n in
+    Bytes.set b i (Char.chr (Char.code s.[i] lxor (1 lsl Random.State.int rng 8)));
+    Bytes.to_string b
+  | 1 -> String.sub s 0 (Random.State.int rng n)
+  | _ ->
+    let b = Bytes.of_string s in
+    for _ = 1 to 1 + Random.State.int rng 4 do
+      Bytes.set b (Random.State.int rng n) (Char.chr (Random.State.int rng 256))
+    done;
+    Bytes.to_string b
+
 let codec_scenario rng i =
   let fail fmt =
     Printf.ksprintf
@@ -499,20 +520,45 @@ let codec_scenario rng i =
       fmt
   in
   let lists = List.init (1 + Random.State.int rng 4) (fun _ -> random_plist rng) in
-  List.iter
-    (fun l ->
+  let cols = List.map L.of_postings lists in
+  (* a mutant decodes canonically (and a cursor drains the same rows) or
+     is refused with Corrupt; nothing else may escape *)
+  let check_mutant m =
+    let decoded = try Some (L.of_bytes m) with Storage.Codec.Corrupt _ -> None in
+    let drained =
+      try Some (St.inter_many [ St.cursor_of_bytes m ])
+      with Storage.Codec.Corrupt _ -> None
+    in
+    match decoded, drained with
+    | Some back, Some streamed ->
+      if not (String.equal (L.to_bytes ~codec:(L.codec_of_bytes m) back) m) then
+        fail "mutant of %d bytes decoded but does not re-encode" (String.length m);
+      if L.to_postings streamed <> L.to_postings back then
+        fail "cursor and decoder disagree on a mutant"
+    | None, None -> ()
+    | Some _, None | None, Some _ ->
+      fail "cursor and decoder disagree on whether a mutant is corrupt"
+  in
+  List.iter2
+    (fun l c ->
       List.iter
         (fun codec ->
-          let payload = L.to_bytes ~codec l in
+          let payload = L.to_bytes ~codec c in
           (match L.of_bytes payload with
           | back ->
-            if back <> l then fail "round trip diverged (%d postings)" (Array.length l);
+            if L.to_postings back <> l then
+              fail "round trip diverged (%d postings)" (Array.length l);
             (* canonical: decode-then-encode reproduces the payload *)
             if not (String.equal (L.to_bytes ~codec back) payload) then
               fail "payload not canonical (%d postings)" (Array.length l)
-          | exception e -> fail "decode raised %s" (Printexc.to_string e)))
+          | exception e -> fail "decode raised %s" (Printexc.to_string e));
+          for _ = 1 to 4 do
+            match check_mutant (mutate rng payload) with
+            | () -> ()
+            | exception e -> fail "mutant raised %s" (Printexc.to_string e)
+          done)
         [ L.Varint; L.Blocked ])
-    lists;
+    lists cols;
   (* the kernels over a random mix of cursor sources vs the oracle *)
   let sources = List.map (fun _ -> Random.State.int rng 3) lists in
   let cursors () =
@@ -522,23 +568,27 @@ let codec_scenario rng i =
         | 0 -> St.cursor_of_plist l
         | 1 -> St.cursor_of_bytes (L.to_bytes ~codec:L.Blocked l)
         | _ -> St.cursor_of_bytes (L.to_bytes ~codec:L.Varint l))
-      sources lists
+      sources cols
   in
-  if St.inter_many (cursors ()) <> R.inter_many lists then fail "inter_many diverged";
-  if St.union_with_counts (cursors ()) <> R.union_with_counts lists then
-    fail "union_with_counts diverged";
-  (* ascending skip_to probes on a blocked cursor vs the oracle's lower_bound *)
+  if L.to_postings (St.inter_many (cursors ())) <> R.inter_many lists then
+    fail "inter_many diverged";
+  let u, counts = St.union_with_counts (cursors ()) in
+  if Array.mapi (fun k p -> (p, counts.(k))) (L.to_postings u) <> R.union_with_counts lists
+  then fail "union_with_counts diverged";
+  (* ascending seeks on a blocked cursor vs the oracle's lower_bound *)
   let l = List.hd lists in
-  let c = St.cursor_of_bytes (L.to_bytes ~codec:L.Blocked l) in
+  let c = St.cursor_of_bytes (L.to_bytes ~codec:L.Blocked (List.hd cols)) in
   let probe = ref 0 in
   for _ = 1 to 16 do
     probe := !probe + Random.State.int rng 100_000;
     let lb = R.lower_bound l !probe in
-    (match St.skip_to c !probe with
-    | Some p when lb < Array.length l && p = l.(lb) -> ()
-    | None when lb = Array.length l -> ()
-    | _ -> fail "skip_to %d diverged" !probe);
-    if St.remaining c <> Array.length l - lb then fail "remaining after skip_to %d" !probe
+    let id = St.seek c !probe in
+    if lb < Array.length l then begin
+      if id <> l.(lb).P.node || L.get (St.head_list c) (St.head_row c) <> l.(lb) then
+        fail "seek %d diverged" !probe
+    end
+    else if id <> St.eof then fail "seek %d diverged" !probe;
+    if St.remaining c <> Array.length l - lb then fail "remaining after seek %d" !probe
   done
 
 let run ~label ~scenarios ~seed one =

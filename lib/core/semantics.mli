@@ -47,13 +47,20 @@ type edge =
   | Descendant  (** ancestor–descendant (homeo) *)
 
 type mode = {
-  gen : Invfile.Inverted_file.t -> Query.node -> Invfile.Plist.t;
+  gen :
+    Invfile.Inverted_file.t -> ?parents_of:Invfile.Plist.idset -> Query.node ->
+    Invfile.Plist.t;
       (** candidate list of a query node (Alg. 2 line 8 / Alg. 4 line 11),
           computed by {!Invfile.Plist_stream}'s kernels over
           {!Invfile.Inverted_file.cursor}s — one path whether the lists
-          are cached or read straight from their payloads *)
+          are cached or read straight from their payloads. See
+          {!candidates} for [~parents_of]. *)
   cover : cover;
   edge : edge;
+  leafless_is_universe : bool;
+      (** the candidates of a query node without leaves are every internal
+          node (the containment and similarity joins), so an
+          unconstrained node such as [{}] matches all of them *)
 }
 
 exception Unsupported of string
@@ -69,7 +76,15 @@ val is_pattern : string -> bool
 (** Whether an atom is a prefix pattern (ends in ['*']), as interpreted
     under [~wildcards:true]. *)
 
-val candidates : mode -> Invfile.Inverted_file.t -> Query.node -> Invfile.Plist.t
+val candidates :
+  mode -> ?parents_of:Invfile.Plist.idset -> Invfile.Inverted_file.t -> Query.node ->
+  Invfile.Plist.t
+(** The candidate list of a query node. [~parents_of:h] says the caller
+    only needs candidates that parent some member of [h] (the small side
+    of the bottom-up algorithm, Alg. 4): when those parents are fewer
+    than a quarter of the list, the result keeps only their rows, and an
+    intersection is then driven by the parent ids, decoding only the
+    blocks they land on. Otherwise the full list is returned. *)
 
 val pp_join : Format.formatter -> join -> unit
 val pp_embedding : Format.formatter -> embedding -> unit

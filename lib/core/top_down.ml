@@ -14,7 +14,7 @@ let covers_for (mode : Semantics.mode) =
 
 let rec interior_paper mode inv children (paths : P.paths) : Intset.t =
   if children = [] then P.heads paths (* Alg. 2, lines 1-2 *)
-  else if Array.length paths = 0 then Intset.empty (* lines 3-4 *)
+  else if P.path_count paths = 0 then Intset.empty (* lines 3-4 *)
   else begin
     let roots = ref (P.heads paths) (* line 6 *) in
     List.iter
@@ -47,23 +47,23 @@ let run_paper mode ?root_filter inv (q : Query.t) =
    (h, m) survives a query child only if m itself (not merely some other
    match under h) has a child/descendant covering it. *)
 
-let filter_paths pred (paths : P.paths) : P.paths =
-  Array.of_list (List.filter pred (Array.to_list paths))
-
-(* Groups surviving paths by head into idsets of their matched nodes. *)
+(* Groups surviving paths by head into idsets of their matched nodes:
+   paths are sorted by (head, node), so each head's paths form one run
+   whose rows ascend. *)
 let group_heads (paths : P.paths) : (int, P.idset) Hashtbl.t =
-  let acc : (int, Invfile.Posting.t list) Hashtbl.t = Hashtbl.create 64 in
-  Array.iter
-    (fun { P.head; cur } ->
-      let prev = Option.value ~default:[] (Hashtbl.find_opt acc head) in
-      Hashtbl.replace acc head (cur :: prev))
-    paths;
-  let out = Hashtbl.create (Hashtbl.length acc) in
-  Hashtbl.iter
-    (fun head rev_postings ->
-      (* paths are sorted by (head, node), so reversing restores node order *)
-      Hashtbl.replace out head (P.idset_of_postings (Array.of_list (List.rev rev_postings))))
-    acc;
+  let out = Hashtbl.create 64 in
+  let n = P.path_count paths in
+  let k = ref 0 in
+  while !k < n do
+    let head = P.path_head paths !k in
+    let stop = ref (!k + 1) in
+    while !stop < n && P.path_head paths !stop = head do
+      incr stop
+    done;
+    let rows = Array.init (!stop - !k) (fun j -> P.path_row paths (!k + j)) in
+    Hashtbl.replace out head (P.idset_of_rows (P.path_list paths) rows);
+    k := !stop
+  done;
   out
 
 type order = Query_order | Selectivity
@@ -88,21 +88,22 @@ let ordered_children order mode inv (n : Query.node) =
 (* Keeps the paths of [paths] whose matched node covers the whole subquery
    below query node [n]; [paths] must already be candidate-matched at [n]. *)
 let rec solve_children order mode inv (n : Query.node) (paths : P.paths) : P.paths =
-  if Array.length paths = 0 then paths
+  if P.path_count paths = 0 then paths
   else
     match mode.Semantics.cover with
     | Semantics.Exists_child ->
       List.fold_left
         (fun paths (c, cand) ->
-          if Array.length paths = 0 then paths
+          if P.path_count paths = 0 then paths
           else begin
             let ok = solve_child order mode inv c cand paths in
             let by_head = group_heads ok in
-            filter_paths
-              (fun { P.head; cur } ->
-                match Hashtbl.find_opt by_head head with
+            P.filter_paths
+              (fun k ->
+                match Hashtbl.find_opt by_head (P.path_head paths k) with
                 | None -> false
-                | Some h -> covers_for mode cur h)
+                | Some h ->
+                  covers_for mode (P.path_list paths) (P.path_row paths k) h)
               paths
           end)
         paths
@@ -113,13 +114,14 @@ let rec solve_children order mode inv (n : Query.node) (paths : P.paths) : P.pat
           (fun c -> group_heads (solve_child order mode inv c None paths))
           n.Query.children
       in
-      filter_paths
-        (fun { P.head; cur } ->
+      let src = P.path_list paths in
+      P.filter_paths
+        (fun k ->
           let admissible tbl =
-            match Hashtbl.find_opt tbl head with
+            match Hashtbl.find_opt tbl (P.path_head paths k) with
             | None -> [||]
             | Some h ->
-              Array.to_list cur.Invfile.Posting.children
+              Array.to_list (P.children src (P.path_row paths k))
               |> List.filter (fun d -> P.idset_mem h d)
               |> Array.of_list
           in
@@ -130,22 +132,24 @@ let rec solve_children order mode inv (n : Query.node) (paths : P.paths) : P.pat
       let unions : (int, int list) Hashtbl.t = Hashtbl.create 64 in
       List.iter
         (fun c ->
-          Array.iter
-            (fun { P.head; cur } ->
-              let prev = Option.value ~default:[] (Hashtbl.find_opt unions head) in
-              Hashtbl.replace unions head (cur.Invfile.Posting.node :: prev))
-            (solve_child order mode inv c None paths))
+          let solved = solve_child order mode inv c None paths in
+          for k = 0 to P.path_count solved - 1 do
+            let head = P.path_head solved k in
+            let prev = Option.value ~default:[] (Hashtbl.find_opt unions head) in
+            Hashtbl.replace unions head (P.path_node solved k :: prev)
+          done)
         n.Query.children;
       let union_sets = Hashtbl.create (Hashtbl.length unions) in
       Hashtbl.iter (fun h l -> Hashtbl.replace union_sets h (Intset.of_list l)) unions;
-      filter_paths
-        (fun { P.head; cur } ->
+      let src = P.path_list paths in
+      P.filter_paths
+        (fun k ->
           let covered =
-            match Hashtbl.find_opt union_sets head with
+            match Hashtbl.find_opt union_sets (P.path_head paths k) with
             | None -> Intset.empty
             | Some s -> s
           in
-          Array.for_all (Intset.mem covered) cur.Invfile.Posting.children)
+          Array.for_all (Intset.mem covered) (P.children src (P.path_row paths k)))
         paths
 
 (* Matches query child [c] against the frontier of [paths] and solves its

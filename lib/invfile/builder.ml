@@ -7,8 +7,8 @@ type t = {
   dict : Dict.t;
   top_k : int;
   alloc : Nested.Tree.allocator;
-  postings : (string, Posting.t list) Hashtbl.t;  (* reverse-ordered *)
-  mutable all_nodes : Posting.t list;  (* reverse-ordered *)
+  postings : (string, int list) Hashtbl.t;  (* node-table rows, reverse-ordered *)
+  nodes : Plist.Buf.t;  (* every internal node's posting, in id order *)
   mutable roots : int list;  (* reverse-ordered *)
   mutable count : int;
   mutable finished : bool;
@@ -28,7 +28,7 @@ let create ?(store_values = true) ?(node_table = true) ?(codec = Plist.Blocked)
     top_k;
     alloc = Nested.Tree.allocator ();
     postings = Hashtbl.create 4096;
-    all_nodes = [];
+    nodes = Plist.Buf.create 1024;
     roots = [];
     count = 0;
     finished = false;
@@ -40,14 +40,18 @@ let add_value t value =
   if t.finished then invalid_arg "Builder.add_value: builder already finished";
   let record_id = t.count in
   let tree = Nested.Tree.of_value t.alloc ~record_id value in
+  (* An atom's postings are rows of the node table: each node's row is
+     kept once, in columns, and an atom only collects row indices. Nodes
+     come in id order and records in id order, so everything stays
+     sorted. *)
   Nested.Tree.iter
     (fun n ->
-      let p = Posting.of_tree_node n in
-      if t.node_table then t.all_nodes <- p :: t.all_nodes;
+      let row = Plist.Buf.length t.nodes in
+      Plist.Buf.add_node t.nodes n;
       Array.iter
         (fun leaf ->
           let prev = Option.value ~default:[] (Hashtbl.find_opt t.postings leaf) in
-          Hashtbl.replace t.postings leaf (p :: prev))
+          Hashtbl.replace t.postings leaf (row :: prev))
         n.Nested.Tree.leaves)
     tree;
   t.roots <- tree.Nested.Tree.root :: t.roots;
@@ -65,24 +69,18 @@ let add_string t s = add_value t (Nested.Syntax.of_string s)
 let finish t =
   if t.finished then invalid_arg "Builder.finish: builder already finished";
   t.finished <- true;
-  (* Inverted lists. Postings were appended in DFS order per record and
-     records in id order, so each reversed list is already sorted. *)
+  let nodes = Plist.Buf.contents t.nodes in
   let freqs = ref [] in
   Hashtbl.iter
-    (fun atom rev_postings ->
-      let l = Array.of_list (List.rev rev_postings) in
-      freqs := (atom, Array.length l) :: !freqs;
+    (fun atom rev_rows ->
+      let rows = Array.of_list (List.rev rev_rows) in
+      freqs := (atom, Array.length rows) :: !freqs;
       t.store.Storage.Kv.put (Inverted_file.atom_key atom)
-        (Plist.to_bytes ~codec:t.codec l))
+        (Plist.to_bytes ~codec:t.codec ~rows nodes))
     t.postings;
   Hashtbl.reset t.postings;
-  (* Node table. *)
-  if t.node_table then begin
-    let l = Array.of_list (List.rev t.all_nodes) in
-    Array.sort Posting.compare l;
-    t.store.Storage.Kv.put Inverted_file.meta_nodes (Plist.to_bytes ~codec:t.codec l)
-  end;
-  t.all_nodes <- [];
+  if t.node_table then
+    t.store.Storage.Kv.put Inverted_file.meta_nodes (Plist.to_bytes ~codec:t.codec nodes);
   (* Metadata. *)
   let roots = Array.of_list (List.rev t.roots) in
   t.store.Storage.Kv.put Inverted_file.meta_roots (Storage.Codec.encode_int_array roots);

@@ -20,7 +20,6 @@ type t = {
   mutable atom_count : int;
   mutable node_count : int;
   mutable all_nodes : Plist.t option;
-  mutable all_nodes_idset : Plist.idset option;
   mutable cache : Cache.t option;
   mutable pinned : (string, source) Hashtbl.t option;
       (* the current traced query's atoms, resolved once (with_pinned) *)
@@ -67,7 +66,6 @@ let open_store ?(lenient = false) store =
     atom_count;
     node_count;
     all_nodes = None;
-    all_nodes_idset = None;
     cache = None;
     pinned = None;
     lookup_stats = Storage.Io_stats.create ();
@@ -209,14 +207,6 @@ let all_nodes t =
     t.all_nodes <- Some l;
     l
 
-let all_nodes_idset t =
-  match t.all_nodes_idset with
-  | Some h -> h
-  | None ->
-    let h = Plist.idset_of_postings (all_nodes t) in
-    t.all_nodes_idset <- Some h;
-    h
-
 let record_count t = Array.length t.roots
 let atom_count t = t.atom_count
 let node_count t = t.node_count
@@ -324,8 +314,7 @@ let internal_invalidate_atom t a =
   match t.cache with None -> () | Some c -> Cache.remove c a
 
 let internal_reset_node_table t =
-  t.all_nodes <- None;
-  t.all_nodes_idset <- None
+  t.all_nodes <- None
 
 let internal_write_meta t =
   t.store.Storage.Kv.put meta_roots (Storage.Codec.encode_int_array t.roots);
@@ -340,7 +329,6 @@ let refresh t =
   t.atom_count <- atom_count;
   t.node_count <- node_count;
   t.all_nodes <- None;
-  t.all_nodes_idset <- None;
   Dict.reset t.dict;
   match t.cache with None -> () | Some c -> Cache.clear c
 

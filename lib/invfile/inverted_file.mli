@@ -90,11 +90,6 @@ val list_codec : t -> Plist.codec
 val all_nodes : t -> Plist.t
 (** The node table, lazily loaded then memoized. *)
 
-val all_nodes_idset : t -> Plist.idset
-(** The node table as a head set, memoized — the "universal" result of an
-    unconstrained query node (e.g. [{}]), shared instead of rebuilt per
-    occurrence. *)
-
 val mem_atom : t -> string -> bool
 
 val atoms_with_prefix : t -> string -> string list

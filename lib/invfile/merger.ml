@@ -9,7 +9,8 @@ let shift_posting ~offset (p : Posting.t) =
     parent = (if p.Posting.parent < 0 then -1 else p.Posting.parent + offset);
   }
 
-let shift_list ~offset l = Array.map (shift_posting ~offset) l
+let shift_list ~offset l =
+  Plist.of_postings (Array.map (shift_posting ~offset) (Plist.to_postings l))
 
 (* Appends (already-shifted, all-larger-id) postings to dst's list for
    [atom], preserving the payload codec; lists new to dst are written
@@ -27,7 +28,7 @@ let append_postings dst ~default_codec atom shifted =
       Plist.of_bytes payload
   in
   store.Storage.Kv.put key
-    (Plist.to_bytes ~codec:!codec (Array.append current shifted));
+    (Plist.to_bytes ~codec:!codec (Plist.merge current shifted));
   IF.internal_invalidate_atom dst atom
 
 let append ~dst ~src =
@@ -51,7 +52,7 @@ let append ~dst ~src =
   | Some dpayload, Some spayload ->
     let codec = Plist.codec_of_bytes dpayload in
     let merged =
-      Array.append (Plist.of_bytes dpayload)
+      Plist.merge (Plist.of_bytes dpayload)
         (shift_list ~offset (Plist.of_bytes spayload))
     in
     dst_store.Storage.Kv.put IF.meta_nodes (Plist.to_bytes ~codec merged);

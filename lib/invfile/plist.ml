@@ -1,8 +1,193 @@
-type t = Posting.t array
+(* Decoded postings lists as int columns.
 
-let empty = [||]
-let is_empty l = Array.length l = 0
-let length = Array.length
+   Row i of a list is the posting of node [node.(i)]: its leaf count,
+   post rank and parent sit at index i of their columns, and its internal
+   children are kids.(coff.(i)) .. kids.(coff.(i + 1) - 1). Columns may
+   be longer than [len] (a list shares the arrays of the buffer that
+   built it); only the first [len] rows count. A list holds no boxed
+   value, so building one never moves a young block to the major heap
+   and decoding a long list costs no minor collection. *)
+
+type t = {
+  len : int;
+  node : int array;
+  leaf_count : int array;
+  post : int array;
+  parent : int array;
+  coff : int array;  (* len + 1 offsets into [kids]; coff.(0) = 0 *)
+  kids : int array;
+}
+
+let empty =
+  { len = 0; node = [||]; leaf_count = [||]; post = [||]; parent = [||];
+    coff = [| 0 |]; kids = [||] }
+
+let length l = l.len
+let is_empty l = l.len = 0
+let node l i = l.node.(i)
+let leaf_count l i = l.leaf_count.(i)
+let post l i = l.post.(i)
+let parent l i = l.parent.(i)
+let n_children l i = l.coff.(i + 1) - l.coff.(i)
+let child l i k = l.kids.(l.coff.(i) + k)
+let children l i = Array.sub l.kids l.coff.(i) (n_children l i)
+let nodes l = Array.sub l.node 0 l.len
+
+let get l i =
+  {
+    Posting.node = l.node.(i);
+    children = children l i;
+    leaf_count = l.leaf_count.(i);
+    post = l.post.(i);
+    parent = l.parent.(i);
+  }
+
+let to_postings l = Array.init l.len (get l)
+
+(* --- building --- *)
+
+module Buf = struct
+  type plist = t
+
+  (* Rows [0, filled) of [cols] are written; [cols.len] is unused until
+     [contents] stamps it. Growing replaces [cols] by longer copies. *)
+  type t = { mutable filled : int; mutable cols : plist }
+
+  let create cap =
+    let cap = max 1 cap in
+    {
+      filled = 0;
+      cols =
+        {
+          len = 0;
+          node = Array.make cap 0;
+          leaf_count = Array.make cap 0;
+          post = Array.make cap 0;
+          parent = Array.make cap 0;
+          coff = Array.make (cap + 1) 0;
+          kids = Array.make cap 0;
+        };
+    }
+
+  let clear b = b.filled <- 0
+  let length b = b.filled
+
+  let resize a n =
+    let a' = Array.make n 0 in
+    Array.blit a 0 a' 0 (Array.length a);
+    a'
+
+  let grow b =
+    let c = b.cols in
+    let cap = 2 * Array.length c.node in
+    b.cols <-
+      {
+        c with
+        node = resize c.node cap;
+        leaf_count = resize c.leaf_count cap;
+        post = resize c.post cap;
+        parent = resize c.parent cap;
+        coff = resize c.coff (cap + 1);
+      }
+
+  (* Room for [n] children in total. *)
+  let reserve_kids b n =
+    let c = b.cols in
+    if n > Array.length c.kids then
+      b.cols <- { c with kids = resize c.kids (max n (2 * Array.length c.kids)) }
+
+  let add b ~node ~leaf_count ~post ~parent =
+    let r = b.filled in
+    if r = Array.length b.cols.node then grow b;
+    let c = b.cols in
+    c.node.(r) <- node;
+    c.leaf_count.(r) <- leaf_count;
+    c.post.(r) <- post;
+    c.parent.(r) <- parent;
+    c.coff.(r + 1) <- c.coff.(r);
+    b.filled <- r + 1
+
+  let add_child b x =
+    let k = b.cols.coff.(b.filled) in
+    reserve_kids b (k + 1);
+    b.cols.kids.(k) <- x;
+    b.cols.coff.(b.filled) <- k + 1
+
+  let add_node b (n : Nested.Tree.node) =
+    add b ~node:n.Nested.Tree.id ~leaf_count:(Array.length n.Nested.Tree.leaves)
+      ~post:n.Nested.Tree.post ~parent:n.Nested.Tree.parent;
+    Array.iter (add_child b) n.Nested.Tree.children
+
+  let add_row b (l : plist) i =
+    add b ~node:l.node.(i) ~leaf_count:l.leaf_count.(i) ~post:l.post.(i)
+      ~parent:l.parent.(i);
+    let c0 = l.coff.(i) in
+    let n = l.coff.(i + 1) - c0 in
+    if n > 0 then begin
+      let k = b.cols.coff.(b.filled) in
+      reserve_kids b (k + n);
+      let kids = b.cols.kids in
+      (* rows have a few children: a loop beats the C call of a blit *)
+      for j = 0 to n - 1 do
+        kids.(k + j) <- l.kids.(c0 + j)
+      done;
+      b.cols.coff.(b.filled) <- k + n
+    end
+
+  let contents b = { b.cols with len = b.filled }
+
+  let copy_out b : plist =
+    let c = b.cols and n = b.filled in
+    {
+      len = n;
+      node = Array.sub c.node 0 n;
+      leaf_count = Array.sub c.leaf_count 0 n;
+      post = Array.sub c.post 0 n;
+      parent = Array.sub c.parent 0 n;
+      coff = Array.sub c.coff 0 (n + 1);
+      kids = Array.sub c.kids 0 c.coff.(n);
+    }
+end
+
+(* One spare output buffer per domain: kernels and filters append their
+   rows to it and copy exactly those rows out, so an output costs its
+   own size rather than every doubling step of a fresh growing buffer.
+   A buffer grown past [max_spare_rows] is not kept: its columns become
+   the output as they are, without the copy. *)
+let max_spare_rows = 1 lsl 12
+
+let spare = Domain.DLS.new_key (fun () -> ref None)
+
+let build f =
+  let slot = Domain.DLS.get spare in
+  let b =
+    match !slot with
+    | Some b ->
+      (* taken, not shared: a [build] nested in [f] makes its own *)
+      slot := None;
+      Buf.clear b;
+      b
+    | None -> Buf.create 256
+  in
+  f b;
+  if Array.length b.Buf.cols.node > max_spare_rows then Buf.contents b
+  else begin
+    let l = Buf.copy_out b in
+    slot := Some b;
+    l
+  end
+
+let of_postings (a : Posting.t array) =
+  let b = Buf.create (Array.length a) in
+  Array.iteri
+    (fun i (p : Posting.t) ->
+      if i > 0 && a.(i - 1).Posting.node >= p.Posting.node then
+        invalid_arg "Plist.of_postings: node ids not strictly increasing";
+      Buf.add b ~node:p.Posting.node ~leaf_count:p.Posting.leaf_count
+        ~post:p.Posting.post ~parent:p.Posting.parent;
+      Array.iter (Buf.add_child b) p.Posting.children)
+    a;
+  Buf.contents b
 
 let of_list postings =
   let a = Array.of_list (List.sort Posting.compare postings) in
@@ -10,270 +195,509 @@ let of_list postings =
     if a.(i - 1).Posting.node = a.(i).Posting.node then
       invalid_arg "Plist.of_list: duplicate node id"
   done;
-  a
+  of_postings a
 
-let nodes l = Array.map (fun p -> p.Posting.node) l
+(* --- searching --- *)
 
-(* Index of the first posting with node id >= [id], or [length l]. *)
-let lower_bound l id =
-  let rec bsearch lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if l.(mid).Posting.node < id then bsearch (mid + 1) hi else bsearch lo mid
-  in
-  bsearch 0 (Array.length l)
+(* Index of the first row with node id >= [id] in [lo, hi). *)
+let bsearch (ids : int array) lo hi id =
+  let lo = ref lo and hi = ref hi in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if ids.(mid) < id then lo := mid + 1 else hi := mid
+  done;
+  !lo
 
-let find l id =
+let lower_bound l id = bsearch l.node 0 l.len id
+
+let find_row l id =
   let i = lower_bound l id in
-  if i < Array.length l && l.(i).Posting.node = id then Some l.(i) else None
+  if i < l.len && l.node.(i) = id then i else -1
 
-let mem l id = Option.is_some (find l id)
+let mem l id = find_row l id >= 0
 
-(* Index of the first posting with node id >= [id], probing exponentially
-   from [lo] before binary-searching the bracketed range — O(log gap)
-   rather than O(log n), so a scan that advances monotonically through a
-   long list pays for the distance it actually covers. *)
-let gallop_lower_bound l ~lo id =
-  let n = Array.length l in
-  if lo >= n || l.(lo).Posting.node >= id then lo
+(* Index of the first of [ids.(lo) .. ids.(n - 1)] that is >= [id] (or
+   [n]), probing exponentially from [lo] before binary-searching the
+   bracketed range — O(log gap) rather than O(log n), so a scan that
+   advances monotonically through a long array pays for the distance it
+   actually covers. *)
+let gallop (ids : int array) ~n ~lo id =
+  if lo >= n || ids.(lo) >= id then lo
   else begin
-    (* invariant: l.(last).node < id *)
+    (* invariant: ids.(last) < id *)
     let last = ref lo and step = ref 1 in
     let hi = ref (lo + 1) in
-    while !hi < n && l.(!hi).Posting.node < id do
+    while !hi < n && ids.(!hi) < id do
       last := !hi;
       step := !step * 2;
       hi := lo + !step
     done;
-    let rec bsearch lo hi =
-      if lo >= hi then lo
-      else
-        let mid = (lo + hi) / 2 in
-        if l.(mid).Posting.node < id then bsearch (mid + 1) hi else bsearch lo mid
-    in
-    bsearch (!last + 1) (min !hi n)
+    bsearch ids (!last + 1) (min !hi n) id
   end
 
-let filter f l = Array.of_list (List.filter f (Array.to_list l))
+let gallop_lower_bound l ~lo id = gallop l.node ~n:l.len ~lo id
 
-let filter_leaf_count_eq n l = filter (fun p -> p.Posting.leaf_count = n) l
-let filter_leaf_count_ge n l = filter (fun p -> p.Posting.leaf_count >= n) l
+(* --- filters --- *)
+
+let filter f l =
+  build (fun b ->
+      for i = 0 to l.len - 1 do
+        if f i then Buf.add_row b l i
+      done)
+
+let filter_leaf_count_eq n l = filter (fun i -> l.leaf_count.(i) = n) l
+let filter_leaf_count_ge n l = filter (fun i -> l.leaf_count.(i) >= n) l
+
+(* A merge that gallops whichever side is behind, so it costs
+   O(k · log gap) for k matches, whichever of the two is shorter. *)
+let restrict l ids =
+  build (fun b ->
+      let ni = l.len and nj = Array.length ids in
+      let i = ref 0 and j = ref 0 in
+      while !i < ni && !j < nj do
+        let a = l.node.(!i) and c = ids.(!j) in
+        if a = c then begin
+          Buf.add_row b l !i;
+          incr i;
+          incr j
+        end
+        else if a < c then i := gallop l.node ~n:ni ~lo:!i c
+        else j := gallop ids ~n:nj ~lo:!j a
+      done)
+
+let merge a c =
+  build (fun b ->
+      let i = ref 0 and j = ref 0 in
+      while !i < a.len || !j < c.len do
+        if !j >= c.len || (!i < a.len && a.node.(!i) < c.node.(!j)) then begin
+          Buf.add_row b a !i;
+          incr i
+        end
+        else if !i >= a.len || c.node.(!j) < a.node.(!i) then begin
+          Buf.add_row b c !j;
+          incr j
+        end
+        else invalid_arg "Plist.merge: lists share a node id"
+      done)
+
+(* --- growable int columns (paths and parent sets) ---
+
+   They start small and double, so keeping a handful of entries of a
+   long input allocates for the handful. *)
+
+let initial_capacity n = min n 16
+
+module Ints = struct
+  type t = { mutable a : int array; mutable n : int }
+
+  let create cap = { a = Array.make (max 1 cap) 0; n = 0 }
+
+  let push t x =
+    if t.n = Array.length t.a then t.a <- Buf.resize t.a (2 * t.n);
+    t.a.(t.n) <- x;
+    t.n <- t.n + 1
+end
 
 (* --- path lists --- *)
 
-type path = { head : int; cur : Posting.t }
-type paths = path array
+(* Path k is (heads.(k), row rows.(k) of src); every path of a list
+   points into the same candidate list, sorted by (head, node). *)
+type paths = { src : t; heads : int array; rows : int array; count : int }
 
-let paths_of_candidates l = Array.map (fun p -> { head = p.Posting.node; cur = p }) l
+let paths_of_candidates l =
+  { src = l; heads = nodes l; rows = Array.init l.len Fun.id; count = l.len }
 
-let compare_path a b =
-  let c = Int.compare a.head b.head in
-  if c <> 0 then c else Int.compare a.cur.Posting.node b.cur.Posting.node
+let path_count ps = ps.count
+let path_head ps k = ps.heads.(k)
+let path_row ps k = ps.rows.(k)
+let path_list ps = ps.src
+let path_node ps k = ps.src.node.(ps.rows.(k))
 
-let sort_dedup_paths l =
-  let a = Array.of_list l in
-  Array.sort compare_path a;
-  let n = Array.length a in
-  if n <= 1 then a
+(* Paths are sorted by head, so the distinct heads are the run starts. *)
+let heads ps =
+  let out = Ints.create (initial_capacity ps.count) in
+  for k = 0 to ps.count - 1 do
+    if k = 0 || ps.heads.(k - 1) <> ps.heads.(k) then Ints.push out ps.heads.(k)
+  done;
+  Array.sub out.Ints.a 0 out.Ints.n
+
+(* The (head, row) pairs of [hs]/[rs] as a path list over [src]: sorted
+   by (head, row) — row order is node order — without duplicates. Join
+   output is usually sorted already, which one pass confirms. *)
+let paths_of_pairs src (hs : Ints.t) (rs : Ints.t) =
+  let n = hs.Ints.n and h = hs.Ints.a and r = rs.Ints.a in
+  let cmp a b =
+    let c = Int.compare h.(a) h.(b) in
+    if c <> 0 then c else Int.compare r.(a) r.(b)
+  in
+  let sorted = ref true in
+  for k = 1 to n - 1 do
+    if cmp (k - 1) k >= 0 then sorted := false
+  done;
+  if !sorted then { src; heads = Array.sub h 0 n; rows = Array.sub r 0 n; count = n }
   else begin
-    let out = ref [] in
-    for i = n - 1 downto 0 do
-      if i = 0 || compare_path a.(i - 1) a.(i) <> 0 then out := a.(i) :: !out
-    done;
-    Array.of_list !out
+    let idx = Array.init n Fun.id in
+    Array.sort cmp idx;
+    let heads = Ints.create n and rows = Ints.create n in
+    Array.iteri
+      (fun k x ->
+        if k = 0 || cmp idx.(k - 1) x <> 0 then begin
+          Ints.push heads h.(x);
+          Ints.push rows r.(x)
+        end)
+      idx;
+    { src; heads = heads.Ints.a; rows = rows.Ints.a; count = heads.Ints.n }
   end
 
-let heads (p : paths) =
-  Array.to_list p
-  |> List.map (fun { head; _ } -> head)
-  |> List.sort_uniq Int.compare
-  |> Array.of_list
+let join_child ps l =
+  let hs = Ints.create (initial_capacity ps.count) in
+  let rs = Ints.create (initial_capacity ps.count) in
+  let src = ps.src in
+  for k = 0 to ps.count - 1 do
+    let r = ps.rows.(k) in
+    for c = src.coff.(r) to src.coff.(r + 1) - 1 do
+      let j = find_row l src.kids.(c) in
+      if j >= 0 then begin
+        Ints.push hs ps.heads.(k);
+        Ints.push rs j
+      end
+    done
+  done;
+  paths_of_pairs l hs rs
 
-let join_child (ps : paths) l : paths =
-  let out = ref [] in
-  Array.iter
-    (fun { head; cur } ->
-      Array.iter
-        (fun child ->
-          match find l child with
-          | Some p' -> out := { head; cur = p' } :: !out
-          | None -> ())
-        cur.Posting.children)
-    ps;
-  sort_dedup_paths !out
+let join_descendant ps l =
+  let hs = Ints.create (initial_capacity ps.count) in
+  let rs = Ints.create (initial_capacity ps.count) in
+  let src = ps.src in
+  for k = 0 to ps.count - 1 do
+    let r = ps.rows.(k) in
+    let i = ref (lower_bound l (src.node.(r) + 1)) in
+    (* the first non-descendant with a larger id ends the subtree: all
+       later ids are outside it too (pre/post discipline) *)
+    while !i < l.len && l.post.(!i) < src.post.(r) do
+      Ints.push hs ps.heads.(k);
+      Ints.push rs !i;
+      incr i
+    done
+  done;
+  paths_of_pairs l hs rs
 
-let join_descendant (ps : paths) l : paths =
-  let out = ref [] in
-  Array.iter
-    (fun { head; cur } ->
-      let i = ref (lower_bound l (cur.Posting.node + 1)) in
-      let continue = ref true in
-      while !continue && !i < Array.length l do
-        let p' = l.(!i) in
-        if p'.Posting.post < cur.Posting.post then begin
-          out := { head; cur = p' } :: !out;
-          incr i
-        end
-        else continue := false
-        (* first non-descendant with a larger id: everything after is
-           outside the subtree too (pre/post discipline) *)
-      done)
-    ps;
-  sort_dedup_paths !out
+let filter_paths f ps =
+  let hs = Ints.create (initial_capacity ps.count) in
+  let rs = Ints.create (initial_capacity ps.count) in
+  for k = 0 to ps.count - 1 do
+    if f k then begin
+      Ints.push hs ps.heads.(k);
+      Ints.push rs ps.rows.(k)
+    end
+  done;
+  { src = ps.src; heads = hs.Ints.a; rows = rs.Ints.a; count = hs.Ints.n }
 
 (* --- head sets --- *)
 
-type idset = (int * int * int) array (* (id, post, parent), sorted by id *)
+(* Three columns sorted by id. *)
+type idset = { size : int; ids : int array; posts : int array; parents : int array }
 
-let idset_empty : idset = [||]
+let idset_empty = { size = 0; ids = [||]; posts = [||]; parents = [||] }
 
-let idset_of_postings l =
-  Array.map (fun p -> (p.Posting.node, p.Posting.post, p.Posting.parent)) l
+let idset_of_rows l rows =
+  {
+    size = Array.length rows;
+    ids = Array.map (fun r -> l.node.(r)) rows;
+    posts = Array.map (fun r -> l.post.(r)) rows;
+    parents = Array.map (fun r -> l.parent.(r)) rows;
+  }
 
-let idset_nodes h = Array.map (fun (id, _, _) -> id) h
+(* Matching row indices, in a per-domain array kept at the longest list
+   filtered so far; taken out of its slot while in use. *)
+let spare_rows = Domain.DLS.new_key (fun () -> ref [||])
+
+let idset_filter f l =
+  let slot = Domain.DLS.get spare_rows in
+  let rows = if Array.length !slot >= l.len then !slot else Array.make l.len 0 in
+  slot := [||];
+  let n = ref 0 in
+  for i = 0 to l.len - 1 do
+    if f i then begin
+      rows.(!n) <- i;
+      incr n
+    end
+  done;
+  slot := rows;
+  if !n = 0 then idset_empty
+  else begin
+    let ids = Array.make !n 0 and posts = Array.make !n 0 and parents = Array.make !n 0 in
+    for k = 0 to !n - 1 do
+      let r = rows.(k) in
+      ids.(k) <- l.node.(r);
+      posts.(k) <- l.post.(r);
+      parents.(k) <- l.parent.(r)
+    done;
+    { size = !n; ids; posts; parents }
+  end
+
+let idset_nodes h = Array.sub h.ids 0 h.size
+
 let idset_parents h =
-  Array.to_list h
-  |> List.filter_map (fun (_, _, parent) -> if parent >= 0 then Some parent else None)
-  |> List.sort_uniq Int.compare
-let idset_is_empty h = Array.length h = 0
-let idset_cardinal = Array.length
+  let ps = Ints.create (initial_capacity h.size) in
+  for i = 0 to h.size - 1 do
+    if h.parents.(i) >= 0 then Ints.push ps h.parents.(i)
+  done;
+  let a = Array.sub ps.Ints.a 0 ps.Ints.n in
+  Array.sort Int.compare a;
+  let out = Ints.create (Array.length a) in
+  Array.iteri (fun i x -> if i = 0 || a.(i - 1) <> x then Ints.push out x) a;
+  Array.sub out.Ints.a 0 out.Ints.n
 
-let idset_id (id, _, _) = id
-let idset_post (_, post, _) = post
-
-let idset_lower_bound (h : idset) id =
-  let rec bsearch lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if idset_id h.(mid) < id then bsearch (mid + 1) hi else bsearch lo mid
-  in
-  bsearch 0 (Array.length h)
+let idset_is_empty h = h.size = 0
+let idset_cardinal h = h.size
 
 let idset_mem h id =
-  let i = idset_lower_bound h id in
-  i < Array.length h && idset_id h.(i) = id
+  let i = bsearch h.ids 0 h.size id in
+  i < h.size && h.ids.(i) = id
 
-let covers_child p h =
-  Array.exists (fun c -> idset_mem h c) p.Posting.children
+let rec any_child_in l h k stop = k < stop && (idset_mem h l.kids.(k) || any_child_in l h (k + 1) stop)
 
-let covers_descendant p h =
-  let i = idset_lower_bound h (p.Posting.node + 1) in
-  i < Array.length h && idset_post h.(i) < p.Posting.post
+let covers_child l i h = any_child_in l h l.coff.(i) l.coff.(i + 1)
 
-let idset_to_bytes (h : idset) =
+let covers_descendant l i h =
+  let j = bsearch h.ids 0 h.size (l.node.(i) + 1) in
+  j < h.size && h.posts.(j) < l.post.(i)
+
+let idset_to_bytes h =
   let w = Storage.Codec.writer () in
-  Storage.Codec.write_varint w (Array.length h);
-  let prev = ref (-1) in
-  Array.iter
-    (fun (id, post, parent) ->
-      Storage.Codec.write_varint w (id - !prev - 1);
-      Storage.Codec.write_varint w post;
-      Storage.Codec.write_varint w (if parent < 0 then 0 else id - parent);
-      prev := id)
-    h;
+  Storage.Codec.write_varint w h.size;
+  for i = 0 to h.size - 1 do
+    let id = h.ids.(i) and parent = h.parents.(i) in
+    Storage.Codec.write_varint w (id - (if i = 0 then -1 else h.ids.(i - 1)) - 1);
+    Storage.Codec.write_varint w h.posts.(i);
+    Storage.Codec.write_varint w (if parent < 0 then 0 else id - parent)
+  done;
   Storage.Codec.contents w
 
-let idset_of_bytes s : idset =
+let corrupt msg = raise (Storage.Codec.Corrupt ("Plist: " ^ msg))
+
+let idset_of_bytes s =
   let r = Storage.Codec.reader s in
   let n = Storage.Codec.read_varint r in
-  let a = Array.make (max n 1) (0, 0, -1) in
+  (* three varints of at least one byte each per member *)
+  if n > Storage.Codec.remaining r / 3 then corrupt "head set longer than its payload";
+  let ids = Array.make n 0 and posts = Array.make n 0 and parents = Array.make n 0 in
   let prev = ref (-1) in
   for i = 0 to n - 1 do
     let id = !prev + 1 + Storage.Codec.read_varint r in
     let post = Storage.Codec.read_varint r in
     let gap = Storage.Codec.read_varint r in
     prev := id;
-    a.(i) <- (id, post, if gap = 0 then -1 else id - gap)
+    ids.(i) <- id;
+    posts.(i) <- post;
+    parents.(i) <- (if gap = 0 then -1 else id - gap)
   done;
-  if n = 0 then [||] else a
-
-let pp ppf l =
-  Format.fprintf ppf "⟨%a⟩"
-    (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@ ") Posting.pp)
-    (Array.to_list l)
-
-let pp_paths ppf ps =
-  Format.fprintf ppf "⟨%a⟩"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@ ")
-       (fun ppf { head; cur } -> Format.fprintf ppf "(%d→%a)" head Posting.pp cur))
-    (Array.to_list ps)
+  { size = n; ids; posts; parents }
 
 (* --- serialization ---
 
    Payloads carry a one-byte format tag: 'V' = varint/delta,
    'C' = block-partitioned compressed (see Plist_blocks; the default).
    'B' belonged to the retired columnar bitpacked codec and is refused
-   by name, so an old store points at its migration path. *)
+   by name, so an old store points at its migration path.
+
+   A row is encoded as: node gap (omitted when the node id is carried
+   out of band, as by a bitmap block), leaf count, post rank, parent gap
+   (node - parent; 0 at a record root) and the children as a count then
+   gaps. Decoders check every count against the bytes left before
+   growing a column for it, and accept only what the encoder writes, so
+   a payload that decodes re-encodes to its own bytes. *)
 
 type codec = Varint | Blocked
 
-let encode w l =
-  Storage.Codec.write_varint w (Array.length l);
-  let prev = ref (-1) in
-  Array.iter
-    (fun p ->
-      Posting.encode w p ~prev_node:!prev;
-      prev := p.Posting.node)
-    l
+module C = Storage.Codec
 
-let decode r =
-  let n = Storage.Codec.read_varint r in
-  if n = 0 then [||]
-  else begin
-    (* explicit loop: the decode order must be sequential *)
+let encode_aux w l i =
+  C.write_varint w l.leaf_count.(i);
+  C.write_varint w l.post.(i);
+  (* parents precede their children in pre-order, so node - parent ≥ 1;
+     roots (parent = -1) encode as gap 0 *)
+  let p = l.parent.(i) in
+  C.write_varint w (if p < 0 then 0 else l.node.(i) - p);
+  let c0 = l.coff.(i) and c1 = l.coff.(i + 1) in
+  C.write_varint w (c1 - c0);
+  let prev = ref (-1) in
+  for k = c0 to c1 - 1 do
+    let x = l.kids.(k) in
+    if x <= !prev then invalid_arg "Plist: children not strictly increasing";
+    C.write_varint w (x - !prev - 1);
+    prev := x
+  done
+
+let encode_row w l i ~prev_node =
+  C.write_varint w (l.node.(i) - prev_node - 1);
+  encode_aux w l i
+
+(* Appends the row of [node] whose other fields [r] holds. *)
+let decode_aux r (b : Buf.t) ~node =
+  let leaf_count = C.read_varint r in
+  let post = C.read_varint r in
+  let gap = C.read_varint r in
+  if gap > node then corrupt "parent precedes the first node";
+  Buf.add b ~node ~leaf_count ~post ~parent:(if gap = 0 then -1 else node - gap);
+  let n = C.read_varint r in
+  if n > C.remaining r then corrupt "children count exceeds the payload";
+  if n > 0 then begin
+    let k0 = b.Buf.cols.coff.(b.Buf.filled) in
+    Buf.reserve_kids b (k0 + n);
+    let kids = b.Buf.cols.kids in
     let prev = ref (-1) in
-    let first = Posting.decode r ~prev_node:!prev in
-    prev := first.Posting.node;
-    let a = Array.make n first in
-    for i = 1 to n - 1 do
-      let p = Posting.decode r ~prev_node:!prev in
-      prev := p.Posting.node;
-      a.(i) <- p
+    for k = k0 to k0 + n - 1 do
+      let x = !prev + 1 + C.read_varint r in
+      if x <= !prev then corrupt "child id overflows";
+      kids.(k) <- x;
+      prev := x
     done;
-    a
+    b.Buf.cols.coff.(b.Buf.filled) <- k0 + n
   end
 
-let to_bytes ?(codec = Blocked) l =
+(* Appends the next delta-coded row; returns its node id. *)
+let decode_row r b ~prev_node =
+  let node = prev_node + 1 + C.read_varint r in
+  if node <= prev_node then corrupt "node id overflows";
+  decode_aux r b ~node;
+  node
+
+(* Node gap, leaf count, post, parent gap and children count: a row
+   takes at least five bytes. *)
+let min_row_bytes = 5
+
+let read_varint_count r =
+  let n = C.read_varint r in
+  if n > C.remaining r / min_row_bytes then corrupt "list longer than its payload";
+  n
+
+(* --- 'C' block bodies --- *)
+
+module B = Plist_blocks
+
+(* The block of positions [lo, hi), position k being row [row k]. *)
+let encode_block l ~row ~lo ~hi : B.block =
+  let count = hi - lo in
+  let bmin = l.node.(row lo) and bmax = l.node.(row (hi - 1)) in
+  let range = bmax - bmin + 1 in
+  let body = C.writer () in
+  let as_bitmap = B.dense ~range ~count in
+  if as_bitmap then begin
+    let bits = Bytes.make ((range + 7) / 8) '\000' in
+    for k = lo to hi - 1 do
+      let bit = l.node.(row k) - bmin in
+      Bytes.set bits (bit / 8)
+        (Char.chr (Char.code (Bytes.get bits (bit / 8)) lor (1 lsl (bit mod 8))))
+    done;
+    C.write_raw body (Bytes.to_string bits);
+    for k = lo to hi - 1 do
+      encode_aux body l (row k)
+    done
+  end
+  else begin
+    let prev = ref (bmin - 1) in
+    for k = lo to hi - 1 do
+      let i = row k in
+      encode_row body l i ~prev_node:!prev;
+      prev := l.node.(i)
+    done
+  end;
+  { B.bmin; bmax; count; as_bitmap; body = C.contents body }
+
+(* Appends block [i] of [d] to [b], validating span, count and (for
+   bitmap blocks) popcount, and that the body is consumed exactly. *)
+let decode_block_into d i (b : Buf.t) =
+  let start = b.Buf.filled in
+  let count = B.block_count d i in
+  let bmin = B.block_min d i and bmax = B.block_max d i in
+  let payload = B.payload d and pos = B.body_pos d i and len = B.body_len d i in
+  let r =
+    if B.is_bitmap d i then begin
+      let nbytes = (bmax - bmin + 8) / 8 in
+      if nbytes > len then corrupt "bitmap larger than block body";
+      let aux = C.reader_sub payload ~pos:(pos + nbytes) ~len:(len - nbytes) in
+      for byte_i = 0 to nbytes - 1 do
+        let byte = Char.code payload.[pos + byte_i] in
+        if byte <> 0 then
+          for bit = 0 to 7 do
+            if byte land (1 lsl bit) <> 0 then begin
+              let node = bmin + (byte_i * 8) + bit in
+              if node > bmax then corrupt "bitmap bit outside block span";
+              if b.Buf.filled - start >= count then
+                corrupt "bitmap popcount exceeds block count";
+              decode_aux aux b ~node
+            end
+          done
+      done;
+      if b.Buf.filled - start <> count then
+        corrupt "bitmap popcount disagrees with block count";
+      aux
+    end
+    else begin
+      let r = C.reader_sub payload ~pos ~len in
+      let prev = ref (bmin - 1) in
+      for _ = 1 to count do
+        prev := decode_row r b ~prev_node:!prev
+      done;
+      r
+    end
+  in
+  if not (C.at_end r) then corrupt "trailing bytes in a block body";
+  let nodes = b.Buf.cols.node in
+  if nodes.(start) <> bmin || nodes.(start + count - 1) <> bmax then
+    corrupt "block span disagrees with contents"
+
+let to_bytes ?(codec = Blocked) ?rows l =
+  let n, row =
+    match rows with None -> (l.len, Fun.id) | Some rows -> (Array.length rows, Array.get rows)
+  in
   match codec with
   | Varint ->
-    let w = Storage.Codec.writer () in
-    Storage.Codec.write_varint w (Char.code 'V');
-    encode w l;
-    Storage.Codec.contents w
-  | Blocked -> "C" ^ Plist_blocks.encode l
+    let w = C.writer () in
+    C.write_varint w (Char.code 'V');
+    C.write_varint w n;
+    let prev = ref (-1) in
+    for k = 0 to n - 1 do
+      let i = row k in
+      encode_row w l i ~prev_node:!prev;
+      prev := l.node.(i)
+    done;
+    C.contents w
+  | Blocked ->
+    let nblocks = (n + B.block_size - 1) / B.block_size in
+    "C"
+    ^ B.encode ~total:n
+        (List.init nblocks (fun k ->
+             let lo = k * B.block_size in
+             encode_block l ~row ~lo ~hi:(min n (lo + B.block_size))))
 
 let codec_of_bytes s =
-  if String.length s = 0 then raise (Storage.Codec.Corrupt "Plist: empty payload")
+  if String.length s = 0 then corrupt "empty payload"
   else
     match s.[0] with
     | 'V' -> Varint
-    | 'B' -> raise (Storage.Codec.Corrupt "Plist: retired bitpacked codec ('B')")
+    | 'B' -> corrupt "retired bitpacked codec ('B')"
     | 'C' -> Blocked
-    | _ -> raise (Storage.Codec.Corrupt "Plist: unknown payload format")
+    | _ -> corrupt "unknown payload format"
 
 let of_bytes s =
   match codec_of_bytes s with
   | Varint ->
-    let r = Storage.Codec.reader s in
-    let tag = Storage.Codec.read_varint r in
-    assert (tag = Char.code 'V');
-    decode r
-  | Blocked -> Plist_blocks.decode (Plist_blocks.directory s ~pos:1)
-
-let restrict l ids =
-  let nl = Array.length l and ni = Array.length ids in
-  let out = ref [] and i = ref 0 and j = ref 0 in
-  while !i < nl && !j < ni do
-    let c = Int.compare l.(!i).Posting.node ids.(!j) in
-    if c = 0 then begin
-      out := l.(!i) :: !out;
-      incr i;
-      incr j
-    end
-    else if c < 0 then incr i
-    else incr j
-  done;
-  Array.of_list (List.rev !out)
+    let r = C.reader_sub s ~pos:1 ~len:(String.length s - 1) in
+    let n = read_varint_count r in
+    let b = Buf.create n in
+    let prev = ref (-1) in
+    for _ = 1 to n do
+      prev := decode_row r b ~prev_node:!prev
+    done;
+    if not (C.at_end r) then corrupt "trailing bytes after the list";
+    Buf.contents b
+  | Blocked ->
+    let d = B.directory s ~pos:1 in
+    let b = Buf.create (B.total d) in
+    for i = 0 to B.n_blocks d - 1 do
+      decode_block_into d i b
+    done;
+    Buf.contents b

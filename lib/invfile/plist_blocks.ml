@@ -1,4 +1,4 @@
-(* Block-partitioned postings payload ('C' format, see Plist.to_bytes).
+(* Block directory of the 'C' postings payload (see Plist.to_bytes).
 
    A list is cut into fixed-size blocks of [block_size] postings. A
    directory up front records, per block, the node-id span [min, max],
@@ -18,12 +18,19 @@
        varint  body_len               bytes of this block's body
      bodies, concatenated in block order
 
-   Sparse blocks store postings exactly as the 'V' format does (delta
-   varint, with the delta base reset to min - 1), so a sparse block costs
-   the same bytes as its slice of a 'V' payload. Dense blocks — id range
-   close to the count — store a bitmap over [min, max] followed by the
-   non-id posting fields (Posting.encode_aux) of each member in
-   ascending order; the ids come from the bitmap, for free. *)
+   This module writes and parses the directory; Plist encodes and decodes
+   the block bodies into its columns. Sparse blocks store postings
+   exactly as the 'V' format does (delta varint, with the delta base reset
+   to min - 1), so a sparse block costs the same bytes as its slice of a
+   'V' payload. Dense blocks — id range close to the count — store a
+   bitmap over [min, max] followed by the non-id posting fields of each
+   member in ascending order; the ids come from the bitmap, for free.
+
+   The encoder's choices are functions of the list, so a payload it wrote
+   is the only encoding of its list. The parser insists on exactly that
+   form (full blocks before the last, the representation the heuristic
+   picks, bodies ending at the payload's end), so a payload that parses
+   re-encodes to its own bytes. *)
 
 let block_size = 128
 
@@ -46,74 +53,50 @@ type t = {
 
 let n_blocks d = Array.length d.mins
 let total d = d.total
+let payload d = d.payload
 let block_min d i = d.mins.(i)
 let block_max d i = d.maxs.(i)
+let block_count d i = d.counts.(i)
+let is_bitmap d i = d.bitmap.(i)
+let body_pos d i = d.offs.(i)
+let body_len d i = d.lens.(i)
 let suffix_count d i = d.suffix.(i)
 
 (* --- encoding --- *)
 
-let encode_block (l : Posting.t array) ~lo ~hi =
-  (* Postings l.(lo) .. l.(hi - 1); returns (min, max, count, bitmap, body). *)
-  let count = hi - lo in
-  let bmin = l.(lo).Posting.node and bmax = l.(hi - 1).Posting.node in
-  let range = bmax - bmin + 1 in
-  let body = Storage.Codec.writer () in
-  let as_bitmap = dense ~range ~count in
-  if as_bitmap then begin
-    let nbytes = (range + 7) / 8 in
-    let bits = Bytes.make nbytes '\000' in
-    for i = lo to hi - 1 do
-      let bit = l.(i).Posting.node - bmin in
-      Bytes.set bits (bit / 8)
-        (Char.chr (Char.code (Bytes.get bits (bit / 8)) lor (1 lsl (bit mod 8))))
-    done;
-    Storage.Codec.write_raw body (Bytes.to_string bits);
-    for i = lo to hi - 1 do
-      Posting.encode_aux body l.(i)
-    done
-  end
-  else begin
-    let prev = ref (bmin - 1) in
-    for i = lo to hi - 1 do
-      Posting.encode body l.(i) ~prev_node:!prev;
-      prev := l.(i).Posting.node
-    done
-  end;
-  (bmin, bmax, count, as_bitmap, Storage.Codec.contents body)
+type block = { bmin : int; bmax : int; count : int; as_bitmap : bool; body : string }
 
-let encode (l : Posting.t array) =
-  let n = Array.length l in
-  let nblocks = (n + block_size - 1) / block_size in
-  let blocks =
-    List.init nblocks (fun b ->
-        let lo = b * block_size in
-        let hi = min n (lo + block_size) in
-        encode_block l ~lo ~hi)
-  in
+let encode ~total blocks =
   let w = Storage.Codec.writer () in
-  Storage.Codec.write_varint w n;
-  Storage.Codec.write_varint w nblocks;
+  Storage.Codec.write_varint w total;
+  Storage.Codec.write_varint w (List.length blocks);
   let prev_max = ref (-1) in
   List.iter
-    (fun (bmin, bmax, count, as_bitmap, body) ->
-      Storage.Codec.write_varint w (bmin - !prev_max - 1);
-      Storage.Codec.write_varint w (bmax - bmin);
-      Storage.Codec.write_varint w count;
-      Storage.Codec.write_varint w (if as_bitmap then 1 else 0);
-      Storage.Codec.write_varint w (String.length body);
-      prev_max := bmax)
+    (fun b ->
+      Storage.Codec.write_varint w (b.bmin - !prev_max - 1);
+      Storage.Codec.write_varint w (b.bmax - b.bmin);
+      Storage.Codec.write_varint w b.count;
+      Storage.Codec.write_varint w (if b.as_bitmap then 1 else 0);
+      Storage.Codec.write_varint w (String.length b.body);
+      prev_max := b.bmax)
     blocks;
-  List.iter (fun (_, _, _, _, body) -> Storage.Codec.write_raw w body) blocks;
+  List.iter (fun b -> Storage.Codec.write_raw w b.body) blocks;
   Storage.Codec.contents w
 
 (* --- directory parsing --- *)
 
 let corrupt msg = raise (Storage.Codec.Corrupt ("Plist_blocks: " ^ msg))
 
+(* Five varints of at least one byte each per directory entry. *)
+let min_entry_bytes = 5
+
 let directory payload ~pos =
   let r = Storage.Codec.reader_sub payload ~pos ~len:(String.length payload - pos) in
   let total = Storage.Codec.read_varint r in
   let nblocks = Storage.Codec.read_varint r in
+  (* checked before anything is allocated for the entries *)
+  if nblocks > Storage.Codec.remaining r / min_entry_bytes then
+    corrupt "block count exceeds the payload";
   let mins = Array.make nblocks 0 in
   let maxs = Array.make nblocks 0 in
   let counts = Array.make nblocks 0 in
@@ -127,83 +110,40 @@ let directory payload ~pos =
     let count = Storage.Codec.read_varint r in
     let repr = Storage.Codec.read_varint r in
     let len = Storage.Codec.read_varint r in
+    if bmin <= !prev_max || bmax < bmin then corrupt "block span overflows";
     if count = 0 then corrupt "empty block";
+    if count > block_size then corrupt "block count exceeds block size";
+    if count < block_size && i < nblocks - 1 then corrupt "short block before the last";
     if count > bmax - bmin + 1 then corrupt "block count exceeds id span";
-    (match repr with
-    | 0 -> bitmap.(i) <- false
-    | 1 -> bitmap.(i) <- true
-    | _ -> corrupt "unknown block representation");
+    let as_bitmap =
+      match repr with
+      | 0 -> false
+      | 1 -> true
+      | _ -> corrupt "unknown block representation"
+    in
+    if as_bitmap <> dense ~range:(bmax - bmin + 1) ~count then
+      corrupt "block representation disagrees with its span";
     mins.(i) <- bmin;
     maxs.(i) <- bmax;
     counts.(i) <- count;
+    bitmap.(i) <- as_bitmap;
     lens.(i) <- len;
     prev_max := bmax
   done;
-  (* Bodies start where the directory ends. *)
+  (* Bodies start where the directory ends and fill the payload. *)
   let off = ref (Storage.Codec.pos r) in
   for i = 0 to nblocks - 1 do
     offs.(i) <- !off;
+    if lens.(i) > String.length payload - !off then corrupt "truncated bodies";
     off := !off + lens.(i)
   done;
-  if !off > String.length payload then corrupt "truncated bodies";
+  if !off <> String.length payload then corrupt "trailing bytes after the bodies";
   let suffix = Array.make (nblocks + 1) 0 in
   for i = nblocks - 1 downto 0 do
     suffix.(i) <- suffix.(i + 1) + counts.(i)
   done;
   if suffix.(0) <> total then corrupt "block counts disagree with total";
   { payload; total; mins; maxs; counts; bitmap; offs; lens; suffix }
-
-(* --- block decoding --- *)
-
-let decode_block d i =
-  let count = d.counts.(i) in
-  let bmin = d.mins.(i) and bmax = d.maxs.(i) in
-  if d.bitmap.(i) then begin
-    let range = bmax - bmin + 1 in
-    let nbytes = (range + 7) / 8 in
-    if nbytes > d.lens.(i) then corrupt "bitmap larger than block body";
-    let aux =
-      Storage.Codec.reader_sub d.payload
-        ~pos:(d.offs.(i) + nbytes)
-        ~len:(d.lens.(i) - nbytes)
-    in
-    let out = Array.make count Posting.{ node = 0; children = [||]; leaf_count = 0; post = 0; parent = -1 } in
-    let k = ref 0 in
-    for b = 0 to nbytes - 1 do
-      let byte = Char.code d.payload.[d.offs.(i) + b] in
-      if byte <> 0 then
-        for bit = 0 to 7 do
-          if byte land (1 lsl bit) <> 0 then begin
-            let node = bmin + (b * 8) + bit in
-            if node > bmax then corrupt "bitmap bit outside block span";
-            if !k >= count then corrupt "bitmap popcount exceeds block count";
-            out.(!k) <- Posting.decode_aux aux ~node;
-            incr k
-          end
-        done
-    done;
-    if !k <> count then corrupt "bitmap popcount disagrees with block count";
-    if out.(0).Posting.node <> bmin || out.(count - 1).Posting.node <> bmax then
-      corrupt "block span disagrees with contents";
-    out
-  end
-  else begin
-    let r = Storage.Codec.reader_sub d.payload ~pos:d.offs.(i) ~len:d.lens.(i) in
-    let prev = ref (bmin - 1) in
-    let out =
-      Array.init count (fun _ ->
-          let p = Posting.decode r ~prev_node:!prev in
-          prev := p.Posting.node;
-          p)
-    in
-    if out.(0).Posting.node <> bmin || out.(count - 1).Posting.node <> bmax then
-      corrupt "block span disagrees with contents";
-    out
-  end
-
-let decode d =
-  if d.total = 0 then [||]
-  else Array.concat (List.init (n_blocks d) (fun i -> decode_block d i))
 
 (* First block index in [start, n_blocks) whose max >= id (binary search
    over the directory — the block-skip primitive), or n_blocks. *)

@@ -1,207 +1,248 @@
 (* Cursors over postings lists, and the candidate kernels over them.
 
-   Three sources: in-memory arrays (Mem), sequential delta-varint
-   payloads ('V', Seq) and block-partitioned compressed payloads ('C',
-   Blk). Mem cursors gallop, so a skewed intersection over decoded lists
-   costs O(small · log gap). Blk cursors exploit the Plist_blocks
-   directory: skip_to binary searches the per-block [min, max] spans and
-   decodes only the landing block, so an n-way intersection over skewed
-   lists never touches the bytes of skipped blocks.
+   Three sources: decoded lists (Mem), sequential delta-varint payloads
+   ('V', Seq) and block-partitioned compressed payloads ('C', Blk). A
+   cursor's head is a row of a columnar list: the decoded list itself for
+   Mem, a buffer the cursor owns and refills for the payload sources —
+   Blk decodes one block into it at a time, Seq one block-sized chunk.
+   Mem cursors gallop, so a skewed intersection over decoded lists costs
+   O(small · log gap). Blk cursors exploit the Plist_blocks directory:
+   seek binary searches the per-block [min, max] spans and decodes only
+   the landing block, so an n-way intersection over skewed lists never
+   touches the bytes of skipped blocks.
 
-   Every source keeps its own head position, and the kernels work on
-   heads and node ids directly: no option is allocated per posting. An
-   exhausted cursor's head is [eof], whose node id (max_int) sorts after
-   every real one. *)
+   The kernels read node ids at the heads and copy matching rows into
+   columnar output: no record, option or list cell is allocated per
+   posting. An exhausted cursor's head node is [max_int], which sorts
+   after every real one. *)
 
-type cursor =
-  | Mem of { arr : Plist.t; mutable mpos : int }
-  | Seq of {
-      reader : Storage.Codec.reader;
-      mutable prev_node : int;
-      mutable left : int;  (* postings not yet decoded *)
-      mutable cur : Posting.t;  (* decoded head, or [eof] when none is *)
-    }
-  | Blk of {
-      dir : Plist_blocks.t;
-      mutable bi : int;  (* next block to decode *)
-      mutable buf : Plist.t;  (* current decoded block *)
-      mutable bpos : int;  (* head within [buf] *)
-    }
+type seq = {
+  reader : Storage.Codec.reader;
+  mutable prev_node : int;
+  mutable left : int;  (* postings not yet decoded *)
+  sbuf : Plist.Buf.t;
+}
 
-let eof = { Posting.node = max_int; children = [||]; leaf_count = 0; post = 0; parent = -1 }
-let is_eof (p : Posting.t) = p.Posting.node = max_int
+type blk = {
+  dir : Plist_blocks.t;
+  mutable bi : int;  (* next block to decode *)
+  bbuf : Plist.Buf.t;
+}
+
+type source = Mem | Seq of seq | Blk of blk
+
+(* The head is row [row] of [cols] while [row < length cols]. *)
+type cursor = { src : source; mutable cols : Plist.t; mutable row : int }
+
+let eof = max_int
+
+(* A 'V' payload ends with its last posting. *)
+let check_end reader ~left =
+  if left = 0 && not (Storage.Codec.at_end reader) then
+    raise (Storage.Codec.Corrupt "Plist: trailing bytes after the list")
 
 let cursor_of_bytes payload =
   match Plist.codec_of_bytes payload with
   | Plist.Varint ->
-    let reader = Storage.Codec.reader payload in
-    let tag = Storage.Codec.read_varint reader in
-    assert (tag = Char.code 'V');
-    let left = Storage.Codec.read_varint reader in
-    Seq { reader; prev_node = -1; left; cur = eof }
+    let reader =
+      Storage.Codec.reader_sub payload ~pos:1 ~len:(String.length payload - 1)
+    in
+    let left = Plist.read_varint_count reader in
+    check_end reader ~left;
+    let sbuf = Plist.Buf.create (min left Plist_blocks.block_size) in
+    { src = Seq { reader; prev_node = -1; left; sbuf }; cols = Plist.empty; row = 0 }
   | Plist.Blocked ->
     let dir = Plist_blocks.directory payload ~pos:1 in
-    Blk { dir; bi = 0; buf = Plist.empty; bpos = 0 }
+    let bbuf = Plist.Buf.create (min (Plist_blocks.total dir) Plist_blocks.block_size) in
+    { src = Blk { dir; bi = 0; bbuf }; cols = Plist.empty; row = 0 }
 
-let cursor_of_plist l = Mem { arr = l; mpos = 0 }
+let cursor_of_plist l = { src = Mem; cols = l; row = 0 }
 
-let remaining = function
-  | Mem m -> Array.length m.arr - m.mpos
-  | Seq s -> s.left + if is_eof s.cur then 0 else 1
-  | Blk b -> Array.length b.buf - b.bpos + Plist_blocks.suffix_count b.dir b.bi
+let remaining c =
+  let buffered = Plist.length c.cols - c.row in
+  match c.src with
+  | Mem -> buffered
+  | Seq s -> buffered + s.left
+  | Blk b -> buffered + Plist_blocks.suffix_count b.dir b.bi
 
-(* The first posting not yet consumed, decoding it if needed. *)
-let rec head = function
-  | Mem m -> if m.mpos < Array.length m.arr then m.arr.(m.mpos) else eof
-  | Seq s ->
-    if is_eof s.cur && s.left > 0 then begin
-      s.left <- s.left - 1;
-      let p = Posting.decode s.reader ~prev_node:s.prev_node in
-      s.prev_node <- p.Posting.node;
-      s.cur <- p
-    end;
-    s.cur
-  | Blk b as c ->
-    if b.bpos < Array.length b.buf then b.buf.(b.bpos)
-    else if b.bi < Plist_blocks.n_blocks b.dir then begin
-      b.buf <- Plist_blocks.decode_block b.dir b.bi;
-      b.bi <- b.bi + 1;
-      b.bpos <- 0;
-      head c
-    end
-    else eof
+(* Replace the exhausted buffer with the next chunk: up to a block of
+   'V' postings, or block [i] of a 'C' payload. *)
+let fill_seq c s =
+  Plist.Buf.clear s.sbuf;
+  let n = min s.left Plist_blocks.block_size in
+  for _ = 1 to n do
+    s.prev_node <- Plist.decode_row s.reader s.sbuf ~prev_node:s.prev_node
+  done;
+  s.left <- s.left - n;
+  check_end s.reader ~left:s.left;
+  c.cols <- Plist.Buf.contents s.sbuf;
+  c.row <- 0
 
-(* Consume the head; only after [head] returned a real posting. *)
-let advance = function
-  | Mem m -> m.mpos <- m.mpos + 1
-  | Seq s -> s.cur <- eof
-  | Blk b -> b.bpos <- b.bpos + 1
+let fill_blk c b i =
+  Plist.Buf.clear b.bbuf;
+  Plist.decode_block_into b.dir i b.bbuf;
+  b.bi <- i + 1;
+  c.cols <- Plist.Buf.contents b.bbuf;
+  c.row <- 0
 
-(* Move the head to the first posting with node >= id and return it.
-   Mem positions by galloping; Seq decodes sequentially (delta coding
-   admits nothing better); Blk gallops within the current block and
-   otherwise binary searches the directory, decoding only the landing
-   block. *)
-let seek c id =
-  match c with
-  | Mem m ->
-    m.mpos <- Plist.gallop_lower_bound m.arr ~lo:m.mpos id;
-    head c
-  | Seq s ->
-    let rec loop () =
-      let p = head c in
-      if p.Posting.node >= id then p
+(* The node id of the first posting not yet consumed, decoding the next
+   chunk if needed; [eof] once exhausted. *)
+let rec head c =
+  if c.row < Plist.length c.cols then Plist.node c.cols c.row
+  else
+    match c.src with
+    | Mem -> eof
+    | Seq s ->
+      if s.left = 0 then eof
       else begin
-        s.cur <- eof;
-        loop ()
+        fill_seq c s;
+        head c
       end
-    in
-    loop ()
-  | Blk b ->
-    let blen = Array.length b.buf in
-    if b.bpos < blen && b.buf.(blen - 1).Posting.node >= id then begin
-      b.bpos <- Plist.gallop_lower_bound b.buf ~lo:b.bpos id;
-      b.buf.(b.bpos)
-    end
-    else begin
+    | Blk b ->
+      if b.bi >= Plist_blocks.n_blocks b.dir then eof
+      else begin
+        fill_blk c b b.bi;
+        head c
+      end
+
+let head_list c = c.cols
+let head_row c = c.row
+
+(* Consume the head; only after [head] returned a real node id. *)
+let advance c = c.row <- c.row + 1
+
+(* Move the head to the first posting with node >= id and return its
+   node id. Gallops within the buffered rows when they reach [id];
+   otherwise Mem is exhausted, Seq decodes chunk after chunk (delta
+   coding admits nothing better) and Blk binary searches the directory,
+   decoding only the landing block. *)
+let rec seek c id =
+  let len = Plist.length c.cols in
+  if c.row < len && Plist.node c.cols (len - 1) >= id then begin
+    c.row <- Plist.gallop_lower_bound c.cols ~lo:c.row id;
+    Plist.node c.cols c.row
+  end
+  else begin
+    c.row <- len;
+    match c.src with
+    | Mem -> eof
+    | Seq s ->
+      if s.left = 0 then eof
+      else begin
+        fill_seq c s;
+        seek c id
+      end
+    | Blk b ->
       let j = Plist_blocks.find_block b.dir ~start:b.bi id in
       if j >= Plist_blocks.n_blocks b.dir then begin
-        b.bi <- Plist_blocks.n_blocks b.dir;
-        b.buf <- Plist.empty;
-        b.bpos <- 0;
+        b.bi <- j;
         eof
       end
       else begin
-        b.buf <- Plist_blocks.decode_block b.dir j;
-        b.bi <- j + 1;
-        b.bpos <- Plist.gallop_lower_bound b.buf ~lo:0 id;
-        b.buf.(b.bpos)
+        fill_blk c b j;
+        c.row <- Plist.gallop_lower_bound c.cols ~lo:0 id;
+        Plist.node c.cols c.row
       end
-    end
-
-let peek c =
-  let p = head c in
-  if is_eof p then None else Some p
-
-let next c =
-  let p = head c in
-  if is_eof p then None
-  else begin
-    advance c;
-    Some p
   end
 
-let skip_to c id =
-  let p = seek c id in
-  if is_eof p then None else Some p
+(* Appends the head row of [c] to [out]. *)
+let emit out c = Plist.Buf.add_row out c.cols c.row
 
-(* A fresh cursor over a whole decoded list hands the array back as is
-   (lists are never mutated); any other cursor is drained. *)
+(* A fresh cursor over a whole decoded list hands the list back as is
+   (lists are never mutated); any other cursor is copied out. *)
 let drain c =
-  match c with
-  | Mem { arr; mpos = 0 } -> arr
+  match c.src with
+  | Mem when c.row = 0 -> c.cols
   | _ ->
-    let rec loop acc =
-      let p = head c in
-      if is_eof p then Array.of_list (List.rev acc)
-      else begin
-        advance c;
-        loop (p :: acc)
-      end
-    in
-    loop []
+    Plist.build (fun out ->
+        while head c <> eof do
+          emit out c;
+          advance c
+        done)
+
+(* The intersection's rows among [ids]: every id seeks every cursor, so
+   only the blocks the ids land on are decoded. *)
+let inter_among cs ids =
+  Plist.build (fun out ->
+      let n = Array.length cs and k = ref 0 in
+      while !k < Array.length ids do
+        let id = ids.(!k) in
+        let i = ref 0 and got = ref id in
+        while !i < n && !got = id do
+          got := seek cs.(!i) id;
+          if !got = id then incr i
+        done;
+        if !i = n then emit out cs.(0);
+        (* an exhausted cursor ends the intersection *)
+        k := if !got = eof then Array.length ids else !k + 1
+      done)
 
 (* n-way intersection: drive from the shortest list and seek the rest
    to each candidate — galloping on in-memory cursors, block-skipping on
    'C' payloads. *)
-let inter_many cursors =
-  match cursors with
-  | [] -> invalid_arg "inter_many: empty intersection is the node universe"
-  | [ c ] -> drain c
-  | cursors ->
+let inter_many ?among cursors =
+  match cursors, among with
+  | [], _ -> invalid_arg "inter_many: empty intersection is the node universe"
+  | cursors, Some ids -> inter_among (Array.of_list cursors) ids
+  | [ c ], None -> drain c
+  | cursors, None ->
     let cs = Array.of_list cursors in
     Array.sort (fun a b -> Int.compare (remaining a) (remaining b)) cs;
     let n = Array.length cs in
-    let out = ref [] in
-    (* cs.(0) .. cs.(i - 1) sit on [target] *)
-    let rec align target i =
-      if i = n then begin
-        out := head cs.(0) :: !out;
-        advance cs.(0);
-        let p = head cs.(0) in
-        if not (is_eof p) then align p.Posting.node 1
-      end
-      else begin
-        let p = seek cs.(i) target in
-        if p.Posting.node = target then align target (i + 1)
-        else if not (is_eof p) then begin
-          (* overshoot: the shortest list jumps to the new candidate *)
-          let q = seek cs.(0) p.Posting.node in
-          if not (is_eof q) then align q.Posting.node 1
-        end
-      end
-    in
-    let p = head cs.(0) in
-    if not (is_eof p) then align p.Posting.node 1;
-    Array.of_list (List.rev !out)
+    let lead = cs.(0) in
+    Plist.build (fun out ->
+        (* cs.(0) .. cs.(i - 1) sit on [target] *)
+        let target = ref (head lead) and i = ref 1 in
+        while !target <> eof do
+          if !i = n then begin
+            emit out lead;
+            advance lead;
+            target := head lead;
+            i := 1
+          end
+          else begin
+            let id = seek cs.(!i) !target in
+            if id = !target then incr i
+            else if id = eof then target := eof
+            else begin
+              (* overshoot: the shortest list jumps to the new candidate *)
+              target := seek lead id;
+              i := 1
+            end
+          end
+        done)
 
 let union_with_counts cursors =
   let cs = Array.of_list cursors in
-  let rec loop acc =
-    let node = Array.fold_left (fun m c -> Int.min m (head c).Posting.node) max_int cs in
-    if node = max_int then Array.of_list (List.rev acc)
-    else begin
-      let count = ref 0 and posting = ref eof in
-      Array.iter
-        (fun c ->
-          let p = head c in
-          if p.Posting.node = node then begin
-            incr count;
-            posting := p;
-            advance c
-          end)
-        cs;
-      loop ((!posting, !count) :: acc)
-    end
+  let counts = ref (Array.make 16 0) in
+  let min_head () =
+    let m = ref eof in
+    for j = 0 to Array.length cs - 1 do
+      m := Int.min !m (head cs.(j))
+    done;
+    !m
   in
-  loop []
+  let union out =
+    let node = ref (min_head ()) in
+    while !node <> eof do
+      let count = ref 0 in
+      for j = 0 to Array.length cs - 1 do
+        let c = cs.(j) in
+        if head c = !node then begin
+          if !count = 0 then emit out c;
+          incr count;
+          advance c
+        end
+      done;
+      let k = Plist.Buf.length out - 1 in
+      if k = Array.length !counts then begin
+        let a = Array.make (2 * k) 0 in
+        Array.blit !counts 0 a 0 k;
+        counts := a
+      end;
+      !counts.(k) <- !count;
+      node := min_head ()
+    done
+  in
+  let l = Plist.build union in
+  (l, Array.sub !counts 0 (Plist.length l))

@@ -10,6 +10,12 @@
     {!Containment.Semantics} reaches its lists through these operations,
     over whatever mix of sources {!Inverted_file.cursor} hands it.
 
+    A cursor's head is a row of a columnar {!Plist.t}: of the decoded list
+    itself, or of a buffer the cursor owns and refills with one decoded
+    block at a time, so reading a payload allocates a few int arrays per
+    cursor, not a record per posting. The kernels copy matching rows into
+    columnar output.
+
     Results agree exactly with the frozen {!Plist_ref} oracle (checked by
     the differential suite). *)
 
@@ -18,45 +24,63 @@ type cursor
 val cursor_of_bytes : string -> cursor
 (** A cursor over an encoded postings list (the payload stored under an
     atom key — see {!Plist.to_bytes}). [Varint] payloads decode
-    sequentially; [Blocked] payloads decode one block at a time and
-    support block skipping (see {!skip_to}).
+    sequentially, a block-sized chunk at a time; [Blocked] payloads decode
+    one block at a time and support block skipping (see {!seek}).
     @raise Storage.Codec.Corrupt on a malformed header (per
-    {!Plist.codec_of_bytes}); corruption inside a block surfaces when the
-    cursor reaches it. *)
+    {!Plist.codec_of_bytes} and {!Plist_blocks.directory}); corruption
+    inside a block surfaces when the cursor reaches it. *)
 
 val cursor_of_plist : Plist.t -> cursor
-(** A cursor over a decoded list; {!skip_to} gallops. *)
+(** A cursor over a decoded list; {!seek} gallops. *)
 
 val remaining : cursor -> int
 (** Postings not yet consumed. On a fresh cursor over a payload this is
     the list length, read from the header (the [Varint] count or the
     block directory's total) without decoding a posting. *)
 
-val peek : cursor -> Posting.t option
-val next : cursor -> Posting.t option
+val eof : int
+(** The head node id of an exhausted cursor: [max_int], after every real
+    node id. *)
 
-val skip_to : cursor -> int -> Posting.t option
-(** [skip_to c id] advances past postings with node id < [id] and peeks the
-    first with node ≥ [id]. On [Varint] payloads the skipped prefix is
-    decoded (not buffered); on [Blocked] payloads whole blocks whose max
-    node id is below [id] are skipped via the directory without touching
-    their bytes; in-memory cursors gallop. *)
+val head : cursor -> int
+(** The node id of the first posting not yet consumed, decoding it if
+    needed; {!eof} once the cursor is exhausted. *)
+
+val head_list : cursor -> Plist.t
+val head_row : cursor -> int
+(** After {!head} returned a node id other than {!eof}, the head posting
+    is row [head_row c] of [head_list c]: read its fields with the
+    {!Plist} row accessors. The view is valid until the cursor moves. *)
+
+val advance : cursor -> unit
+(** Consumes the head; only after {!head} returned a node id other than
+    {!eof}. *)
+
+val seek : cursor -> int -> int
+(** [seek c id] advances past postings with node id < [id] and returns
+    the head node id, [>= id] (or {!eof}). On [Varint] payloads the
+    skipped prefix is decoded; on [Blocked] payloads whole blocks whose
+    max node id is below [id] are skipped via the directory without
+    touching their bytes; in-memory cursors gallop. *)
 
 (** {1 n-way operations} *)
 
-val inter_many : cursor list -> Plist.t
+val inter_many : ?among:int array -> cursor list -> Plist.t
 (** Intersection, driven from the cursor with the fewest remaining
-    postings with {!skip_to} advances on the others. A single fresh
-    in-memory cursor returns its list without copying. Consumes the
-    cursors.
+    postings with {!seek} advances on the others. A single fresh
+    in-memory cursor returns its list without copying. With [~among]
+    (ascending node ids) only the rows whose node is among them are
+    kept, and the ids drive: each id seeks every cursor, so a few ids
+    against long payloads decode only the blocks they land on. Consumes
+    the cursors.
     @raise Invalid_argument on the empty family (the empty intersection
     is the node universe — callers must supply it explicitly, see
     {!Inverted_file.all_nodes}), with the same message as
     {!Plist_ref.inter_many} (shared contract). *)
 
-val union_with_counts : cursor list -> (Posting.t * int) array
-(** Multiset union: each node paired with the number of input lists that
-    contain it, ascending by node id. This is the [⊎] of Sec. 4.1 (an
-    atom contributes a node at most once, so multiplicity = number of
-    distinct query leaf values present in the node). Consumes the
-    cursors. *)
+val union_with_counts : cursor list -> Plist.t * int array
+(** Multiset union: every node of the inputs once, ascending, with
+    [counts.(i)] the number of input lists that contain row [i]'s node.
+    This is the [⊎] of Sec. 4.1 (an atom contributes a node at most
+    once, so multiplicity = number of distinct query leaf values present
+    in the node). Consumes the cursors. *)

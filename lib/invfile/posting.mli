@@ -1,4 +1,4 @@
-(** Inverted-file postings.
+(** Inverted-file postings: the row record.
 
     For an atom [a], the inverted list [S_IF(a)] contains one posting per
     internal node [p] that has a leaf child labelled [a] (paper, Sec. 2).
@@ -6,7 +6,15 @@
     children — postings carry the node's leaf count (needed by the
     set-equality and superset joins, Sec. 4.1) and its post-order rank
     (needed for the homeomorphic descendant test, Sec. 4.2), as the paper
-    itself proposes. *)
+    itself proposes.
+
+    A record is one posting on its own: what {!Merger} shifts,
+    {!Updater} appends, {!Integrity} derives from the stored records to
+    compare against, and what the {!Plist_ref} oracle computes over.
+    Lists are not arrays of records but int columns ({!Plist}):
+    {!Builder} and {!Repair} append record-tree nodes to columns
+    directly, and {!Plist.get} and {!Plist.of_postings} convert. The
+    byte encoding of a posting is {!Plist}'s. *)
 
 type t = {
   node : int;  (** id of the internal node containing the leaf; [= pre rank] *)
@@ -22,19 +30,5 @@ val of_tree_node : Nested.Tree.node -> t
 
 val compare : t -> t -> int
 (** Orders by [node] id (unique within a list). *)
-
-val is_descendant : anc:t -> desc:t -> bool
-(** Pre/post interval test; false across records because id and post
-    counters are global (see {!Nested.Tree}). *)
-
-val encode : Storage.Codec.writer -> t -> prev_node:int -> unit
-val decode : Storage.Codec.reader -> prev_node:int -> t
-
-val encode_aux : Storage.Codec.writer -> t -> unit
-(** Everything but the node id (leaf count, post rank, parent gap,
-    children) — used when the node id is carried out of band, e.g. by a
-    bitmap block (see {!Plist_blocks}). *)
-
-val decode_aux : Storage.Codec.reader -> node:int -> t
 
 val pp : Format.formatter -> t -> unit

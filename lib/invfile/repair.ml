@@ -43,8 +43,8 @@ let rebuild inv =
   in
   (* Recompute everything the builder derives, in record-id order so each
      postings list comes out sorted. *)
-  let postings : (string, Posting.t list) Hashtbl.t = Hashtbl.create 1024 in
-  let all_nodes = ref [] in
+  let postings : (string, int list) Hashtbl.t = Hashtbl.create 1024 in
+  let nodes = Plist.Buf.create 1024 in
   let roots = Array.make n 0 in
   let tombstoned = ref 0 in
   let next = ref 0 in
@@ -60,16 +60,15 @@ let rebuild inv =
         let tree =
           Nested.Tree.of_value (Nested.Tree.allocator_from !next) ~record_id:id v
         in
+        (* as in Builder: node rows once, atoms collect row indices *)
         Nested.Tree.iter
           (fun node ->
-            let p = Posting.of_tree_node node in
-            if had_node_table then all_nodes := p :: !all_nodes;
+            let row = Plist.Buf.length nodes in
+            Plist.Buf.add_node nodes node;
             Array.iter
               (fun leaf ->
-                let prev =
-                  Option.value ~default:[] (Hashtbl.find_opt postings leaf)
-                in
-                Hashtbl.replace postings leaf (p :: prev))
+                let prev = Option.value ~default:[] (Hashtbl.find_opt postings leaf) in
+                Hashtbl.replace postings leaf (row :: prev))
               node.Nested.Tree.leaves)
           tree;
         next := !next + Nested.Tree.node_count tree)
@@ -91,17 +90,15 @@ let rebuild inv =
       List.iter (fun key -> ignore (store.Storage.Kv.delete key)) !old_atom_keys;
       ignore (store.Storage.Kv.delete IF.meta_nodes);
       let freqs = ref [] in
+      let nodes = Plist.Buf.contents nodes in
       Hashtbl.iter
-        (fun atom rev ->
-          let l = Array.of_list (List.rev rev) in
-          freqs := (atom, Array.length l) :: !freqs;
-          store.Storage.Kv.put (IF.atom_key atom) (Plist.to_bytes ~codec l))
+        (fun atom rev_rows ->
+          let rows = Array.of_list (List.rev rev_rows) in
+          freqs := (atom, Array.length rows) :: !freqs;
+          store.Storage.Kv.put (IF.atom_key atom) (Plist.to_bytes ~codec ~rows nodes))
         postings;
-      if had_node_table then begin
-        let l = Array.of_list !all_nodes in
-        Array.sort Posting.compare l;
-        store.Storage.Kv.put IF.meta_nodes (Plist.to_bytes ~codec l)
-      end;
+      if had_node_table then
+        store.Storage.Kv.put IF.meta_nodes (Plist.to_bytes ~codec nodes);
       List.iter
         (fun key -> store.Storage.Kv.put key IF.deleted_marker)
         tombstone_keys;

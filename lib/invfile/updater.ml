@@ -41,7 +41,7 @@ let update_node_table inv f =
       (Plist.to_bytes ~codec (f (Plist.of_bytes payload)));
     IF.internal_reset_node_table inv
 
-let append_posting l p = Array.append l [| p |]
+let append_posting l p = Plist.merge l (Plist.of_postings [| p |])
 
 let meta_keys = [ IF.meta_nodes; IF.meta_roots; IF.meta_counts ]
 
@@ -99,7 +99,7 @@ let add_value ?(journal = true) inv value =
         n.Nested.Tree.leaves)
     tree;
   update_node_table inv (fun l ->
-      Array.append l (Array.of_list (List.rev !new_postings)));
+      Plist.merge l (Plist.of_list !new_postings));
   IF.internal_put_record inv record_id value;
   (* metadata + in-handle state *)
   let roots = Array.append (IF.roots inv) [| tree.Nested.Tree.root |] in
@@ -127,7 +127,7 @@ let delete_record ?(journal = true) inv record_id =
         if record_id + 1 < IF.record_count inv then (IF.roots inv).(record_id + 1)
         else IF.node_count inv
       in
-      let in_range p = p.Posting.node >= first_id && p.Posting.node < next_id in
+      let in_range id = id >= first_id && id < next_id in
       let atoms = Nested.Value.atom_universe value in
       let keys =
         IF.record_key record_id :: List.map IF.atom_key atoms @ meta_keys
@@ -138,9 +138,11 @@ let delete_record ?(journal = true) inv record_id =
         (fun atom ->
           removed_atoms :=
             !removed_atoms
-            - update_list inv atom (fun l -> Plist.filter (fun p -> not (in_range p)) l))
+            - update_list inv atom (fun l ->
+                  Plist.filter (fun i -> not (in_range (Plist.node l i))) l))
         atoms;
-      update_node_table inv (fun l -> Plist.filter (fun p -> not (in_range p)) l);
+      update_node_table inv (fun l ->
+          Plist.filter (fun i -> not (in_range (Plist.node l i))) l);
       let store = IF.store inv in
       store.Storage.Kv.put (IF.record_key record_id) IF.deleted_marker;
       IF.internal_set_counts inv ~roots:(IF.roots inv)

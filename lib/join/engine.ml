@@ -1,6 +1,5 @@
 module IF = Invfile.Inverted_file
 module Plist = Invfile.Plist
-module Posting = Invfile.Posting
 module E = Containment.Engine
 module Sem = Containment.Semantics
 module Embed = Containment.Embed
@@ -150,7 +149,7 @@ let node_list inv memo atom =
   | Some l -> l
   | None ->
     let pl = IF.lookup inv atom in
-    let l = Array.map (fun (p : Posting.t) -> p.Posting.node) pl in
+    let l = Plist.nodes pl in
     Hashtbl.add memo.node_table atom l;
     l
 

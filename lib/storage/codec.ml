@@ -54,24 +54,40 @@ let reader_sub s ~pos ~len =
 let at_end r = r.pos >= r.limit
 let pos r = r.pos
 
-let read_byte r =
-  if r.pos >= r.limit then raise (Corrupt "truncated varint");
-  let b = Char.code r.data.[r.pos] in
-  r.pos <- r.pos + 1;
-  b
-
-(* A loop over local refs rather than an inner recursive function, which
-   would allocate a closure over [r] on every call. *)
+(* The bound check is inlined and a one-byte varint (every gap, count and
+   small field of a postings list) returns on the fast path; longer ones
+   take the loop. A canonical varint is minimal (no trailing zero byte)
+   and fits a non-negative int: a ninth byte carries at most six bits.
+   No closure and no ref cell escapes, so a read allocates nothing. *)
 let read_varint r =
-  let acc = ref 0 and shift = ref 0 and more = ref true in
-  while !more do
-    if !shift > 62 then raise (Corrupt "varint too large");
-    let b = read_byte r in
-    acc := !acc lor ((b land 0x7f) lsl !shift);
-    shift := !shift + 7;
-    more := b land 0x80 <> 0
-  done;
-  !acc
+  let pos = r.pos in
+  if pos >= r.limit then raise (Corrupt "truncated varint");
+  let b = Char.code (String.unsafe_get r.data pos) in
+  if b < 0x80 then begin
+    r.pos <- pos + 1;
+    b
+  end
+  else begin
+    let acc = ref (b land 0x7f) and shift = ref 7 and p = ref (pos + 1) in
+    let more = ref true in
+    while !more do
+      if !p >= r.limit then raise (Corrupt "truncated varint");
+      let b = Char.code (String.unsafe_get r.data !p) in
+      incr p;
+      if !shift = 56 && b >= 0x40 then
+        raise (Corrupt "varint too large");
+      acc := !acc lor ((b land 0x7f) lsl !shift);
+      shift := !shift + 7;
+      if b < 0x80 then begin
+        if b = 0 then raise (Corrupt "varint not minimal");
+        more := false
+      end
+    done;
+    r.pos <- !p;
+    !acc
+  end
+
+let remaining r = r.limit - r.pos
 
 let read_int_list r =
   let n = read_varint r in
@@ -83,14 +99,18 @@ let read_int_list r =
   in
   loop 0 (-1) []
 
+(* Every element costs at least one byte, so a count beyond the bytes
+   left is corrupt — checked before anything is allocated. *)
 let read_int_array r =
   let n = read_varint r in
+  if n > remaining r then raise (Corrupt "int array longer than its payload");
   if n = 0 then [||]
   else begin
     let a = Array.make n 0 in
     let prev = ref (-1) in
     for i = 0 to n - 1 do
       let x = !prev + 1 + read_varint r in
+      if x <= !prev then raise (Corrupt "int array overflows");
       a.(i) <- x;
       prev := x
     done;
@@ -99,7 +119,7 @@ let read_int_array r =
 
 let read_string r =
   let n = read_varint r in
-  if r.pos + n > r.limit then raise (Corrupt "truncated string");
+  if n > remaining r then raise (Corrupt "truncated string");
   let s = String.sub r.data r.pos n in
   r.pos <- r.pos + n;
   s

@@ -37,9 +37,22 @@ val at_end : reader -> bool
 (** Current byte offset within the underlying string (absolute, i.e.
     relative to the string passed to {!reader} / {!reader_sub}). *)
 val pos : reader -> int
+
+val remaining : reader -> int
+(** Bytes left before the reader's limit — the bound a decoder checks a
+    count against before allocating for it. *)
+
 val read_varint : reader -> int
+(** @raise Corrupt on a truncated varint, one that does not fit a
+    non-negative [int], or one that is not minimal (a trailing zero
+    byte): {!write_varint} only ever writes the minimal form. *)
+
 val read_int_list : reader -> int list
+
 val read_int_array : reader -> int array
+(** @raise Corrupt when the count exceeds the bytes left (every element
+    takes at least one) or an element overflows. *)
+
 val read_string : reader -> string
 
 (** {1 Convenience} *)

@@ -93,17 +93,15 @@ let decoded l = Invfile.Plist_stream.cursor_of_plist l
 
 let test_stream_cursor () =
   let l = plist [ 2; 5; 9 ] in
-  let c = Invfile.Plist_stream.cursor_of_bytes (Invfile.Plist.to_bytes l) in
-  check_int "remaining" 3 (Invfile.Plist_stream.remaining c);
-  (match Invfile.Plist_stream.peek c with
-  | Some p -> check_int "peek" 2 p.Invfile.Posting.node
-  | None -> Alcotest.fail "peek");
-  check_int "peek does not consume" 3 (Invfile.Plist_stream.remaining c);
-  (match Invfile.Plist_stream.skip_to c 6 with
-  | Some p -> check_int "skip_to lands on 9" 9 p.Invfile.Posting.node
-  | None -> Alcotest.fail "skip_to");
-  ignore (Invfile.Plist_stream.next c);
-  check_bool "exhausted" true (Invfile.Plist_stream.next c = None)
+  let module St = Invfile.Plist_stream in
+  let c = St.cursor_of_bytes (Invfile.Plist.to_bytes l) in
+  check_int "remaining" 3 (St.remaining c);
+  check_int "head" 2 (St.head c);
+  check_int "head does not consume" 3 (St.remaining c);
+  check_int "seek lands on 9" 9 (St.seek c 6);
+  check_int "head fields" 9 (Invfile.Plist.post (St.head_list c) (St.head_row c));
+  St.advance c;
+  check_bool "exhausted" true (St.head c = St.eof)
 
 let test_stream_inter_matches_plist () =
   let a = plist [ 1; 3; 5; 7; 9; 100 ] in
@@ -140,8 +138,8 @@ let prop_stream_union =
       let materialized =
         Invfile.Plist_stream.union_with_counts [ decoded a; decoded b ]
       in
-      Array.map (fun (p, c) -> (p.Invfile.Posting.node, c)) streamed
-      = Array.map (fun (p, c) -> (p.Invfile.Posting.node, c)) materialized)
+      let rows (l, counts) = (Invfile.Plist.nodes l, counts) in
+      rows streamed = rows materialized)
 
 (* --- Updater --- *)
 
@@ -257,7 +255,8 @@ let test_merger_equals_scratch () =
   List.iter
     (fun atom ->
       check_bool ("postings equal for " ^ atom) true
-        (IF.lookup scratch atom = IF.lookup dst atom))
+        (Invfile.Plist.to_postings (IF.lookup scratch atom)
+         = Invfile.Plist.to_postings (IF.lookup dst atom)))
     [ "UK"; "A"; "motorbike"; "Paris"; "Austin" ]
 
 let test_merger_skips_tombstones () =
@@ -335,7 +334,9 @@ let test_integrity_detects_corruption () =
           parent = -1 }
       in
       (IF.store inv).Storage.Kv.put "aLondon"
-        (Invfile.Plist.to_bytes (Array.append l [| extra |])));
+        (Invfile.Plist.to_bytes
+           (Invfile.Plist.of_postings
+              (Array.append (Invfile.Plist.to_postings l) [| extra |]))));
   broken "tampered record" (fun inv ->
       (IF.store inv).Storage.Kv.put "r:0" "S{tampered}")
 

@@ -15,6 +15,17 @@ let plist specs = L.of_list (List.map (fun (n, cs) -> posting n cs) specs)
 
 let nodes_of l = Array.to_list (L.nodes l)
 
+(* A node's row as a record, as the writers and the oracle see it. *)
+let find l id =
+  let r = L.find_row l id in
+  if r < 0 then None else Some (L.get l r)
+
+(* Every node of a list, as a head set. *)
+let idset l = L.idset_filter (fun _ -> true) l
+
+(* A path list as (head, matched node) pairs. *)
+let path_pairs ps = List.init (L.path_count ps) (fun k -> (L.path_head ps k, L.path_node ps k))
+
 (* The candidate kernels over decoded (cached) lists. *)
 module St = Invfile.Plist_stream
 
@@ -34,10 +45,10 @@ let test_find_mem () =
   let l = plist [ (2, [ 3 ]); (5, []); (9, []) ] in
   check_bool "mem 5" true (L.mem l 5);
   check_bool "mem 4" false (L.mem l 4);
-  (match L.find l 2 with
+  (match find l 2 with
   | Some p -> Alcotest.(check (array int)) "payload" [| 3 |] p.P.children
   | None -> Alcotest.fail "find 2");
-  check_bool "find absent" true (L.find l 7 = None)
+  check_bool "find absent" true (find l 7 = None)
 
 let test_inter () =
   let a = plist [ (1, []); (3, []); (5, []); (7, []) ] in
@@ -73,7 +84,8 @@ let test_union_with_counts () =
   Alcotest.(check (list (pair int int)))
     "counts"
     [ (1, 1); (2, 3); (3, 2) ]
-    (Array.to_list (Array.map (fun (p, c) -> (p.P.node, c)) u))
+    (let l, counts = u in
+     List.combine (nodes_of l) (Array.to_list counts))
 
 let test_leaf_count_filters () =
   let l =
@@ -94,7 +106,7 @@ let test_join_child_paper_example () =
   Alcotest.(check (list (pair int int)))
     "heads and matched nodes"
     [ (0, 1); (0, 3) ]
-    (Array.to_list (Array.map (fun { L.head; cur } -> (head, cur.P.node)) joined))
+    (path_pairs joined)
 
 let test_join_child_propagates_head () =
   let p0 = L.paths_of_candidates (plist [ (0, [ 5 ]); (10, [ 15 ]) ]) in
@@ -103,7 +115,7 @@ let test_join_child_propagates_head () =
   Alcotest.(check (list (pair int int)))
     "heads preserved"
     [ (0, 5); (10, 15) ]
-    (Array.to_list (Array.map (fun { L.head; cur } -> (head, cur.P.node)) j));
+    (path_pairs j);
   Alcotest.(check (list int)) "π₁" [ 0; 10 ] (Array.to_list (L.heads j))
 
 let test_join_descendant () =
@@ -120,30 +132,31 @@ let test_join_descendant () =
   Alcotest.(check (list int))
     "both descendants found (grandchild too)"
     [ 2; 3 ]
-    (List.map (fun { L.cur; _ } -> cur.P.node) (Array.to_list j));
+    (List.map snd (path_pairs j));
   (* from node 1, only node 2 is a descendant *)
   let paths1 = L.paths_of_candidates (L.of_list [ mk 1 1 [ 2 ] ]) in
   let j1 = L.join_descendant paths1 cand in
   Alcotest.(check (list int)) "subtree only" [ 2 ]
-    (List.map (fun { L.cur; _ } -> cur.P.node) (Array.to_list j1))
+    (List.map snd (path_pairs j1))
 
 let test_idset_covers () =
-  let p = posting 1 [ 4; 7; 9 ] in
-  let h = L.idset_of_postings (plist [ (7, []); (20, []) ]) in
-  check_bool "covers via 7" true (L.covers_child p h);
-  let h2 = L.idset_of_postings (plist [ (5, []); (20, []) ]) in
-  check_bool "no cover" false (L.covers_child p h2);
-  check_bool "empty idset" false (L.covers_child p (L.idset_of_postings L.empty))
+  let p = plist [ (1, [ 4; 7; 9 ]) ] in
+  let h = idset (plist [ (7, []); (20, []) ]) in
+  check_bool "covers via 7" true (L.covers_child p 0 h);
+  let h2 = idset (plist [ (5, []); (20, []) ]) in
+  check_bool "no cover" false (L.covers_child p 0 h2);
+  check_bool "empty idset" false (L.covers_child p 0 (idset L.empty))
 
 let test_covers_descendant () =
   let anc = { P.node = 10; children = [| 11 |]; leaf_count = 0; post = 15; parent = -1 } in
   (* descendant: node 12 with post 12 < 15; non-descendant: node 30, post 40 *)
-  let h_desc = L.idset_of_postings (L.of_list [ { P.node = 12; children = [||]; leaf_count = 0; post = 12; parent = 10 } ]) in
-  let h_far = L.idset_of_postings (L.of_list [ { P.node = 30; children = [||]; leaf_count = 0; post = 40; parent = -1 } ]) in
-  check_bool "descendant" true (L.covers_descendant anc h_desc);
-  check_bool "not descendant" false (L.covers_descendant anc h_far);
+  let h_desc = idset (L.of_list [ { P.node = 12; children = [||]; leaf_count = 0; post = 12; parent = 10 } ]) in
+  let h_far = idset (L.of_list [ { P.node = 30; children = [||]; leaf_count = 0; post = 40; parent = -1 } ]) in
+  let anc = L.of_list [ anc ] in
+  check_bool "descendant" true (L.covers_descendant anc 0 h_desc);
+  check_bool "not descendant" false (L.covers_descendant anc 0 h_far);
   check_bool "self not descendant" false
-    (L.covers_descendant anc (L.idset_of_postings (L.of_list [ anc ])))
+    (L.covers_descendant anc 0 (idset anc))
 
 let test_plist_codec_roundtrip () =
   let l =
@@ -155,9 +168,9 @@ let test_plist_codec_roundtrip () =
   in
   let l' = L.of_bytes (L.to_bytes l) in
   check_int "length" 2 (L.length l');
-  Alcotest.(check (array int)) "children" [| 4; 9 |] (Option.get (L.find l' 3)).P.children;
-  check_int "leaf_count" 5 (Option.get (L.find l' 12)).P.leaf_count;
-  check_int "post" 7 (Option.get (L.find l' 3)).P.post
+  Alcotest.(check (array int)) "children" [| 4; 9 |] (Option.get (find l' 3)).P.children;
+  check_int "leaf_count" 5 (Option.get (find l' 12)).P.leaf_count;
+  check_int "post" 7 (Option.get (find l' 3)).P.post
 
 let prop_inter_correct =
   Testutil.qcheck_case ~name:"inter = set intersection"
@@ -196,7 +209,7 @@ let prop_codec_roundtrip =
       in
       let l = L.of_list postings in
       let l' = L.of_bytes (L.to_bytes l) in
-      Array.to_list l = Array.to_list l')
+      L.to_postings l = L.to_postings l')
 
 (* --- join spec properties: the ▷◁ join against a brute-force model --- *)
 
@@ -245,24 +258,20 @@ let prop_join_child_spec =
       (* left: paths over a random subset of postings; right: candidates *)
       let lefts =
         List.sort_uniq Int.compare picks
-        |> List.filter_map (L.find all)
+        |> List.filter_map (find all)
         |> Array.of_list
       in
-      let paths = L.paths_of_candidates (L.of_list (Array.to_list lefts)) in
+      let paths = L.paths_of_candidates (L.of_postings lefts) in
       let joined = L.join_child paths all in
       let expected =
         Array.to_list lefts
         |> List.concat_map (fun p ->
                Array.to_list p.P.children
                |> List.filter_map (fun c ->
-                      Option.map (fun p' -> (p.P.node, p'.P.node)) (L.find all c)))
+                      Option.map (fun p' -> (p.P.node, p'.P.node)) (find all c)))
         |> List.sort_uniq compare
       in
-      let got =
-        Array.to_list joined
-        |> List.map (fun { L.head; cur } -> (head, cur.P.node))
-        |> List.sort_uniq compare
-      in
+      let got = List.sort_uniq compare (path_pairs joined) in
       got = expected)
 
 let prop_join_descendant_spec =
@@ -277,11 +286,7 @@ let prop_join_descendant_spec =
       let all = L.of_list (Array.to_list postings) in
       let paths = L.paths_of_candidates all in
       let joined = L.join_descendant paths all in
-      let got =
-        Array.to_list joined
-        |> List.map (fun { L.head; cur } -> (head, cur.P.node))
-        |> List.sort_uniq compare
-      in
+      let got = List.sort_uniq compare (path_pairs joined) in
       let expected =
         Array.to_list postings
         |> List.concat_map (fun a ->
@@ -306,7 +311,8 @@ let prop_join_descendant_spec =
 let test_builder_reproduces_table2 () =
   let inv = Testutil.mem_collection (List.filteri (fun i _ -> i < 2) Testutil.licences_strings) in
   let postings atom =
-    Array.to_list (IF.lookup inv atom) |> List.map (fun p -> (p.P.node, Array.to_list p.P.children))
+    Array.to_list (L.to_postings (IF.lookup inv atom))
+    |> List.map (fun p -> (p.P.node, Array.to_list p.P.children))
   in
   (* Sue = record 0 (ids 0-4), Tim = record 1 (ids 5-9). Canonical element
      order in Tim: {UK,{A,motorbike}} = node 6 (with child 7), then
@@ -467,8 +473,8 @@ let test_prefetch_respects_capacity () =
    yields the stored list. *)
 let test_cursor_resolution () =
   let inv = Testutil.mem_collection Testutil.licences_strings in
-  let drain a = St.inter_many [ IF.cursor inv a ] in
-  let want = IF.lookup inv "Paris" in
+  let drain a = L.to_postings (St.inter_many [ IF.cursor inv a ]) in
+  let want = L.to_postings (IF.lookup inv "Paris") in
   let stats = IF.lookup_stats inv in
   let static = Invfile.Cache.create Invfile.Cache.Static ~capacity:3 in
   IF.attach_cache inv static;
@@ -549,8 +555,8 @@ let prop_codecs_agree =
           specs
       in
       let l = L.of_list postings in
-      Array.to_list (L.of_bytes (L.to_bytes ~codec:L.Blocked l)) = Array.to_list l
-      && Array.to_list (L.of_bytes (L.to_bytes ~codec:L.Varint l)) = Array.to_list l)
+      L.to_postings (L.of_bytes (L.to_bytes ~codec:L.Blocked l)) = L.to_postings l
+      && L.to_postings (L.of_bytes (L.to_bytes ~codec:L.Varint l)) = L.to_postings l)
 
 (* A store still holding a list in the retired bitpacked format: queries
    that touch it fail with Malformed naming the codec and the way out,

@@ -8,7 +8,11 @@
    oracle on every input.
    Generators derive each posting deterministically from its node id, so
    equal ids always carry identical payloads: the invariant every
-   intersection kernel relies on when lists come from the same builder. *)
+   intersection kernel relies on when lists come from the same builder.
+   Inputs are generated as record arrays (the oracle's representation)
+   and converted to columnar lists for the kernels; results are compared
+   through Plist.to_postings, since a columnar list may share longer
+   arrays with the buffer that built it. *)
 
 module P = Invfile.Posting
 module L = Invfile.Plist
@@ -46,13 +50,14 @@ let plist_of_ints ints =
   |> Array.of_list
 
 let same name (a : L.t) (b : R.t) =
-  if a <> b then
+  if L.to_postings a <> b then
     Alcotest.failf "%s: kernels diverge (%d vs %d postings)" name
-      (Array.length a) (Array.length b);
-  (* arrays equal must also mean payloads byte-identical once re-encoded *)
+      (L.length a) (Array.length b);
+  (* equal rows must also mean payloads byte-identical once re-encoded *)
   List.iter
     (fun codec ->
-      if not (String.equal (L.to_bytes ~codec a) (L.to_bytes ~codec b)) then
+      if not (String.equal (L.to_bytes ~codec a) (L.to_bytes ~codec (L.of_postings b)))
+      then
         Alcotest.failf "%s: equal lists re-encode differently" name)
     [ L.Varint; L.Blocked ];
   true
@@ -66,9 +71,10 @@ let arb_pair bound =
 
 (* The three cursor sources: a decoded (cached) list, a 'C' payload and
    a 'V' payload. *)
-let mem l = St.cursor_of_plist l
-let blocked l = St.cursor_of_bytes (L.to_bytes ~codec:L.Blocked l)
-let varint l = St.cursor_of_bytes (L.to_bytes ~codec:L.Varint l)
+let mem l = St.cursor_of_plist (L.of_postings l)
+let payload codec l = L.to_bytes ~codec (L.of_postings l)
+let blocked l = St.cursor_of_bytes (payload L.Blocked l)
+let varint l = St.cursor_of_bytes (payload L.Varint l)
 
 let inter2 src_a src_b a b = St.inter_many [ src_a a; src_b b ]
 
@@ -82,7 +88,7 @@ let prop_inter (xs, ys) =
 let prop_union (xs, ys) =
   let a = plist_of_ints xs and b = plist_of_ints ys in
   same "union"
-    (Array.map fst (St.union_with_counts [ mem a; blocked b ]))
+    (fst (St.union_with_counts [ mem a; blocked b ]))
     (R.union a b)
 
 (* Skewed sizes: the small side drives, the big side gallops (in memory)
@@ -118,7 +124,8 @@ let prop_inter_many ints_lists =
       same "inter_many" (St.inter_many (mixed ~offset lists)) (R.inter_many lists))
     [ 0; 1; 2 ]
 
-let counts_same name a b =
+let counts_same name (l, counts) b =
+  let a = Array.mapi (fun k p -> (p, counts.(k))) (L.to_postings l) in
   if a <> b then
     Alcotest.failf "%s: multiset kernels diverge (%d vs %d entries)" name
       (Array.length a) (Array.length b);
@@ -139,9 +146,9 @@ let prop_roundtrip ints =
   let l = plist_of_ints ints in
   List.for_all
     (fun codec ->
-      let payload = L.to_bytes ~codec l in
+      let payload = payload codec l in
       let back = L.of_bytes payload in
-      if back <> l then Alcotest.failf "round trip lost postings";
+      if L.to_postings back <> l then Alcotest.failf "round trip lost postings";
       if L.codec_of_bytes payload <> codec then
         Alcotest.failf "codec tag not preserved";
       (* canonical: re-encoding the decoded list reproduces the payload *)
@@ -150,7 +157,7 @@ let prop_roundtrip ints =
       true)
     [ L.Varint; L.Blocked ]
 
-(* --- cursors: sequential reads and skip_to --- *)
+(* --- cursors: sequential reads and seek --- *)
 
 let cursors_of l = [ ("mem", mem l); ("varint", varint l); ("blocked", blocked l) ]
 
@@ -161,18 +168,17 @@ let prop_cursor_drain ints =
       check_int (name ^ " remaining") (Array.length l) (St.remaining c);
       Array.iter
         (fun p ->
-          match St.next c with
-          | Some q when q = p -> ()
-          | Some q ->
-            Alcotest.failf "%s: decoded node %d, expected %d" name q.P.node
-              p.P.node
-          | None -> Alcotest.failf "%s: cursor ended early" name)
+          if St.head c = St.eof then Alcotest.failf "%s: cursor ended early" name;
+          let q = L.get (St.head_list c) (St.head_row c) in
+          if q <> p then
+            Alcotest.failf "%s: decoded node %d, expected %d" name q.P.node p.P.node;
+          St.advance c)
         l;
-      check_bool (name ^ " exhausted") true (St.next c = None);
+      check_bool (name ^ " exhausted") true (St.head c = St.eof);
       true)
     (cursors_of l)
 
-(* Ascending probes against every cursor source: skip_to must land on
+(* Ascending probes against every cursor source: seek must land on
    exactly the posting the oracle's lower_bound names, and account for
    every skipped posting in [remaining]. *)
 let prop_cursor_skip_to (ints, probes) =
@@ -183,14 +189,16 @@ let prop_cursor_skip_to (ints, probes) =
       List.iter
         (fun id ->
           let lb = R.lower_bound l id in
-          (match St.skip_to c id with
-          | Some p when lb < Array.length l && p = l.(lb) -> ()
-          | None when lb = Array.length l -> ()
-          | Some p ->
-            Alcotest.failf "%s: skip_to %d landed on node %d" name id p.P.node
-          | None -> Alcotest.failf "%s: skip_to %d ended early" name id);
+          let got = St.seek c id in
+          if lb = Array.length l then begin
+            if got <> St.eof then
+              Alcotest.failf "%s: seek %d landed on node %d past the end" name id got
+          end
+          else if got = St.eof then Alcotest.failf "%s: seek %d ended early" name id
+          else if L.get (St.head_list c) (St.head_row c) <> l.(lb) then
+            Alcotest.failf "%s: seek %d landed on node %d" name id got;
           check_int
-            (Printf.sprintf "%s remaining after skip_to %d" name id)
+            (Printf.sprintf "%s remaining after seek %d" name id)
             (Array.length l - lb) (St.remaining c))
         probes;
       true)
@@ -206,24 +214,19 @@ let test_block_boundaries () =
       List.iter
         (fun (shape, stride) ->
           let l = Array.init n (fun i -> posting_of_id (i * stride)) in
-          let payload = L.to_bytes ~codec:L.Blocked l in
+          let payload = payload L.Blocked l in
           let back = L.of_bytes payload in
-          if back <> l then
+          if L.to_postings back <> l then
             Alcotest.failf "blocked round trip, %s n=%d" shape n;
           let c = St.cursor_of_bytes payload in
           check_int (Printf.sprintf "%s n=%d remaining" shape n) n
             (St.remaining c);
-          (* drain through skip_to on every other posting *)
           let seen = ref 0 in
-          let rec drain () =
-            match St.next c with
-            | None -> ()
-            | Some p ->
-              check_int "drained in order" l.(!seen).P.node p.P.node;
-              incr seen;
-              drain ()
-          in
-          drain ();
+          while St.head c <> St.eof do
+            check_int "drained in order" l.(!seen).P.node (St.head c);
+            incr seen;
+            St.advance c
+          done;
           check_int (Printf.sprintf "%s n=%d drained" shape n) n !seen)
         [ ("dense", 1); ("sparse", 1009) ])
     [ 0; 1; 127; 128; 129; 255; 256; 257; 1000 ]
@@ -231,18 +234,20 @@ let test_block_boundaries () =
 (* The directory itself: spans, suffix counts and find_block. *)
 let test_block_directory () =
   let l = Array.init 300 (fun i -> posting_of_id (i * 7)) in
-  let body = B.encode l in
-  let d = B.directory body ~pos:0 in
+  let payload = payload L.Blocked l in
+  let d = B.directory payload ~pos:1 in
   check_int "total" 300 (B.total d);
   check_int "blocks" 3 (B.n_blocks d);
   check_int "suffix 0" 300 (B.suffix_count d 0);
   check_int "suffix last" 0 (B.suffix_count d (B.n_blocks d));
   for i = 0 to B.n_blocks d - 1 do
-    let b = B.decode_block d i in
-    check_int "block min" b.(0).P.node (B.block_min d i);
-    check_int "block max" b.(Array.length b - 1).P.node (B.block_max d i)
+    let buf = L.Buf.create B.block_size in
+    L.decode_block_into d i buf;
+    let b = L.Buf.contents buf in
+    check_int "block min" (L.node b 0) (B.block_min d i);
+    check_int "block max" (L.node b (L.length b - 1)) (B.block_max d i)
   done;
-  check_bool "decode" true (B.decode d = l);
+  check_bool "decode" true (L.to_postings (L.of_bytes payload) = l);
   (* find_block: first block whose max covers the probe *)
   check_int "find first" 0 (B.find_block d ~start:0 0);
   check_int "find mid" 1 (B.find_block d ~start:0 (B.block_max d 0 + 1));
@@ -256,8 +261,8 @@ let test_representation_heuristic () =
   check_bool "sparse block" false (B.dense ~range:(127 * 1009) ~count:128);
   let dense = Array.init 256 posting_of_id in
   let sparse = Array.init 256 (fun i -> posting_of_id (i * 1009)) in
-  let size l = String.length (L.to_bytes ~codec:L.Blocked l) in
-  let vsize l = String.length (L.to_bytes ~codec:L.Varint l) in
+  let size l = String.length (payload L.Blocked l) in
+  let vsize l = String.length (payload L.Varint l) in
   check_bool "bitmap no bigger than varint on dense runs" true
     (size dense <= vsize dense + 16);
   (* sparse lists pay only the directory over the plain varint form *)
@@ -268,7 +273,7 @@ let test_representation_heuristic () =
    decoded: the directory pins every block's span, count and byte length. *)
 let test_blocked_truncation_detected () =
   let l = Array.init 200 (fun i -> posting_of_id (i * 3)) in
-  let payload = L.to_bytes ~codec:L.Blocked l in
+  let payload = payload L.Blocked l in
   for len = 1 to String.length payload - 1 do
     let prefix = String.sub payload 0 len in
     match L.of_bytes prefix with
@@ -285,10 +290,11 @@ let test_skewed_intersection () =
   let small = [| posting_of_id 0; posting_of_id 150_000; posting_of_id 299_997 |] in
   let expect = R.inter small big in
   check_int "oracle finds the planted hits" 3 (Array.length expect);
-  check_bool "gallop" true (inter2 mem mem small big = expect);
-  check_bool "gallop sym" true (inter2 mem mem big small = expect);
-  check_bool "block skipping" true (inter2 blocked blocked small big = expect);
-  check_bool "mixed" true (inter2 mem blocked small big = expect)
+  let agrees l = L.to_postings l = expect in
+  check_bool "gallop" true (agrees (inter2 mem mem small big));
+  check_bool "gallop sym" true (agrees (inter2 mem mem big small));
+  check_bool "block skipping" true (agrees (inter2 blocked blocked small big));
+  check_bool "mixed" true (agrees (inter2 mem blocked small big))
 
 (* --- the shared inter_many contract --- *)
 
@@ -320,6 +326,101 @@ let test_degenerate_queries () =
       check_bool (ctx ^ " {{}} answered") true
         (List.for_all (fun id -> id >= 0 && id < n_records) r2.E.records))
     [ true; false ]
+
+(* --- hostile counts: typed errors before any allocation --- *)
+
+let varint n =
+  let w = Storage.Codec.writer () in
+  Storage.Codec.write_varint w n;
+  Storage.Codec.contents w
+
+(* [payload] must be refused with Corrupt by the decoder and by a cursor,
+   having allocated next to nothing for the count it claims. *)
+let refused name payload =
+  let before = Gc.allocated_bytes () in
+  (match L.of_bytes payload with
+  | exception Storage.Codec.Corrupt _ -> ()
+  | exception e -> Alcotest.failf "%s: of_bytes raised %s" name (Printexc.to_string e)
+  | _ -> Alcotest.failf "%s: of_bytes decoded" name);
+  (match St.inter_many [ St.cursor_of_bytes payload ] with
+  | exception Storage.Codec.Corrupt _ -> ()
+  | exception e -> Alcotest.failf "%s: the cursor raised %s" name (Printexc.to_string e)
+  | _ -> Alcotest.failf "%s: the cursor decoded" name);
+  let allocated = Gc.allocated_bytes () -. before in
+  check_bool (Printf.sprintf "%s: %.0f bytes allocated" name allocated) true
+    (allocated < 65536.)
+
+let test_hostile_block_counts () =
+  refused "2^40 blocks" ("C" ^ varint 1 ^ varint (1 lsl 40));
+  refused "2^57 blocks" ("C" ^ varint 1 ^ varint (1 lsl 57));
+  refused "2^24 blocks" ("C" ^ varint 1 ^ varint (1 lsl 24))
+
+let test_hostile_list_counts () =
+  refused "'V' list of 2^40" ("V" ^ varint (1 lsl 40));
+  (* one posting: node gap, leaf count, post, parent gap, then 2^50 children *)
+  refused "2^50 children" ("V" ^ varint 1 ^ "\000\000\000\000" ^ varint (1 lsl 50))
+
+(* A block holds at most block_size postings: a 300-posting block (here a
+   sparse varint block whose body is the 'V' encoding of the same list) is
+   refused, not decoded. *)
+let test_oversized_block () =
+  let n = 300 and stride = 1009 in
+  let l = Array.init n (fun i -> posting_of_id (i * stride)) in
+  let v = payload L.Varint l in
+  let body = String.sub v 3 (String.length v - 3) (* tag, then 300 in 2 bytes *) in
+  let dir =
+    String.concat ""
+      [ varint n; varint 1; varint 0; varint ((n - 1) * stride); varint n; varint 0;
+        varint (String.length body) ]
+  in
+  refused "300-posting block" ("C" ^ dir ^ body)
+
+(* --- forced minor collections ---
+
+   In OCaml 5, building an array of more than 256 fresh records with
+   Array.make/init/map/of_list first moves the young initial value to
+   the major heap, which forces a minor collection. The kernels build int
+   columns instead: with a minor heap far larger than what the work
+   allocates, they must run without a single minor collection. *)
+
+let minor_collections_during f =
+  let saved = Gc.get () in
+  Gc.set { saved with Gc.minor_heap_size = 8 * 1024 * 1024 };
+  Fun.protect
+    ~finally:(fun () -> Gc.set saved)
+    (fun () ->
+      Gc.minor ();
+      let before = (Gc.quick_stat ()).Gc.minor_collections in
+      f ();
+      (Gc.quick_stat ()).Gc.minor_collections - before)
+
+let test_inter_many_forces_no_gc () =
+  let a = payload L.Blocked (Array.init 2000 (fun i -> posting_of_id (2 * i))) in
+  let b = payload L.Blocked (Array.init 2000 (fun i -> posting_of_id (3 * i))) in
+  let hits = ref 0 in
+  let gcs =
+    minor_collections_during (fun () ->
+        hits := L.length (St.inter_many [ St.cursor_of_bytes a; St.cursor_of_bytes b ]))
+  in
+  check_int "every sixth id" 667 !hits;
+  check_int "minor collections" 0 gcs
+
+let test_query_forces_no_gc () =
+  let values =
+    List.init 600 (fun i ->
+        Testutil.v (Printf.sprintf "{a, b, r%d, {a, c, {b, d%d}}}" i (i mod 7)))
+  in
+  let inv = Containment.Collection.of_values values in
+  let q = Testutil.v "{a, {a, c}}" in
+  check_bool "lists exceed 256 postings" true
+    (St.remaining (Invfile.Inverted_file.cursor inv "a") > 256);
+  let answers = ref 0 in
+  let gcs =
+    minor_collections_during (fun () ->
+        answers := List.length (E.query inv q).E.records)
+  in
+  check_int "every record answers" 600 !answers;
+  check_int "minor collections" 0 gcs
 
 let qc = Testutil.qcheck_case
 
@@ -361,6 +462,20 @@ let () =
             test_blocked_truncation_detected;
           Alcotest.test_case "skewed intersection" `Quick
             test_skewed_intersection;
+        ] );
+      ( "hostile",
+        [
+          Alcotest.test_case "block counts" `Quick test_hostile_block_counts;
+          Alcotest.test_case "list and children counts" `Quick
+            test_hostile_list_counts;
+          Alcotest.test_case "oversized block" `Quick test_oversized_block;
+        ] );
+      ( "gc",
+        [
+          Alcotest.test_case "inter_many forces no minor collection" `Quick
+            test_inter_many_forces_no_gc;
+          Alcotest.test_case "hom query forces no minor collection" `Quick
+            test_query_forces_no_gc;
         ] );
       ( "contract",
         [

@@ -70,6 +70,31 @@ let test_corrupt_detection () =
   | exception C.Corrupt _ -> ()
   | _ -> Alcotest.fail "expected Corrupt on short string"
 
+(* A count beyond the bytes left is refused before anything is
+   allocated for it; the reader only accepts the minimal form that
+   write_varint emits, within a non-negative int. *)
+let test_hostile_counts_and_varints () =
+  let corrupt name s f =
+    match f (C.reader s) with
+    | exception C.Corrupt _ -> ()
+    | exception e -> Alcotest.failf "%s: raised %s" name (Printexc.to_string e)
+    | _ -> Alcotest.failf "%s: decoded" name
+  in
+  let varint n =
+    let w = C.writer () in
+    C.write_varint w n;
+    C.contents w
+  in
+  (match C.decode_int_array (varint (1 lsl 58)) with
+  | exception C.Corrupt _ -> ()
+  | exception e -> Alcotest.failf "2^58 elements: raised %s" (Printexc.to_string e)
+  | _ -> Alcotest.fail "2^58 elements decoded");
+  corrupt "int array longer than its bytes" (varint 3 ^ "\000\000") C.read_int_array;
+  corrupt "non-minimal varint" "\x85\x00" C.read_varint;
+  corrupt "varint past max_int" "\xff\xff\xff\xff\xff\xff\xff\xff\x40" C.read_varint;
+  corrupt "string longer than its bytes" (varint (1 lsl 40)) C.read_string;
+  check_int "max_int still reads" max_int (C.read_varint (C.reader (varint max_int)))
+
 let prop_int_list_roundtrip =
   Testutil.qcheck_case ~name:"int list roundtrip"
     (QCheck.list_of_size (QCheck.Gen.int_range 0 50) QCheck.small_nat)
@@ -641,6 +666,8 @@ let () =
             test_int_array_monotone_enforced;
           Alcotest.test_case "string roundtrip" `Quick test_string_roundtrip;
           Alcotest.test_case "corruption detection" `Quick test_corrupt_detection;
+          Alcotest.test_case "hostile counts and varints" `Quick
+            test_hostile_counts_and_varints;
           Alcotest.test_case "read_varint allocates nothing" `Quick
             test_varint_no_alloc;
           prop_int_list_roundtrip;
