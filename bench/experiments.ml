@@ -667,26 +667,55 @@ let complexity scale =
       in
       H.print_table ~columns:[ "depth"; "|q| nodes"; "td (ms)"; "bu (ms)" ] rows)
 
+(* --- data for the subsystem experiments E20-E27 --- *)
+
+(* the skewed-wide collection at the largest size of the ladder *)
+let skewed_wide ~seed scale =
+  synthetic Datagen.Synthetic.Wide (Datagen.Synthetic.Zipfian 0.7) ~seed
+    (List.nth scale.sizes (List.length scale.sizes - 1))
+
+(* live stores and shard sets are directories; the harness scratch
+   helpers only know files *)
+let rec rm_rf path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then (
+      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+      Sys.rmdir path)
+    else Sys.remove path
+
+(* A live store in [dir] holding [values], sealed into a segment every
+   [seal_every] records. WAL fsync is off: E25 and E27 time lock,
+   memtable and seal work, not disk sync. *)
+let live_store dir ~seal_every values =
+  let module LS = Live.Live_store in
+  rm_rf dir;
+  let store =
+    LS.create dir
+      ~config:
+        { LS.default with LS.flush_records = 0; max_segments = 0;
+          auto_compact = false; wal_sync = false }
+  in
+  List.iteri
+    (fun i v ->
+      ignore (LS.insert store v);
+      if (i + 1) mod seal_every = 0 then ignore (LS.flush store))
+    values;
+  if LS.memtable_records store > 0 then ignore (LS.flush store);
+  store
+
 (* --- E20: server under closed-loop load --- *)
 
 let serve_load scale =
   H.print_header "E20: server throughput under closed-loop load"
     "An in-process nscq server (wire protocol, domain pool, batching) \
      driven by N closed-loop clients, each issuing the 100-query paper \
-     workload back-to-back over its own connection; throughput and tail \
-     latency per concurrency level. One JSON line per row for scripted \
-     consumption.";
-  let size = List.nth scale.sizes (List.length scale.sizes - 1) in
-  let path = H.scratch_path "serve_load.tch" in
-  H.remove_if_exists path;
-  let store = Storage.Hash_store.create ~buckets:(1 lsl 16) path in
-  let builder = Invfile.Builder.create store in
-  Seq.iter
-    (fun v -> ignore (Invfile.Builder.add_value builder v))
-    (synthetic Datagen.Synthetic.Wide (Datagen.Synthetic.Zipfian 0.7) ~seed:29 size);
-  let inv0 = Invfile.Builder.finish builder in
+     workload back-to-back over its own connection; throughput and exact \
+     latency quantiles per concurrency level, each request timed at its \
+     client from send to reply.";
+  let inv0, _ = H.build ~name:"serve_load" (skewed_wide ~seed:29 scale) in
   let queries = List.map Nested.Value.to_string (H.paper_queries inv0) in
   IF.close inv0;
+  let path = H.scratch_path "serve_load.tch" in
   let open_handle () = IF.open_store (Storage.Hash_store.open_existing path) in
   let domains = Containment.Parallel.default_domains () in
   Printf.printf "(server runs %d worker domain(s))\n" domains;
@@ -704,57 +733,40 @@ let serve_load scale =
         in
         let srv = Server.Service.start cfg ~open_handle in
         let errors = Atomic.make 0 in
-        let t0 = Unix.gettimeofday () in
-        let threads =
-          List.init clients (fun _ ->
-              Thread.create
-                (fun () ->
-                  let c =
-                    Server.Client.connect ~port:(Server.Service.port srv) ()
-                  in
-                  Fun.protect
-                    ~finally:(fun () -> Server.Client.close c)
-                    (fun () ->
-                      List.iter
-                        (fun q ->
-                          match Server.Client.query c q with
-                          | Ok _ -> ()
-                          | Error _ -> Atomic.incr errors)
-                        queries))
-                ())
+        (* each client thread fills its own slot *)
+        let latencies = Array.make clients [||] in
+        let client k () =
+          let c = Server.Client.connect ~port:(Server.Service.port srv) () in
+          Fun.protect
+            ~finally:(fun () -> Server.Client.close c)
+            (fun () ->
+              latencies.(k) <-
+                H.latencies_ms
+                  (fun q -> if Result.is_error (Server.Client.query c q) then Atomic.incr errors)
+                  queries)
         in
-        List.iter Thread.join threads;
-        let elapsed = Unix.gettimeofday () -. t0 in
-        let stats = Server.Service.stats srv in
-        let p50 = Server.Server_stats.quantile stats 0.50
-        and p95 = Server.Server_stats.quantile stats 0.95
-        and mean_batch = Server.Server_stats.mean_batch stats in
+        let (), elapsed =
+          H.time (fun () ->
+              List.iter Thread.join (List.init clients (fun k -> Thread.create (client k) ())))
+        in
+        let mean_batch = Server.Server_stats.mean_batch (Server.Service.stats srv) in
         Server.Service.stop srv;
-        let requests = clients * List.length queries in
-        let throughput = float_of_int requests /. elapsed in
-        Printf.printf
-          "{\"experiment\":\"serve-load\",\"clients\":%d,\"domains\":%d,\
-           \"requests\":%d,\"errors\":%d,\"elapsed_s\":%.3f,\
-           \"throughput_rps\":%.1f,\"p50_ms\":%.3f,\"p95_ms\":%.3f,\
-           \"mean_batch\":%.2f}\n"
-          clients domains requests (Atomic.get errors) elapsed throughput p50
-          p95 mean_batch;
-        [
-          H.i clients;
-          H.i requests;
-          H.ms (1000. *. elapsed);
-          Printf.sprintf "%.0f" throughput;
-          H.ms p50;
-          H.ms p95;
-          Printf.sprintf "%.2f" mean_batch;
-        ])
+        let sorted = Array.concat (Array.to_list latencies) in
+        Array.sort Float.compare sorted;
+        let requests = float_of_int (clients * List.length queries) in
+        ( Printf.sprintf "clients=%d" clients,
+          [ H.cell "requests" "" requests;
+            H.cell "errors" "" (float_of_int (Atomic.get errors));
+            H.cell "elapsed" "ms" (1000. *. elapsed);
+            H.cell "throughput" "req/s" (requests /. elapsed);
+            H.cell "p50" "ms" (H.quantile sorted 0.50);
+            H.cell "p95" "ms" (H.quantile sorted 0.95);
+            H.cell "p99" "ms" (H.quantile sorted 0.99);
+            H.cell "mean_batch" "" mean_batch ] ))
       [ 1; 2; 4; 8 ]
   in
   H.remove_if_exists path;
-  H.print_table
-    ~columns:[ "clients"; "requests"; "elapsed"; "req/s"; "p50 (ms)";
-               "p95 (ms)"; "batch" ]
-    rows
+  H.report rows
 
 (* --- E21: sharded scatter-gather scaling --- *)
 
@@ -764,154 +776,64 @@ let shard_scaling scale =
      placement), queried through the shard router with the 100-query \
      paper workload; per-query latency quantiles and throughput per \
      shard count. The 1-shard row is the single-store baseline plus \
-     router overhead. One JSON line per row for scripted consumption.";
-  let size = List.nth scale.sizes (List.length scale.sizes - 1) in
-  let values =
-    List.of_seq
-      (synthetic Datagen.Synthetic.Wide (Datagen.Synthetic.Zipfian 0.7)
-         ~seed:29 size)
-  in
+     router overhead.";
+  let values = List.of_seq (skewed_wide ~seed:29 scale) in
   (* workload selected against a throwaway single-store build *)
   let queries =
-    let path = H.scratch_path "shard_scaling_oracle.tch" in
-    H.remove_if_exists path;
-    let b =
-      Invfile.Builder.create
-        (Storage.Hash_store.create ~buckets:(1 lsl 16) path)
-    in
-    List.iter (fun v -> ignore (Invfile.Builder.add_value b v)) values;
-    let inv = Invfile.Builder.finish b in
-    let qs = H.paper_queries inv in
-    IF.close inv;
-    H.remove_if_exists path;
-    qs
+    H.with_collection ~name:"shard_scaling_oracle" (List.to_seq values) H.paper_queries
   in
+  let dir = H.scratch_path "shard_scaling" in
   let rows =
     List.map
       (fun shards ->
-        let manifest_path = H.scratch_path "shard_scaling.manifest" in
-        let m = Shard.Partitioner.build ~shards ~manifest_path values in
+        rm_rf dir;
+        Unix.mkdir dir 0o755;
+        let m =
+          Shard.Partitioner.build ~shards ~manifest_path:(Filename.concat dir "m.manifest")
+            values
+        in
         let r = Shard.Router.open_manifest m in
-        let latencies =
-          Array.of_list
-            (List.map
-               (fun q ->
-                 let t0 = Unix.gettimeofday () in
-                 ignore (Shard.Router.query r q);
-                 1000. *. (Unix.gettimeofday () -. t0))
-               queries)
-        in
+        let latencies = H.latencies_ms (Shard.Router.query r) queries in
         Shard.Router.close r;
-        Array.iter
-          (fun (s : Shard.Manifest.shard) ->
-            match s.Shard.Manifest.location with
-            | Shard.Manifest.Local { path; _ } -> H.remove_if_exists path
-            | Shard.Manifest.Remote _ -> ())
-          m.Shard.Manifest.shards;
-        H.remove_if_exists manifest_path;
         let elapsed_ms = Array.fold_left ( +. ) 0. latencies in
-        let sorted = Array.copy latencies in
-        Array.sort Float.compare sorted;
-        let p50 = H.quantile sorted 0.50 and p95 = H.quantile sorted 0.95 in
-        let throughput =
-          1000. *. float_of_int (List.length queries) /. elapsed_ms
-        in
-        Printf.printf
-          "{\"experiment\":\"shard-scaling\",\"shards\":%d,\"records\":%d,\
-           \"queries\":%d,\"elapsed_ms\":%.3f,\"throughput_qps\":%.1f,\
-           \"p50_ms\":%.3f,\"p95_ms\":%.3f}\n"
-          shards size (List.length queries) elapsed_ms throughput p50 p95;
-        [
-          H.i shards;
-          H.i size;
-          H.ms elapsed_ms;
-          Printf.sprintf "%.0f" throughput;
-          H.ms p50;
-          H.ms p95;
-        ])
+        ( Printf.sprintf "shards=%d" shards,
+          [ H.cell "records" "" (float_of_int (List.length values));
+            H.cell "elapsed" "ms" elapsed_ms;
+            H.cell "throughput" "q/s"
+              (1000. *. float_of_int (List.length queries) /. elapsed_ms);
+            H.cell "p50" "ms" (H.quantile latencies 0.50);
+            H.cell "p95" "ms" (H.quantile latencies 0.95) ] ))
       [ 1; 2; 4; 8 ]
   in
-  H.print_table
-    ~columns:[ "shards"; "records"; "elapsed"; "q/s"; "p50 (ms)"; "p95 (ms)" ]
-    rows
+  rm_rf dir;
+  H.report rows
 
-(* --- E22: observability overhead --- *)
+(* --- E22 and E26: instrumentation overhead on the paper workload --- *)
+
+(* The paper workload against the cached skewed-wide collection,
+   through the A/B runner with the modes [modes inv] builds. *)
+let paper_ab scale ~name ~passes ~gates modes =
+  H.with_collection ~name (skewed_wide ~seed:31 scale) (fun inv ->
+      Containment.Collection.with_static_cache inv ~budget:cache_budget;
+      let base, others = modes inv in
+      ignore (H.ab ~passes ~gates base others (H.paper_queries inv)))
 
 let obs_overhead scale =
   H.print_header "E22: observability overhead (tracing off vs. on)"
-    "The paper workload against one wide-zipfian collection, run three \
-     ways: tracing disabled (no ?trace argument — the default), a second \
-     disabled pass (A/B pair: the instrumentation cost when off is an \
-     Option match per phase, so the pair bounds it together with run \
-     noise), and tracing enabled (a fresh span tree per query). Each \
-     mode is best-of-5 after a warmup. Summary also written to \
-     BENCH_obs.json; acceptance is overhead_disabled_pct <= 5.";
-  let size = List.nth scale.sizes (List.length scale.sizes - 1) in
-  H.with_collection ~name:"obs_overhead"
-    (synthetic Datagen.Synthetic.Wide (Datagen.Synthetic.Zipfian 0.7) ~seed:31
-       size)
+    "The paper workload against one wide-zipfian collection, run with \
+     tracing disabled (no ?trace argument — the default) and enabled (a \
+     fresh span tree per query). The instrumentation cost when off is an \
+     Option match per phase, so the A/A row bounds it together with run \
+     noise.";
+  paper_ab scale ~name:"obs_overhead" ~passes:5
+    ~gates:[ (("A/A", "pass_overhead"), H.At_most 5.) ]
     (fun inv ->
-      Containment.Collection.with_static_cache inv ~budget:cache_budget;
-      let queries = H.paper_queries inv in
-      let nq = List.length queries in
-      let disabled () =
-        let t0 = Unix.gettimeofday () in
-        List.iter (fun q -> ignore (E.query inv q)) queries;
-        Unix.gettimeofday () -. t0
-      in
-      let enabled () =
-        let t0 = Unix.gettimeofday () in
-        List.iter
-          (fun q ->
-            let trace = Obs.Trace.create "query" in
-            ignore (E.query ~trace inv q);
-            ignore (Obs.Trace.finish trace))
-          queries;
-        Unix.gettimeofday () -. t0
-      in
-      (* warm the cache and the minor heap before timing *)
-      ignore (disabled ());
-      let runs = 5 in
-      (* interleave the three modes so drift hits them equally *)
-      let best = Array.make 3 infinity in
-      for _ = 1 to runs do
-        best.(0) <- min best.(0) (disabled ());
-        best.(1) <- min best.(1) (disabled ());
-        best.(2) <- min best.(2) (enabled ())
-      done;
-      let qps s = float_of_int nq /. s in
-      let off_a = qps best.(0)
-      and off_b = qps best.(1)
-      and on_ = qps best.(2) in
-      let overhead base v = 100. *. (base -. v) /. base in
-      let disabled_pct = Float.abs (overhead off_a off_b) in
-      let enabled_pct = overhead (Float.max off_a off_b) on_ in
-      let json =
-        Printf.sprintf
-          "{\"experiment\":\"obs-overhead\",\"records\":%d,\"queries\":%d,\
-           \"runs\":%d,\"throughput_disabled_qps\":%.1f,\
-           \"throughput_disabled_rerun_qps\":%.1f,\
-           \"throughput_enabled_qps\":%.1f,\"overhead_disabled_pct\":%.2f,\
-           \"overhead_enabled_pct\":%.2f}"
-          size nq runs off_a off_b on_ disabled_pct enabled_pct
-      in
-      print_endline json;
-      let oc = open_out "BENCH_obs.json" in
-      output_string oc json;
-      output_char oc '\n';
-      close_out oc;
-      H.print_table
-        ~columns:[ "mode"; "best (ms)"; "q/s"; "overhead" ]
-        [
-          [ "tracing off"; H.ms (1000. *. best.(0));
-            Printf.sprintf "%.0f" off_a; "baseline" ];
-          [ "tracing off (rerun)"; H.ms (1000. *. best.(1));
-            Printf.sprintf "%.0f" off_b;
-            Printf.sprintf "%.2f%%" disabled_pct ];
-          [ "tracing on"; H.ms (1000. *. best.(2));
-            Printf.sprintf "%.0f" on_;
-            Printf.sprintf "%.2f%%" enabled_pct ];
-        ])
+      ( H.mode "tracing off" (fun q -> (E.query inv q).E.records),
+        [ H.mode "tracing on" (fun q ->
+              let trace = Obs.Trace.create "query" in
+              let r = E.query ~trace inv q in
+              ignore (Obs.Trace.finish trace);
+              r.E.records) ] ))
 
 (* --- E23: intersection kernels --- *)
 
@@ -924,9 +846,7 @@ let intersect scale =
      whole into columns, then galloped), and Plist_stream's \
      block skipping over 'C' payload cursors. Sweeps the length ratio of the two \
      lists and the density of the big one; every kernel's result is \
-     checked against the oracle before timing. Summary written to \
-     BENCH_intersect.json; acceptance is headline_speedup >= 5 (varint \
-     decode+merge over blocked streaming, most skewed sparse pair).";
+     checked against the oracle before timing.";
   let module L = Invfile.Plist in
   let module R = Invfile.Plist_ref in
   let module St = Invfile.Plist_stream in
@@ -953,11 +873,8 @@ let intersect scale =
   let time f =
     let reps = ref 1 in
     let once () =
-      let t0 = Unix.gettimeofday () in
-      for _ = 1 to !reps do
-        ignore (Sys.opaque_identity (f ()))
-      done;
-      (Unix.gettimeofday () -. t0) /. float_of_int !reps
+      snd (H.time (fun () -> for _ = 1 to !reps do ignore (Sys.opaque_identity (f ())) done))
+      /. float_of_int !reps
     in
     let t = ref (once ()) in
     while !t *. float_of_int !reps < 0.01 && !reps < 1_000_000 do
@@ -970,8 +887,6 @@ let intersect scale =
     done;
     !best
   in
-  let json_rows = ref [] in
-  let headline = ref 0. in
   let rows =
     List.concat_map
       (fun (density, stride) ->
@@ -1011,46 +926,19 @@ let intersect scale =
             let t_gallop = time gallop in
             let t_varint = time varint in
             let t_blocked = time blocked in
-            let speedup = t_varint /. t_blocked in
-            if stride > 1 && ratio = 4096 then headline := speedup;
-            json_rows :=
-              Printf.sprintf
-                "{\"density\":\"%s\",\"ratio\":%d,\"merge_us\":%.2f,\
-                 \"gallop_us\":%.2f,\"varint_us\":%.2f,\"blocked_us\":%.2f,\
-                 \"speedup\":%.2f}"
-                density ratio (1e6 *. t_merge) (1e6 *. t_gallop)
-                (1e6 *. t_varint) (1e6 *. t_blocked) speedup
-              :: !json_rows;
-            [
-              density;
-              "1:" ^ string_of_int ratio;
-              H.ms (1000. *. t_merge);
-              H.ms (1000. *. t_gallop);
-              H.ms (1000. *. t_varint);
-              H.ms (1000. *. t_blocked);
-              Printf.sprintf "%.1fx" speedup;
-            ])
+            let headline = stride > 1 && ratio = 4096 in
+            ( Printf.sprintf "%s 1:%d" density ratio,
+              [ H.cell "merge" "ms" (1000. *. t_merge);
+                H.cell "gallop" "ms" (1000. *. t_gallop);
+                H.cell "varint+merge" "ms" (1000. *. t_varint);
+                H.cell "blocked" "ms" (1000. *. t_blocked);
+                H.cell
+                  ?bound:(if headline then Some (H.At_least 5.) else None)
+                  "speedup" "x" (t_varint /. t_blocked) ] ))
           [ 1; 16; 256; 4096 ])
       [ ("dense", 1); ("sparse", 17) ]
   in
-  H.print_table
-    ~columns:
-      [ "density"; "ratio"; "merge"; "gallop"; "varint+merge"; "blocked"; "speedup" ]
-    rows;
-  let json =
-    Printf.sprintf
-      "{\"experiment\":\"intersect\",\"big\":%d,\"headline_speedup\":%.2f,\
-       \"acceptance\":\"headline_speedup >= 5\",\"rows\":[%s]}"
-      big_n !headline
-      (String.concat "," (List.rev !json_rows))
-  in
-  print_endline json;
-  let oc = open_out "BENCH_intersect.json" in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "headline speedup (sparse 1:4096): %.1fx — %s\n" !headline
-    (if !headline >= 5. then "PASS (>= 5x)" else "below the 5x target");
+  H.report rows;
   (* phase attribution: one uncached query over a blocked-codec collection,
      rendered through the tracing spans so retrieval/merge time is visible *)
   let values =
@@ -1077,13 +965,10 @@ let join_scaling scale =
      collection is indexed, the outer collection is joined against it two \
      ways — the naive per-query engine loop and the PRETTI-style \
      prefix-tree join with adaptive LIMIT+ cuts. Every row is gated on \
-     pair-set equality against the naive oracle. The headline (largest \
-     outer×inner) speedup is also written to BENCH_join.json; acceptance \
-     is headline_speedup >= 5.";
-  let json_rows = ref [] and headline = ref 0. in
+     pair-set equality against the naive oracle.";
   (* rows grow 4x faster than the shared size ladder (the join amortizes
      over volume), and the ladder always ends on the acceptance workload's
-     10k x 100k row — that is the row the headline is judged on *)
+     10k x 100k row — that is the row the gate is judged on *)
   let inner_sizes =
     100_000 :: List.map (fun s -> min (4 * s) 100_000) scale.sizes
     |> List.sort_uniq Int.compare
@@ -1103,12 +988,8 @@ let join_scaling scale =
         @@ fun inv ->
         Containment.Collection.with_static_cache inv ~budget:cache_budget;
         let outers = Datagen.Workload.values w.Datagen.Paired.outer in
-        let t0 = Unix.gettimeofday () in
-        let naive_pairs = Join.Engine.naive inv outers in
-        let naive_ms = 1000. *. (Unix.gettimeofday () -. t0) in
-        let t0 = Unix.gettimeofday () in
-        let r = Join.Engine.join inv outers in
-        let join_ms = 1000. *. (Unix.gettimeofday () -. t0) in
+        let naive_pairs, naive_s = H.time (fun () -> Join.Engine.naive inv outers) in
+        let r, join_s = H.time (fun () -> Join.Engine.join inv outers) in
         (* the oracle gate: cuts, root lifting, and verification must not
            change the answer, at any scale *)
         if r.Join.Engine.pairs <> naive_pairs then
@@ -1120,63 +1001,25 @@ let join_scaling scale =
                (List.length r.Join.Engine.pairs)
                (List.length naive_pairs));
         let s = r.Join.Engine.stats in
-        let speedup = if join_ms > 0. then naive_ms /. join_ms else 0. in
-        headline := speedup;
-        json_rows :=
-          Printf.sprintf
-            "{\"outer\":%d,\"inner\":%d,\"pairs\":%d,\"naive_ms\":%.3f,\
-             \"join_ms\":%.3f,\"speedup\":%.2f,\"tree_nodes\":%d,\
-             \"nodes_expanded\":%d,\"intersections_shared\":%d,\
-             \"intersections_recomputed\":%d,\"limit_cuts\":%d,\
-             \"fallback\":%d}"
-            outer_n inner_n s.Join.Engine.pairs naive_ms join_ms speedup
-            s.Join.Engine.tree_nodes s.Join.Engine.nodes_expanded
-            s.Join.Engine.intersections_shared
-            s.Join.Engine.intersections_recomputed s.Join.Engine.limit_cuts
-            s.Join.Engine.fallback
-          :: !json_rows;
-        [
-          H.i outer_n;
-          H.i inner_n;
-          H.i s.Join.Engine.pairs;
-          H.ms naive_ms;
-          H.ms join_ms;
-          Printf.sprintf "%.1fx" speedup;
-          H.i s.Join.Engine.intersections_shared;
-          H.i s.Join.Engine.limit_cuts;
-        ])
+        let count metric v = H.cell metric "" (float_of_int v) in
+        ( Printf.sprintf "%dx%d" outer_n inner_n,
+          [ count "pairs" s.Join.Engine.pairs;
+            H.cell "naive" "ms" (1000. *. naive_s);
+            H.cell "join" "ms" (1000. *. join_s);
+            H.cell
+              ?bound:(if inner_n = 100_000 then Some (H.At_least 5.) else None)
+              "speedup" "x" (naive_s /. join_s);
+            count "tree_nodes" s.Join.Engine.tree_nodes;
+            count "nodes_expanded" s.Join.Engine.nodes_expanded;
+            count "shared" s.Join.Engine.intersections_shared;
+            count "recomputed" s.Join.Engine.intersections_recomputed;
+            count "limit_cuts" s.Join.Engine.limit_cuts;
+            count "fallback" s.Join.Engine.fallback ] ))
       inner_sizes
   in
-  H.print_table
-    ~columns:
-      [ "outer"; "inner"; "pairs"; "naive"; "join"; "speedup"; "shared";
-        "cuts" ]
-    rows;
-  let json =
-    Printf.sprintf
-      "{\"experiment\":\"join-scaling\",\"headline_speedup\":%.2f,\
-       \"acceptance\":\"headline_speedup >= 5\",\"rows\":[%s]}"
-      !headline
-      (String.concat "," (List.rev !json_rows))
-  in
-  print_endline json;
-  let oc = open_out "BENCH_join.json" in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "headline speedup (largest outer×inner): %.1fx — %s\n"
-    !headline
-    (if !headline >= 5. then "PASS (>= 5x)" else "below the 5x target")
+  H.report rows
 
 (* --- E25: query latency under live ingestion --- *)
-
-(* live stores are directories; the harness scratch helpers only know files *)
-let rec rm_rf path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then (
-      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      Sys.rmdir path)
-    else Sys.remove path
 
 let ingest scale =
   let module LS = Live.Live_store in
@@ -1190,14 +1033,9 @@ let ingest scale =
      a from-scratch rebuild, and the post-ingest store is gated the \
      same way once the writer stops. WAL fsync is off so the \
      interference measured is lock, memtable, and seal work — not disk \
-     sync. Summary written to BENCH_ingest.json; acceptance is \
-     p99_ratio <= 2 on every row.";
-  let size = List.nth scale.sizes (List.length scale.sizes - 1) in
-  let values =
-    List.of_seq
-      (synthetic Datagen.Synthetic.Wide (Datagen.Synthetic.Zipfian 0.7)
-         ~seed:31 size)
-  in
+     sync.";
+  let values = List.of_seq (skewed_wide ~seed:31 scale) in
+  let size = List.length values in
   (* fresh records for the concurrent writer, disjoint seed *)
   let feed =
     Array.of_seq
@@ -1213,50 +1051,17 @@ let ingest scale =
   (* 20 passes x 100 queries = 2000 samples per phase, so the p99 is the
      20th-worst — a steady-state quantile, not one unlucky seal stall *)
   let reps = 20 in
-  let json_rows = ref [] and worst_ratio = ref 0. in
   let rows =
     List.map
       (fun segments ->
         let dir = H.scratch_path (Printf.sprintf "ingest_%d.live" segments) in
-        rm_rf dir;
-        let config =
-          { LS.default with LS.flush_records = 0; max_segments = 0;
-            auto_compact = false; wal_sync = false }
-        in
-        let store = LS.create ~config dir in
         (* seal the load into exactly [segments] segments *)
-        let chunk = (size + segments - 1) / segments in
-        List.iteri
-          (fun i v ->
-            ignore (LS.insert store v);
-            if (i + 1) mod chunk = 0 then ignore (LS.flush store))
-          values;
-        if LS.memtable_records store > 0 then ignore (LS.flush store);
-        (* idle gate: the live store must answer exactly like the rebuild *)
-        List.iter2
-          (fun q want ->
-            let got = LS.query store q in
-            if got <> want then
-              failwith
-                (Printf.sprintf
-                   "E25 oracle violation at %d segments (idle): %d ids, \
-                    want %d"
-                   segments (List.length got) (List.length want)))
-          queries expected;
-        let measure () =
-          let lat = ref [] in
-          for _ = 1 to reps do
-            List.iter
-              (fun q ->
-                let t0 = Unix.gettimeofday () in
-                ignore (LS.query store q);
-                lat := (1000. *. (Unix.gettimeofday () -. t0)) :: !lat)
-              queries
-          done;
-          let a = Array.of_list !lat in
-          Array.sort Float.compare a;
-          a
+        let store = live_store dir ~seal_every:((size + segments - 1) / segments) values in
+        let oracle phase = Printf.sprintf "E25 oracle violation at %d segments (%s)" segments phase
         in
+        (* idle gate: the live store must answer exactly like the rebuild *)
+        H.check_oracle (oracle "idle") (LS.query store) queries expected;
+        let measure () = H.latencies_ms ~reps (LS.query store) queries in
         let idle = measure () in
         let stop = Atomic.make false and ingested = Atomic.make 0 in
         let writer =
@@ -1275,9 +1080,7 @@ let ingest scale =
               done;
               Atomic.set ingested !i)
         in
-        let t0 = Unix.gettimeofday () in
-        let busy = measure () in
-        let busy_wall = Unix.gettimeofday () -. t0 in
+        let busy, busy_wall = H.time measure in
         Atomic.set stop true;
         Domain.join writer;
         let ingested = Atomic.get ingested in
@@ -1286,164 +1089,49 @@ let ingest scale =
         let final =
           List.rev (LS.fold_live store ~init:[] ~f:(fun acc _ v -> v :: acc))
         in
-        H.with_collection ~name:"ingest_rebuild" (List.to_seq final)
-          (fun inv ->
-            List.iter
-              (fun q ->
-                if LS.query store q <> (E.query inv q).E.records then
-                  failwith
-                    (Printf.sprintf
-                       "E25 oracle violation at %d segments (post-ingest)"
-                       segments))
-              queries);
+        H.with_collection ~name:"ingest_rebuild" (List.to_seq final) (fun inv ->
+            H.check_oracle (oracle "post-ingest") (LS.query store) queries
+              (List.map (fun q -> (E.query inv q).E.records) queries));
         let seg_end = LS.segment_count store in
         LS.close store;
         rm_rf dir;
-        let idle_p50 = H.quantile idle 0.50 and idle_p99 = H.quantile idle 0.99 in
-        let busy_p50 = H.quantile busy 0.50 and busy_p99 = H.quantile busy 0.99 in
-        let ratio = if idle_p99 > 0. then busy_p99 /. idle_p99 else 0. in
-        if ratio > !worst_ratio then worst_ratio := ratio;
-        let ingest_rps =
-          if busy_wall > 0. then float_of_int ingested /. busy_wall else 0.
-        in
-        json_rows :=
-          Printf.sprintf
-            "{\"segments\":%d,\"segments_end\":%d,\"records\":%d,\
-             \"ingested\":%d,\"ingest_rps\":%.0f,\"idle_p50_ms\":%.3f,\
-             \"idle_p99_ms\":%.3f,\"ingest_p50_ms\":%.3f,\
-             \"ingest_p99_ms\":%.3f,\"p99_ratio\":%.2f}"
-            segments seg_end size ingested ingest_rps idle_p50 idle_p99
-            busy_p50 busy_p99 ratio
-          :: !json_rows;
-        [
-          H.i segments;
-          H.i seg_end;
-          H.i size;
-          H.i ingested;
-          H.ms idle_p50;
-          H.ms idle_p99;
-          H.ms busy_p50;
-          H.ms busy_p99;
-          Printf.sprintf "%.2fx" ratio;
-        ])
+        let idle_p99 = H.quantile idle 0.99 and busy_p99 = H.quantile busy 0.99 in
+        ( Printf.sprintf "segments=%d" segments,
+          [ H.cell "segments_end" "" (float_of_int seg_end);
+            H.cell "records" "" (float_of_int size);
+            H.cell "ingested" "" (float_of_int ingested);
+            H.cell "ingest_rate" "rec/s" (float_of_int ingested /. busy_wall);
+            H.cell "idle_p50" "ms" (H.quantile idle 0.50);
+            H.cell "idle_p99" "ms" idle_p99;
+            H.cell "busy_p50" "ms" (H.quantile busy 0.50);
+            H.cell "busy_p99" "ms" busy_p99;
+            H.cell ~bound:(H.At_most 2.) "p99_ratio" "x" (busy_p99 /. idle_p99) ] ))
       [ 1; 4; 16 ]
   in
-  H.print_table
-    ~columns:
-      [ "segs"; "segs'"; "records"; "ingested"; "idle p50"; "idle p99";
-        "busy p50"; "busy p99"; "p99 ratio" ]
-    rows;
-  let json =
-    Printf.sprintf
-      "{\"experiment\":\"ingest\",\"worst_p99_ratio\":%.2f,\
-       \"acceptance\":\"p99_ratio <= 2\",\"rows\":[%s]}"
-      !worst_ratio
-      (String.concat "," (List.rev !json_rows))
-  in
-  print_endline json;
-  let oc = open_out "BENCH_ingest.json" in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "worst p99 under ingest: %.2fx idle — %s\n" !worst_ratio
-    (if !worst_ratio <= 2. then "PASS (<= 2x)"
-     else "over the 2x acceptance line")
+  H.report rows
 
 (* --- E26: flight-recorder overhead --- *)
 
 let recorder_overhead scale =
   H.print_header "E26: flight-recorder overhead (always-on vs. disabled)"
     "The E22 workload (paper queries against one wide-zipfian collection) \
-     with per-query latency sampled under the flight recorder disabled \
-     and enabled (query/phase events into the per-domain ring, exactly \
-     what nscq serve leaves on). Oracle-gated: both modes must return \
-     the same id lists as a pre-timing evaluation before any sample \
-     counts. Each query's latency is its best over interleaved passes, \
-     so the percentiles compare steady-state instrumentation cost, not \
-     scheduler noise. Summary written to BENCH_obs2.json; acceptance is \
-     overhead_p50_pct <= 5 and overhead_p99_pct <= 5.";
-  let size = List.nth scale.sizes (List.length scale.sizes - 1) in
-  H.with_collection ~name:"recorder_overhead"
-    (synthetic Datagen.Synthetic.Wide (Datagen.Synthetic.Zipfian 0.7) ~seed:31
-       size)
+     with the flight recorder disabled and enabled (query/phase events \
+     into the per-domain ring, exactly what nscq serve leaves on). Each \
+     query's latency is its best over the passes, so the percentiles \
+     compare steady-state instrumentation cost, not scheduler noise.";
+  paper_ab scale ~name:"recorder_overhead" ~passes:7
+    ~gates:
+      [ (("recorder on", "p50_overhead"), H.At_most 5.);
+        (("recorder on", "p99_overhead"), H.At_most 5.) ]
     (fun inv ->
-      Containment.Collection.with_static_cache inv ~budget:cache_budget;
-      let queries = Array.of_list (H.paper_queries inv) in
-      let nq = Array.length queries in
-      (* oracle gate: turning the recorder on must not change any answer *)
-      Obs.Recorder.disable ();
-      let expected = Array.map (fun q -> (E.query inv q).E.records) queries in
-      Obs.Recorder.enable ();
-      let oracle_ok =
-        Array.for_all2
-          (fun q want -> (E.query inv q).E.records = want)
-          queries expected
-      in
-      Obs.Recorder.disable ();
-      if not oracle_ok then
-        failwith "E26: recorder-on results diverge from recorder-off";
-      let lat_off = Array.make nq infinity
-      and lat_on = Array.make nq infinity in
-      let run lat =
-        Array.iteri
-          (fun i q ->
-            let t0 = Unix.gettimeofday () in
-            ignore (E.query inv q);
-            let dt = 1e6 *. (Unix.gettimeofday () -. t0) in
-            if dt < lat.(i) then lat.(i) <- dt)
-          queries
-      in
-      (* warm the cache and the minor heap before timing *)
-      Array.iter (fun q -> ignore (E.query inv q)) queries;
-      let passes = 7 in
-      for _ = 1 to passes do
-        Obs.Recorder.disable ();
-        run lat_off;
-        Obs.Recorder.enable ();
-        run lat_on
-      done;
-      Obs.Recorder.disable ();
-      let events, dropped = Obs.Recorder.stats () in
-      let pct lat q =
-        let s = Array.copy lat in
-        Array.sort Float.compare s;
-        s.(min (nq - 1) (int_of_float (q *. float_of_int nq)))
-      in
-      let p50_off = pct lat_off 0.50
-      and p99_off = pct lat_off 0.99
-      and p50_on = pct lat_on 0.50
-      and p99_on = pct lat_on 0.99 in
-      let overhead base v =
-        if base > 0. then 100. *. (v -. base) /. base else 0.
-      in
-      let p50_pct = overhead p50_off p50_on
-      and p99_pct = overhead p99_off p99_on in
-      let json =
-        Printf.sprintf
-          "{\"experiment\":\"recorder-overhead\",\"records\":%d,\
-           \"queries\":%d,\"passes\":%d,\"oracle\":\"pass\",\
-           \"events\":%d,\"events_dropped\":%d,\
-           \"p50_disabled_us\":%.2f,\"p50_enabled_us\":%.2f,\
-           \"p99_disabled_us\":%.2f,\"p99_enabled_us\":%.2f,\
-           \"overhead_p50_pct\":%.2f,\"overhead_p99_pct\":%.2f}"
-          size nq passes events dropped p50_off p50_on p99_off p99_on
-          p50_pct p99_pct
-      in
-      print_endline json;
-      let oc = open_out "BENCH_obs2.json" in
-      output_string oc json;
-      output_char oc '\n';
-      close_out oc;
-      H.print_table
-        ~columns:[ "mode"; "p50 (µs)"; "p99 (µs)"; "overhead p50"; "overhead p99" ]
-        [
-          [ "recorder off"; Printf.sprintf "%.2f" p50_off;
-            Printf.sprintf "%.2f" p99_off; "baseline"; "baseline" ];
-          [ "recorder on"; Printf.sprintf "%.2f" p50_on;
-            Printf.sprintf "%.2f" p99_on;
-            Printf.sprintf "%.2f%%" p50_pct;
-            Printf.sprintf "%.2f%%" p99_pct ];
-        ])
+      let query q = (E.query inv q).E.records in
+      ( H.mode "recorder off" ~enter:Obs.Recorder.disable query,
+        [ H.mode "recorder on" ~enter:Obs.Recorder.enable query ] ));
+  let events, dropped = Obs.Recorder.stats () in
+  H.report
+    [ ( "recorder on",
+        [ H.cell "events" "" (float_of_int events);
+          H.cell "events_dropped" "" (float_of_int dropped) ] ) ]
 
 (* --- E27: race-sanitizer overhead --- *)
 
@@ -1453,147 +1141,57 @@ let racesan_overhead scale =
     "The E22-style paper workload against a live store, whose query \
      path crosses a Racesan-guarded mutex per query — per-query latency \
      sampled with the sanitizer off and on (held-lock bookkeeping plus \
-     a guarded-cell assert per locked section), interleaved best-of \
-     passes as in E26. Oracle-gated: both modes must return identical \
-     id lists, and the enabled run must record zero findings — the \
-     tree's lock contracts hold under measurement. The disabled path is \
-     gated directly: the cost of a disabled check (one atomic load and \
-     a branch, micro-benched) times the checks per query (calibrated \
-     from the sanitizer's own counter) must stay under 1%% of the \
-     disabled-mode p50. Summary written to BENCH_racesan.json; \
-     acceptance is disabled_overhead_pct <= 1.";
-  let size = List.nth scale.sizes (List.length scale.sizes - 1) in
-  let values =
-    List.of_seq
-      (synthetic Datagen.Synthetic.Wide (Datagen.Synthetic.Zipfian 0.7)
-         ~seed:31 size)
-  in
+     a guarded-cell assert per locked section), as in E26. The enabled \
+     run must record zero findings — the tree's lock contracts hold \
+     under measurement. The disabled path is gated directly: the cost \
+     of a disabled check (one atomic load and a branch, micro-benched) \
+     times the checks per query (calibrated from the sanitizer's own \
+     counter) must stay under 1% of the disabled-mode p50.";
+  let values = List.of_seq (skewed_wide ~seed:31 scale) in
   let dir = H.scratch_path "racesan.live" in
-  rm_rf dir;
-  let config =
-    { LS.default with LS.flush_records = 0; max_segments = 0;
-      auto_compact = false; wal_sync = false }
-  in
-  let store = LS.create ~config dir in
-  List.iteri
-    (fun i v ->
-      ignore (LS.insert store v);
-      if (i + 1) mod 2048 = 0 then ignore (LS.flush store))
-    values;
-  if LS.memtable_records store > 0 then ignore (LS.flush store);
+  let store = live_store dir ~seal_every:2048 values in
   Fun.protect ~finally:(fun () -> LS.close store; rm_rf dir) (fun () ->
-  (* the workload and the oracle gate: sanitizing must not change answers *)
   let queries =
-    H.with_collection ~name:"racesan_oracle" (List.to_seq values) (fun inv ->
-        Array.of_list (H.paper_queries inv))
+    H.with_collection ~name:"racesan_oracle" (List.to_seq values) H.paper_queries
   in
-  let nq = Array.length queries in
-  Racesan.set_enabled false;
-  let expected = Array.map (LS.query store) queries in
-  Racesan.set_enabled true;
+  let query q = LS.query store q in
   Racesan.reset ();
-  let oracle_ok =
-    Array.for_all2 (fun q want -> LS.query store q = want) queries expected
+  (* checks per query: the sanitizer's own counter over every query the
+     enabled mode answers *)
+  let checks_before = Racesan.checks () and answered = ref 0 in
+  (* the oracle gate: sanitizing must not change answers *)
+  let results =
+    H.ab ~passes:7
+      (H.mode "sanitizer off" ~enter:(fun () -> Racesan.set_enabled false) query)
+      [ H.mode "sanitizer on" ~enter:(fun () -> Racesan.set_enabled true) (fun q ->
+            incr answered;
+            query q) ]
+      queries
   in
-  (* checks per query, from the sanitizer's own counter over that pass *)
-  let checks_before = Racesan.checks () in
-  Array.iter (fun q -> ignore (LS.query store q)) queries;
   let checks_per_query =
-    float_of_int (Racesan.checks () - checks_before) /. float_of_int nq
+    float_of_int (Racesan.checks () - checks_before) /. float_of_int !answered
   in
   let finding_count = List.length (Racesan.findings ()) in
-  Racesan.set_enabled false;
-  if not oracle_ok then
-    failwith "E27: sanitizer-on results diverge from sanitizer-off";
   if finding_count > 0 then
     failwith
       (Printf.sprintf "E27: %d race finding(s) under measurement"
          finding_count);
+  Racesan.reset ();
   (* disabled-path unit cost: one check with the sanitizer off *)
   let probe_lock = Lockdep.create "bench.racesan.probe" in
   let probe = Racesan.register ~name:"bench.racesan.probe" ~lock:probe_lock in
-  let disabled_check_ns =
-    let iters = 10_000_000 in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to iters do Racesan.check probe done;
-    1e9 *. (Unix.gettimeofday () -. t0) /. float_of_int iters
-  in
-  let lat_off = Array.make nq infinity and lat_on = Array.make nq infinity in
-  let run lat =
-    Array.iteri
-      (fun i q ->
-        let t0 = Unix.gettimeofday () in
-        ignore (LS.query store q);
-        let dt = 1e6 *. (Unix.gettimeofday () -. t0) in
-        if dt < lat.(i) then lat.(i) <- dt)
-      queries
-  in
-  Array.iter (fun q -> ignore (LS.query store q)) queries;
-  let passes = 7 in
-  for _ = 1 to passes do
-    Racesan.set_enabled false;
-    run lat_off;
-    Racesan.set_enabled true;
-    run lat_on
-  done;
-  Racesan.set_enabled false;
-  Racesan.reset ();
-  let pct lat q =
-    let s = Array.copy lat in
-    Array.sort Float.compare s;
-    s.(min (nq - 1) (int_of_float (q *. float_of_int nq)))
-  in
-  let p50_off = pct lat_off 0.50
-  and p99_off = pct lat_off 0.99
-  and p50_on = pct lat_on 0.50
-  and p99_on = pct lat_on 0.99 in
-  let overhead base v =
-    if base > 0. then 100. *. (v -. base) /. base else 0.
-  in
-  let p50_pct = overhead p50_off p50_on
-  and p99_pct = overhead p99_off p99_on in
+  let iters = 10_000_000 in
+  let (), s = H.time (fun () -> for _ = 1 to iters do Racesan.check probe done) in
+  let disabled_check_ns = 1e9 *. s /. float_of_int iters in
   (* the 1% gate for the compiled-in disabled path: per-check cost times
      checks per query, as a share of the disabled-mode p50 *)
-  let disabled_overhead_pct =
-    if p50_off > 0. then
-      100. *. (disabled_check_ns *. checks_per_query /. 1e3) /. p50_off
-    else 0.
-  in
-  if disabled_overhead_pct > 1. then
-    failwith
-      (Printf.sprintf
-         "E27: disabled-path cost %.4f%% of p50 exceeds the 1%% gate"
-         disabled_overhead_pct);
-  let json =
-    Printf.sprintf
-      "{\"experiment\":\"racesan-overhead\",\"records\":%d,\
-       \"queries\":%d,\"passes\":%d,\"oracle\":\"pass\",\"findings\":0,\
-       \"checks_per_query\":%.2f,\"disabled_check_ns\":%.2f,\
-       \"p50_disabled_us\":%.2f,\"p50_enabled_us\":%.2f,\
-       \"p99_disabled_us\":%.2f,\"p99_enabled_us\":%.2f,\
-       \"overhead_p50_pct\":%.2f,\"overhead_p99_pct\":%.2f,\
-       \"disabled_overhead_pct\":%.4f}"
-      size nq passes checks_per_query disabled_check_ns p50_off p50_on
-      p99_off p99_on p50_pct p99_pct disabled_overhead_pct
-  in
-  print_endline json;
-  let oc = open_out "BENCH_racesan.json" in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
-  H.print_table
-    ~columns:
-      [ "mode"; "p50 (µs)"; "p99 (µs)"; "overhead p50"; "overhead p99" ]
-    [
-      [ "sanitizer off"; Printf.sprintf "%.2f" p50_off;
-        Printf.sprintf "%.2f" p99_off; "baseline"; "baseline" ];
-      [ "sanitizer on"; Printf.sprintf "%.2f" p50_on;
-        Printf.sprintf "%.2f" p99_on;
-        Printf.sprintf "%.2f%%" p50_pct;
-        Printf.sprintf "%.2f%%" p99_pct ];
-      [ "disabled path"; "-"; "-";
-        Printf.sprintf "%.4f%% (gate <= 1%%)" disabled_overhead_pct; "-" ];
-    ])
+  H.report
+    [ ( "disabled path",
+        [ H.cell "checks_per_query" "" checks_per_query;
+          H.cell "check_cost" "ns" disabled_check_ns;
+          H.cell ~bound:(H.At_most 1.) "disabled_overhead" "%"
+            (100. *. (disabled_check_ns *. checks_per_query /. 1e3)
+             /. H.quantile (List.hd results).H.lat_us 0.50) ] ) ])
 
 (* --- registry --- *)
 

@@ -7,7 +7,11 @@
 
    Each paper table/figure has a figure-series harness (Experiments) that
    prints the rows the paper plots, and a bechamel Test.make below that
-   measures one representative workload for that figure. *)
+   measures one representative workload for that figure.
+
+   The subsystem experiments E20-E27 also write their numbers to
+   BENCH_ledger.jsonl; the run exits 1 when one of their gates fails or
+   an experiment raises. *)
 
 (* Console output is this program's purpose, and executables have no
    interface files: R2/R5 are opted out explicitly rather than scoped
@@ -194,11 +198,13 @@ let run_experiments ~full ~only ~micro ~csv =
     "(sizes are scaled down from the paper's 125K-4M records; shapes, not \
      absolute numbers, are the reproduction target — see EXPERIMENTS.md)\n%!";
   List.iter
-    (fun (_, _, f) ->
-      f scale;
+    (fun (name, _, f) ->
+      Harness.run ~name (fun () -> f scale);
       print_newline ())
     selected;
-  if micro then bechamel_suite ()
+  let status = Harness.finish () in
+  if micro then bechamel_suite ();
+  status
 
 let () =
   let open Cmdliner in
@@ -225,7 +231,7 @@ let () =
       & info [ "csv" ] ~docv:"DIR" ~doc:"Also write each table as CSV into $(docv).")
   in
   let main full only no_micro micro_only csv =
-    if micro_only then bechamel_suite ()
+    if micro_only then (bechamel_suite (); 0)
     else run_experiments ~full ~only ~micro:(not no_micro) ~csv
   in
   let term = Term.(const main $ full $ only $ no_micro $ micro_only $ csv) in
@@ -233,4 +239,4 @@ let () =
     Cmd.info "nscq-bench"
       ~doc:"Reproduce the tables and figures of Ibrahim & Fletcher, EDBT 2013."
   in
-  exit (Cmd.eval (Cmd.v info term))
+  exit (Cmd.eval' (Cmd.v info term))
