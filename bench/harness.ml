@@ -176,7 +176,7 @@ let row_json r =
   let open Textformats.Json in
   Object
     [ ("experiment", String r.experiment); ("row", String r.row); ("metric", String r.metric);
-      ("value", if Float.is_finite r.value then Number r.value else Null);
+      ("value", Number r.value);
       ("unit", String r.unit);
       ("gate", match r.gate with None -> Null | Some v -> String (verdict_name v)) ]
 

@@ -307,21 +307,6 @@ let recfmt_arg =
         ~doc:"Stored-record encoding: $(b,syntax) (readable) or $(b,binary)
               (dictionary-coded, ~3x smaller).")
 
-let codec_arg =
-  Arg.(
-    value
-    & opt
-        (enum
-           [
-             ("blocked", Invfile.Plist.Blocked);
-             ("varint", Invfile.Plist.Varint);
-           ])
-        Invfile.Plist.Blocked
-    & info [ "codec" ] ~docv:"CODEC"
-        ~doc:"Postings payload format: $(b,blocked) (block-partitioned
-              varint/bitmap with a skip directory, the default) or
-              $(b,varint) (plain delta/varint).")
-
 let parse_collection ~format ~tokenize contents =
   match format with
   | `Nested -> Nested.Syntax.parse_many contents
@@ -349,8 +334,7 @@ let build_cmd =
                 directory holding WAL-protected segments; records can then \
                 be inserted and deleted online ($(b,nscq insert/delete)).")
   in
-  let run input format tokenize output backend buckets record_format codec live
-      =
+  let run input format tokenize output backend buckets record_format live =
     let values = parse_collection ~format ~tokenize (read_file input) in
     if live then begin
       let t =
@@ -372,7 +356,7 @@ let build_cmd =
       | `Btree -> Storage.Btree_store.create output
       | `Log -> Storage.Log_store.create output
     in
-    let builder = Invfile.Builder.create ~record_format ~codec store in
+    let builder = Invfile.Builder.create ~record_format store in
     List.iter (fun v -> ignore (Invfile.Builder.add_value builder v)) values;
     let inv = Invfile.Builder.finish builder in
     Printf.printf "indexed %d records, %d atoms, %d internal nodes into %s\n"
@@ -383,7 +367,7 @@ let build_cmd =
     (Cmd.info "build" ~doc:"Build the inverted file for a collection.")
     Term.(
       const run $ input_arg $ format_arg $ tokenize_arg $ output_arg $ backend_arg
-      $ buckets_arg $ recfmt_arg $ codec_arg $ live_arg)
+      $ buckets_arg $ recfmt_arg $ live_arg)
 
 
 (* --- the target a command runs on --- *)

@@ -471,11 +471,14 @@ let posting_of_id node =
 (* Lengths straddling the 128-posting block boundary, half the time. *)
 let boundary_lengths = [| 0; 1; 2; 127; 128; 129; 255; 256; 257; 383; 384; 385 |]
 
-let random_plist rng =
+let random_plist ?n rng =
   let n =
-    if Random.State.bool rng then
-      boundary_lengths.(Random.State.int rng (Array.length boundary_lengths))
-    else Random.State.int rng 600
+    match n with
+    | Some n -> n
+    | None ->
+      if Random.State.bool rng then
+        boundary_lengths.(Random.State.int rng (Array.length boundary_lengths))
+      else Random.State.int rng 600
   in
   let id = ref (Random.State.int rng 1000) in
   let out = ref [] in
@@ -575,21 +578,40 @@ let codec_scenario rng i =
   let u, counts = St.union_with_counts (cursors ()) in
   if Array.mapi (fun k p -> (p, counts.(k))) (L.to_postings u) <> R.union_with_counts lists
   then fail "union_with_counts diverged";
-  (* ascending seeks on a blocked cursor vs the oracle's lower_bound *)
-  let l = List.hd lists in
-  let c = St.cursor_of_bytes (L.to_bytes ~codec:L.Blocked (List.hd cols)) in
-  let probe = ref 0 in
-  for _ = 1 to 16 do
-    probe := !probe + Random.State.int rng 100_000;
-    let lb = R.lower_bound l !probe in
-    let id = St.seek c !probe in
-    if lb < Array.length l then begin
-      if id <> l.(lb).P.node || L.get (St.head_list c) (St.head_row c) <> l.(lb) then
-        fail "seek %d diverged" !probe
-    end
-    else if id <> St.eof then fail "seek %d diverged" !probe;
-    if St.remaining c <> Array.length l - lb then fail "remaining after seek %d" !probe
-  done
+  (* ascending seeks on a cursor vs the oracle's lower_bound *)
+  let check_seeks l c =
+    let probe = ref 0 in
+    for _ = 1 to 16 do
+      probe := !probe + Random.State.int rng 100_000;
+      let lb = R.lower_bound l !probe in
+      let id = St.seek c !probe in
+      if lb < Array.length l then begin
+        if id <> l.(lb).P.node || L.get (St.head_list c) (St.head_row c) <> l.(lb) then
+          fail "seek %d diverged" !probe
+      end
+      else if id <> St.eof then fail "seek %d diverged" !probe;
+      if St.remaining c <> Array.length l - lb then fail "remaining after seek %d" !probe
+    done
+  in
+  check_seeks (List.hd lists) (St.cursor_of_bytes (L.to_bytes ~codec:L.Blocked (List.hd cols)));
+  (* lists written with no ~codec take the format of their length —
+     varint up to one block, blocked beyond — round-trip byte for byte,
+     and drain and seek like the oracle *)
+  List.iter
+    (fun n ->
+      let l = random_plist ~n rng in
+      let payload = L.to_bytes (L.of_postings l) in
+      let want = if n <= Invfile.Plist_blocks.block_size then L.Varint else L.Blocked in
+      if L.codec_of_bytes payload <> want then fail "%d postings written in the wrong format" n;
+      (match L.of_bytes payload with
+      | back ->
+        if not (String.equal (L.to_bytes back) payload) then
+          fail "rule payload not canonical (%d postings)" n
+      | exception e -> fail "rule payload decode raised %s" (Printexc.to_string e));
+      if L.to_postings (St.inter_many [ St.cursor_of_bytes payload ]) <> R.inter_many [ l ] then
+        fail "cursor over a rule payload diverged (%d postings)" n;
+      check_seeks l (St.cursor_of_bytes payload))
+    [ 1; 127; 128; 129; 384 ]
 
 let run ~label ~scenarios ~seed one =
   let rng = Random.State.make [| seed; 0xf022 |] in

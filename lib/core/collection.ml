@@ -6,12 +6,9 @@ let store_of_backend ?(buckets = 65536) = function
   | Btree path -> Storage.Btree_store.create path
   | Log path -> Storage.Log_store.create path
 
-let of_values ?(backend = Mem) ?store_values ?node_table ?codec ?record_format
-    values =
+let of_values ?(backend = Mem) ?record_format values =
   let store = store_of_backend backend in
-  let builder =
-    Invfile.Builder.create ?store_values ?node_table ?codec ?record_format store
-  in
+  let builder = Invfile.Builder.create ?record_format store in
   List.iter (fun v -> ignore (Invfile.Builder.add_value builder v)) values;
   Invfile.Builder.finish builder
 

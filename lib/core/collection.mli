@@ -13,8 +13,7 @@ type backend =
 val store_of_backend : ?buckets:int -> backend -> Storage.Kv.t
 
 val of_values :
-  ?backend:backend -> ?store_values:bool -> ?node_table:bool ->
-  ?codec:Invfile.Plist.codec -> ?record_format:[ `Syntax | `Binary ] ->
+  ?backend:backend -> ?record_format:[ `Syntax | `Binary ] ->
   Nested.Value.t list -> Invfile.Inverted_file.t
 (** Builds an indexed collection from record values. Default backend
     [Mem]. *)

@@ -7,30 +7,53 @@ let to_list = Array.to_list
 let cardinal = Array.length
 
 let mem s x =
-  let rec bsearch lo hi =
-    if lo >= hi then false
-    else
-      let mid = (lo + hi) / 2 in
-      if s.(mid) = x then true
-      else if s.(mid) < x then bsearch (mid + 1) hi
-      else bsearch lo mid
-  in
-  bsearch 0 (Array.length s)
-
-let inter a b =
-  let out = ref [] and i = ref 0 and j = ref 0 in
-  let la = Array.length a and lb = Array.length b in
-  while !i < la && !j < lb do
-    let c = Int.compare a.(!i) b.(!j) in
-    if c = 0 then begin
-      out := a.(!i) :: !out;
-      incr i;
-      incr j
-    end
-    else if c < 0 then incr i
-    else incr j
+  let lo = ref 0 and hi = ref (Array.length s) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if s.(mid) < x then lo := mid + 1 else hi := mid
   done;
-  Array.of_list (List.rev !out)
+  !lo < Array.length s && s.(!lo) = x
+
+(* Walk the smaller side, gallop the larger (cf. Plist_stream's kernel):
+   near-linear for like sizes, logarithmic per element once one side is
+   much smaller than the other, which rarest-first ordering makes the
+   common case. *)
+let inter a b =
+  let a, b = if Array.length a <= Array.length b then (a, b) else (b, a) in
+  let la = Array.length a and lb = Array.length b in
+  if la = 0 || lb = 0 then [||]
+  else begin
+    let out = Array.make la 0 in
+    let k = ref 0 and j = ref 0 in
+    (try
+       for i = 0 to la - 1 do
+         let x = a.(i) in
+         if !j >= lb then raise Exit;
+         if b.(!j) < x then begin
+           (* gallop to a window with b.(lo) < x <= b.(hi), then bisect *)
+           let lo = ref !j and step = ref 1 in
+           let hi = ref (!lo + 1) in
+           while !hi < lb && b.(!hi) < x do
+             lo := !hi;
+             hi := !hi + !step;
+             step := !step * 2
+           done;
+           let hi = ref (min !hi lb) in
+           while !hi - !lo > 1 do
+             let mid = (!lo + !hi) / 2 in
+             if b.(mid) < x then lo := mid else hi := mid
+           done;
+           j := !hi
+         end;
+         if !j < lb && b.(!j) = x then begin
+           out.(!k) <- x;
+           incr k;
+           incr j
+         end
+       done
+     with Exit -> ());
+    Array.sub out 0 !k
+  end
 
 let union a b =
   let out = ref [] and i = ref 0 and j = ref 0 in

@@ -9,7 +9,12 @@ val of_list : int list -> t
 (** Sorts and deduplicates. *)
 
 val mem : t -> int -> bool
+(** Binary search. *)
+
 val inter : t -> t -> t
+(** Walks the smaller set and gallops the larger: O(m · log(n / m)) for
+    sizes [m <= n]. *)
+
 val union : t -> t -> t
 val subset : t -> t -> bool
 val to_list : t -> int list

@@ -1,11 +1,7 @@
 type t = {
   store : Storage.Kv.t;
-  store_values : bool;
-  node_table : bool;
-  codec : Plist.codec;
   record_format : [ `Syntax | `Binary ];
   dict : Dict.t;
-  top_k : int;
   alloc : Nested.Tree.allocator;
   postings : (string, int list) Hashtbl.t;  (* node-table rows, reverse-ordered *)
   nodes : Plist.Buf.t;  (* every internal node's posting, in id order *)
@@ -14,18 +10,16 @@ type t = {
   mutable finished : bool;
 }
 
-let create ?(store_values = true) ?(node_table = true) ?(codec = Plist.Blocked)
-    ?(record_format = `Syntax) ?(top_k = 4096) store =
+(* Entries of the persisted frequency table (cache preloading). *)
+let top_k = 4096
+
+let create ?(record_format = `Syntax) store =
   store.Storage.Kv.put Inverted_file.meta_recfmt
     (match record_format with `Syntax -> "S" | `Binary -> "B");
   {
     store;
-    store_values;
-    node_table;
-    codec;
     record_format;
     dict = Dict.create store;
-    top_k;
     alloc = Nested.Tree.allocator ();
     postings = Hashtbl.create 4096;
     nodes = Plist.Buf.create 1024;
@@ -55,12 +49,11 @@ let add_value t value =
         n.Nested.Tree.leaves)
     tree;
   t.roots <- tree.Nested.Tree.root :: t.roots;
-  if t.store_values then
-    t.store.Storage.Kv.put
-      (Inverted_file.record_key record_id)
-      (match t.record_format with
-      | `Syntax -> Value_codec.encode_syntax value
-      | `Binary -> Value_codec.encode t.dict value);
+  t.store.Storage.Kv.put
+    (Inverted_file.record_key record_id)
+    (match t.record_format with
+    | `Syntax -> Value_codec.encode_syntax value
+    | `Binary -> Value_codec.encode t.dict value);
   t.count <- t.count + 1;
   record_id
 
@@ -75,12 +68,10 @@ let finish t =
     (fun atom rev_rows ->
       let rows = Array.of_list (List.rev rev_rows) in
       freqs := (atom, Array.length rows) :: !freqs;
-      t.store.Storage.Kv.put (Inverted_file.atom_key atom)
-        (Plist.to_bytes ~codec:t.codec ~rows nodes))
+      t.store.Storage.Kv.put (Inverted_file.atom_key atom) (Plist.to_bytes ~rows nodes))
     t.postings;
   Hashtbl.reset t.postings;
-  if t.node_table then
-    t.store.Storage.Kv.put Inverted_file.meta_nodes (Plist.to_bytes ~codec:t.codec nodes);
+  t.store.Storage.Kv.put Inverted_file.meta_nodes (Plist.to_bytes nodes);
   (* Metadata. *)
   let roots = Array.of_list (List.rev t.roots) in
   t.store.Storage.Kv.put Inverted_file.meta_roots (Storage.Codec.encode_int_array roots);
@@ -96,7 +87,7 @@ let finish t =
         if c <> 0 then c else String.compare a1 a2)
       !freqs
   in
-  let top = List.filteri (fun i _ -> i < t.top_k) by_freq in
+  let top = List.filteri (fun i _ -> i < top_k) by_freq in
   let w = Storage.Codec.writer () in
   Storage.Codec.write_varint w (List.length top);
   List.iter

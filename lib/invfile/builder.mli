@@ -5,20 +5,18 @@
     must be encoded by the builder's single allocator so node ids are
     globally unique and DFS-ordered (see {!Nested.Tree}).
 
-    [store_values] (default [true]) persists each record's value for result
-    materialization and the naive baseline; [node_table] (default [true])
-    persists the posting of every internal node, enabling queries whose
-    nodes have no leaf children. [top_k] (default [4096]) bounds the
-    frequency table persisted for cache preloading. *)
+    Besides one postings list per atom, the store gets each record's value
+    (for result materialization and the naive baseline), the node table
+    (the posting of every internal node, for queries whose nodes have no
+    leaf children) and a frequency table of the 4096 most frequent atoms
+    (for cache preloading). Each list's payload format is the one
+    {!Plist.to_bytes} picks from its length. *)
 
 type t
 
-val create :
-  ?store_values:bool -> ?node_table:bool -> ?codec:Plist.codec ->
-  ?record_format:[ `Syntax | `Binary ] -> ?top_k:int -> Storage.Kv.t -> t
-(** [codec] selects the postings payload format (default [Blocked]; see
-    {!Plist.codec}); [record_format] the stored-record encoding (default
-    [`Syntax]; [`Binary] is the dictionary-coded form of {!Value_codec}). *)
+val create : ?record_format:[ `Syntax | `Binary ] -> Storage.Kv.t -> t
+(** [record_format] is the stored-record encoding (default [`Syntax];
+    [`Binary] is the dictionary-coded form of {!Value_codec}). *)
 
 val add_value : t -> Nested.Value.t -> int
 (** Indexes one record; returns its record id (consecutive from 0).

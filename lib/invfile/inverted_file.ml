@@ -178,23 +178,6 @@ let atoms_with_prefix t prefix =
     t.store.Storage.Kv.iter (fun k _ -> if is_prefixed k then out := strip k :: !out);
     List.sort String.compare !out
 
-(* The collection's list codec: every payload is written with the same
-   codec, so the node table (or, without one, any atom list) tells us
-   which. Fresh/empty stores read as Blocked, the current default. *)
-let list_codec t =
-  match t.store.Storage.Kv.get meta_nodes with
-  | Some payload -> Plist.codec_of_bytes payload
-  | None ->
-    let codec = ref Plist.Blocked in
-    (try
-       t.store.Storage.Kv.iter (fun key payload ->
-           if String.length key > 0 && key.[0] = 'a' then begin
-             codec := Plist.codec_of_bytes payload;
-             raise Exit
-           end)
-     with Exit -> ());
-    !codec
-
 let all_nodes t =
   match t.all_nodes with
   | Some l -> l

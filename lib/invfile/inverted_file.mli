@@ -80,13 +80,6 @@ val prefetch : t -> string list -> int
     counts one lookup + miss in {!lookup_stats}; the per-query lookups
     that follow then count as hits. *)
 
-val list_codec : t -> Plist.codec
-(** The codec this collection's postings payloads were written with
-    (sniffed from the node table, or failing that any atom list; fresh
-    stores report the build default, [Blocked]). Writers that create new
-    lists — {!Merger}, {!Updater} — use this to keep a store's
-    representation homogeneous. *)
-
 val all_nodes : t -> Plist.t
 (** The node table, lazily loaded then memoized. *)
 

@@ -13,35 +13,27 @@ let shift_list ~offset l =
   Plist.of_postings (Array.map (shift_posting ~offset) (Plist.to_postings l))
 
 (* Appends (already-shifted, all-larger-id) postings to dst's list for
-   [atom], preserving the payload codec; lists new to dst are written
-   with dst's collection codec, not src's, so a merge never mixes
-   representations within one store. *)
-let append_postings dst ~default_codec atom shifted =
+   [atom]. *)
+let append_postings dst atom shifted =
   let store = IF.store dst in
   let key = IF.atom_key atom in
-  let codec = ref default_codec in
   let current =
     match store.Storage.Kv.get key with
     | None -> Plist.empty
-    | Some payload ->
-      codec := Plist.codec_of_bytes payload;
-      Plist.of_bytes payload
+    | Some payload -> Plist.of_bytes payload
   in
-  store.Storage.Kv.put key
-    (Plist.to_bytes ~codec:!codec (Plist.merge current shifted));
+  store.Storage.Kv.put key (Plist.to_bytes (Plist.merge current shifted));
   IF.internal_invalidate_atom dst atom
 
 let append ~dst ~src =
   let offset = IF.node_count dst in
   let src_store = IF.store src in
-  let default_codec = IF.list_codec dst in
   (* 1. Inverted lists: shift and append, atom by atom. Tombstoned records
      have no postings, so nothing special is needed for them here. *)
   src_store.Storage.Kv.iter (fun key payload ->
       if String.length key > 0 && key.[0] = 'a' then begin
         let atom = String.sub key 1 (String.length key - 1) in
-        append_postings dst ~default_codec atom
-          (shift_list ~offset (Plist.of_bytes payload))
+        append_postings dst atom (shift_list ~offset (Plist.of_bytes payload))
       end);
   (* 2. Node table. *)
   let dst_store = IF.store dst in
@@ -50,12 +42,11 @@ let append ~dst ~src =
        src_store.Storage.Kv.get IF.meta_nodes )
    with
   | Some dpayload, Some spayload ->
-    let codec = Plist.codec_of_bytes dpayload in
     let merged =
       Plist.merge (Plist.of_bytes dpayload)
         (shift_list ~offset (Plist.of_bytes spayload))
     in
-    dst_store.Storage.Kv.put IF.meta_nodes (Plist.to_bytes ~codec merged);
+    dst_store.Storage.Kv.put IF.meta_nodes (Plist.to_bytes merged);
     IF.internal_reset_node_table dst
   | None, None -> ()
   | Some _, None | None, Some _ ->

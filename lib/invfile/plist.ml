@@ -498,8 +498,10 @@ let idset_of_bytes s =
 (* --- serialization ---
 
    Payloads carry a one-byte format tag: 'V' = varint/delta,
-   'C' = block-partitioned compressed (see Plist_blocks; the default).
-   'B' belonged to the retired columnar bitpacked codec and is refused
+   'C' = block-partitioned compressed (see Plist_blocks). [to_bytes]
+   picks the tag from the list's length: a list of at most one block
+   gains nothing from a skip directory and is written 'V', a longer one
+   'C'. 'B' belonged to the retired columnar bitpacked codec and is refused
    by name, so an old store points at its migration path.
 
    A row is encoded as: node gap (omitted when the node id is carried
@@ -649,9 +651,14 @@ let decode_block_into d i (b : Buf.t) =
   if nodes.(start) <> bmin || nodes.(start + count - 1) <> bmax then
     corrupt "block span disagrees with contents"
 
-let to_bytes ?(codec = Blocked) ?rows l =
+let to_bytes ?codec ?rows l =
   let n, row =
     match rows with None -> (l.len, Fun.id) | Some rows -> (Array.length rows, Array.get rows)
+  in
+  let codec =
+    match codec with
+    | Some c -> c
+    | None -> if n <= B.block_size then Varint else Blocked
   in
   match codec with
   | Varint ->

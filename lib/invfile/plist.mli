@@ -194,24 +194,34 @@ val idset_of_bytes : string -> idset
 (** {1 Serialization}
 
     Payloads are tagged with their format: [Varint] (byte-aligned
-    delta/varint, read sequentially by {!Plist_stream}) or [Blocked] (the
-    default: block-partitioned with per-block varint/bitmap
-    representation and a skip directory, see {!Plist_blocks} — read with
-    block skipping). The tag ['B'] of the retired columnar bitpacked
-    codec is refused with its own message.
+    delta/varint, read sequentially by {!Plist_stream}) or [Blocked]
+    (block-partitioned with per-block varint/bitmap representation and a
+    skip directory, see {!Plist_blocks} — read with block skipping). The
+    tag ['B'] of the retired columnar bitpacked codec is refused with its
+    own message.
+
+    {!to_bytes} is the one place a list's format is chosen, from the list
+    alone: at most {!Plist_blocks.block_size} rows are written [Varint]
+    (smaller, and one block has nothing to skip), more rows [Blocked].
+    Every writer — {!Builder}, {!Merger}, {!Updater}, {!Repair} and the
+    live store's segments — goes through it, so a store may hold both
+    formats; readers dispatch on each payload's tag.
 
     Decoding accepts only what {!to_bytes} writes, so
     [to_bytes ~codec (of_bytes s) = s] for every payload [s] that
-    decodes. Every count is checked against the bytes left before a
-    column grows for it: a hostile count raises
+    decodes, with [codec] its own tag. Every count is checked against the
+    bytes left before a column grows for it: a hostile count raises
     {!Storage.Codec.Corrupt}, never [Out_of_memory]. *)
 
 type codec = Varint | Blocked
 
 val to_bytes : ?codec:codec -> ?rows:int array -> t -> string
-(** Defaults to [Blocked]. With [~rows] (ascending row indices) only those
-    rows are encoded, as if they were the list: how {!Builder} and
-    {!Repair} write each atom's list straight from the node table.
+(** The payload of a list, in the format its length picks (see above).
+    [~codec] forces a format instead: for re-encoding a payload in its own
+    tag ({!Integrity}), and for measuring or testing one format. With
+    [~rows] (ascending row indices) only those rows are encoded, as if
+    they were the list: how {!Builder} and {!Repair} write each atom's
+    list straight from the node table.
     @raise Invalid_argument if a row's children are not strictly
     increasing. *)
 

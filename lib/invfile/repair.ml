@@ -30,17 +30,6 @@ let rebuild inv =
         | exception _ -> None)
   in
   let had_node_table = Storage.Kv.mem store IF.meta_nodes in
-  let codec =
-    (* preserve the collection's list codec when a list survives to tell
-       us; otherwise fall back to the build default *)
-    match !old_atom_keys with
-    | key :: _ -> (
-      match store.Storage.Kv.get key with
-      | Some payload -> (
-        try Plist.codec_of_bytes payload with _ -> Plist.Blocked)
-      | None -> Plist.Blocked)
-    | [] -> Plist.Blocked
-  in
   (* Recompute everything the builder derives, in record-id order so each
      postings list comes out sorted. *)
   let postings : (string, int list) Hashtbl.t = Hashtbl.create 1024 in
@@ -95,10 +84,10 @@ let rebuild inv =
         (fun atom rev_rows ->
           let rows = Array.of_list (List.rev rev_rows) in
           freqs := (atom, Array.length rows) :: !freqs;
-          store.Storage.Kv.put (IF.atom_key atom) (Plist.to_bytes ~codec ~rows nodes))
+          store.Storage.Kv.put (IF.atom_key atom) (Plist.to_bytes ~rows nodes))
         postings;
       if had_node_table then
-        store.Storage.Kv.put IF.meta_nodes (Plist.to_bytes ~codec nodes);
+        store.Storage.Kv.put IF.meta_nodes (Plist.to_bytes nodes);
       List.iter
         (fun key -> store.Storage.Kv.put key IF.deleted_marker)
         tombstone_keys;

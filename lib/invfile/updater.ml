@@ -6,14 +6,12 @@ module IF = Inverted_file
 let update_list inv atom f =
   let store = IF.store inv in
   let key = IF.atom_key atom in
-  let codec = ref None in
   let existed = ref false in
   let current =
     match store.Storage.Kv.get key with
     | None -> Plist.empty
     | Some payload ->
       existed := true;
-      codec := Some (Plist.codec_of_bytes payload);
       Plist.of_bytes payload
   in
   let updated = f current in
@@ -23,11 +21,7 @@ let update_list inv atom f =
     if !existed then -1 else 0
   end
   else begin
-    (* a list new to the store adopts the collection codec *)
-    let codec =
-      match !codec with Some c -> c | None -> IF.list_codec inv
-    in
-    store.Storage.Kv.put key (Plist.to_bytes ~codec updated);
+    store.Storage.Kv.put key (Plist.to_bytes updated);
     if !existed then 0 else 1
   end
 
@@ -36,9 +30,7 @@ let update_node_table inv f =
   match store.Storage.Kv.get IF.meta_nodes with
   | None -> () (* node table was not built for this collection *)
   | Some payload ->
-    let codec = Plist.codec_of_bytes payload in
-    store.Storage.Kv.put IF.meta_nodes
-      (Plist.to_bytes ~codec (f (Plist.of_bytes payload)));
+    store.Storage.Kv.put IF.meta_nodes (Plist.to_bytes (f (Plist.of_bytes payload)));
     IF.internal_reset_node_table inv
 
 let append_posting l p = Plist.merge l (Plist.of_postings [| p |])

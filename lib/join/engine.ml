@@ -207,62 +207,6 @@ let root_list inv memo atom =
     Hashtbl.add memo.root_table atom l;
     l
 
-(* Intersection of two sorted int arrays: walk the smaller side, gallop
-   the larger (cf. Plist_stream's kernel) — near-linear for like sizes,
-   logarithmic per element once candidates are much smaller than the
-   incoming atom list, which rarest-first ordering makes the common
-   case. *)
-let inter_sorted a b =
-  let a, b = if Array.length a <= Array.length b then (a, b) else (b, a) in
-  let la = Array.length a and lb = Array.length b in
-  if la = 0 || lb = 0 then [||]
-  else begin
-    let out = Array.make la 0 in
-    let k = ref 0 and j = ref 0 in
-    (try
-       for i = 0 to la - 1 do
-         let x = a.(i) in
-         if !j >= lb then raise Exit;
-         if b.(!j) < x then begin
-           (* gallop to a window with b.(lo) < x <= b.(hi), then bisect *)
-           let lo = ref !j and step = ref 1 in
-           let hi = ref (!lo + 1) in
-           while !hi < lb && b.(!hi) < x do
-             lo := !hi;
-             hi := !hi + !step;
-             step := !step * 2
-           done;
-           let hi = ref (min !hi lb) in
-           while !hi - !lo > 1 do
-             let mid = (!lo + !hi) / 2 in
-             if b.(mid) < x then lo := mid else hi := mid
-           done;
-           j := !hi
-         end;
-         if !j < lb && b.(!j) = x then begin
-           out.(!k) <- x;
-           incr k;
-           incr j
-         end
-       done
-     with Exit -> ());
-    Array.sub out 0 !k
-  end
-
-let mem_sorted a x =
-  let lo = ref 0 and hi = ref (Array.length a) in
-  (* invariant: a.(lo-1) < x <= a.(hi) conceptually *)
-  while !hi - !lo > 0 do
-    let mid = (!lo + !hi) / 2 in
-    if a.(mid) < x then lo := mid + 1
-    else if a.(mid) > x then hi := mid
-    else begin
-      lo := mid;
-      hi := mid
-    end
-  done;
-  !lo < Array.length a && a.(!lo) = x
-
 (* --- eligibility ---
 
    The prefix tree is a record-level *atom* filter: sound only when every
@@ -416,7 +360,7 @@ let join ?(config = default) ?trace inv values =
                   incr nodes_expanded;
                   incr recomputed;
                   shared := !shared + (kid.Prefix_tree.subtree - 1);
-                  visit (depth + 1) (inter_sorted cand l) kid)
+                  visit (depth + 1) (Containment.Intset.inter cand l) kid)
                 kids
         in
         List.iter
@@ -433,7 +377,7 @@ let join ?(config = default) ?trace inv values =
          restricting the rarest atom's list up front keeps every later
          intersection within root nodes *)
       walk node_tree (node_list inv memo)
-        (fun l -> inter_sorted l memo.roots)
+        (fun l -> Containment.Intset.inter l memo.roots)
         pending_node;
       walk root_tree (root_list inv memo) (fun l -> l) pending_root;
       Obs.Trace.opt_attr trace "nodes_expanded" (string_of_int !nodes_expanded);
@@ -473,7 +417,7 @@ let join ?(config = default) ?trace inv values =
               incr checked;
               let ok = ref true and i = ref 0 in
               while !ok && !i < n_rest do
-                if not (mem_sorted rest.(!i) nd) then ok := false;
+                if not (Containment.Intset.mem rest.(!i) nd) then ok := false;
                 incr i
               done;
               if !ok then emit_pair qi (IF.record_of_root inv nd))

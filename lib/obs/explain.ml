@@ -112,45 +112,27 @@ let render t =
 
 (* ---- JSON rendering ---- *)
 
-let json_escape v =
-  let buf = Buffer.create (String.length v) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    v;
-  Buffer.contents buf
+module J = Textformats.Json
 
-let rec to_json t =
-  let str s = "\"" ^ json_escape s ^ "\"" in
-  let pairs l =
-    "{"
-    ^ String.concat "," (List.map (fun (k, v) -> str k ^ ":" ^ str v) l)
-    ^ "}"
-  in
+let rec json t =
+  let int n = J.Number (float_of_int n) in
+  let pairs l = J.Object (List.map (fun (k, v) -> (k, J.String v)) l) in
   let atom a =
-    Printf.sprintf
-      "{\"atom\":%s,\"len\":%d,\"bytes\":%d,\"codec\":%s,\"blocks\":%d}"
-      (str a.atom) a.list_len a.bytes (str a.codec) a.blocks
+    J.Object
+      [ ("atom", J.String a.atom); ("len", int a.list_len); ("bytes", int a.bytes);
+        ("codec", J.String a.codec); ("blocks", int a.blocks) ]
   in
   let phase p =
-    Printf.sprintf
-      "{\"phase\":%s,\"est\":%d,\"actual\":%d,\"ms\":%.3f,\"notes\":%s}"
-      (str p.phase) p.est p.actual p.ms (pairs p.notes)
+    J.Object
+      [ ("phase", J.String p.phase); ("est", int p.est); ("actual", int p.actual);
+        ("ms", J.Number (Float.round (p.ms *. 1e3) /. 1e3)); ("notes", pairs p.notes) ]
   in
-  Printf.sprintf
-    "{\"target\":%s,\"query\":%s,\"records\":%d,\"config\":%s,\"atoms\":[%s],\"phases\":[%s],\"subs\":[%s]}"
-    (str t.target) (str t.query) t.records (pairs t.config)
-    (String.concat "," (List.map atom t.atoms))
-    (String.concat "," (List.map phase t.phases))
-    (String.concat "," (List.map to_json t.subs))
+  J.Object
+    [ ("target", J.String t.target); ("query", J.String t.query); ("records", int t.records);
+      ("config", pairs t.config); ("atoms", J.Array (List.map atom t.atoms));
+      ("phases", J.Array (List.map phase t.phases)); ("subs", J.Array (List.map json t.subs)) ]
+
+let to_json t = J.to_string (json t)
 
 (* ---- wire form ----
 

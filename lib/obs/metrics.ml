@@ -223,8 +223,12 @@ let label_str labels =
              ls)
       ^ "}"
 
+(* Prometheus spells the non-finite values NaN, +Inf and -Inf. *)
 let fmt_float v =
-  if Float.is_integer v && Float.abs v < 1e15 then
+  if Float.is_nan v then "NaN"
+  else if v = Float.infinity then "+Inf"
+  else if v = Float.neg_infinity then "-Inf"
+  else if Float.is_integer v && Float.abs v < 1e15 then
     Printf.sprintf "%.0f" v
   else Printf.sprintf "%g" v
 
@@ -282,47 +286,24 @@ let render_text t =
     (sorted_series t);
   Buffer.contents buf
 
-let json_escape v =
-  let buf = Buffer.create (String.length v) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    v;
-  Buffer.contents buf
-
-let json_labels labels =
-  "{"
-  ^ String.concat ","
-      (List.map
-         (fun (k, v) ->
-           Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v))
-         labels)
-  ^ "}"
-
 let render_json t =
+  let module J = Textformats.Json in
+  let int n = J.Number (float_of_int n) in
   let entry s =
-    let base =
-      Printf.sprintf "\"name\":\"%s\",\"labels\":%s,\"kind\":\"%s\""
-        (json_escape s.name) (json_labels s.labels) (kind_name s.inst)
+    let value =
+      match s.inst with
+      | Counter c -> [ ("value", int (Atomic.get c)) ]
+      | Gauge g -> [ ("value", J.Number (Atomic.get g)) ]
+      | Callback (_, f) -> [ ("value", J.Number (f ())) ]
+      | Histogram h ->
+          [ ("count", int (hist_count h)); ("sum", J.Number (hist_sum h));
+            ("p50", J.Number (quantile h 0.50)); ("p95", J.Number (quantile h 0.95));
+            ("p99", J.Number (quantile h 0.99)) ]
     in
-    match s.inst with
-    | Counter c -> Printf.sprintf "{%s,\"value\":%d}" base (Atomic.get c)
-    | Gauge g -> Printf.sprintf "{%s,\"value\":%s}" base (fmt_float (Atomic.get g))
-    | Callback (_, f) -> Printf.sprintf "{%s,\"value\":%s}" base (fmt_float (f ()))
-    | Histogram h ->
-        Printf.sprintf
-          "{%s,\"count\":%d,\"sum\":%s,\"p50\":%s,\"p95\":%s,\"p99\":%s}" base
-          (hist_count h) (fmt_float (hist_sum h))
-          (fmt_float (quantile h 0.50))
-          (fmt_float (quantile h 0.95))
-          (fmt_float (quantile h 0.99))
+    J.Object
+      (("name", J.String s.name)
+       :: ("labels", J.Object (List.map (fun (k, v) -> (k, J.String v)) s.labels))
+       :: ("kind", J.String (kind_name s.inst))
+       :: value)
   in
-  "[" ^ String.concat "," (List.map entry (sorted_series t)) ^ "]"
+  J.to_string (J.Array (List.map entry (sorted_series t)))

@@ -411,17 +411,21 @@ let render ?(names = []) evs =
   Buffer.contents buf
 
 let render_json ?(names = []) evs =
+  let module J = Textformats.Json in
+  let int n = J.Number (float_of_int n) in
   let entry e =
     let name =
       match e.kind with
       | Phase_begin | Phase_end | Lock_wait | Race_suspect -> (
         match List.assoc_opt e.a8 names with
-        | Some n -> Printf.sprintf ",\"name\":\"%s\"" (String.escaped n)
-        | None -> "")
-      | _ -> ""
+        | Some n -> [ ("name", J.String n) ]
+        | None -> [])
+      | _ -> []
     in
-    Printf.sprintf
-      "{\"t_us\":%Ld,\"domain\":%d,\"kind\":\"%s\",\"a8\":%d,\"a16\":%d,\"a32\":%d%s}"
-      e.time_us e.domain (kind_name e.kind) e.a8 e.a16 e.a32 name
+    J.Object
+      ([ ("t_us", J.Number (Int64.to_float e.time_us)); ("domain", int e.domain);
+         ("kind", J.String (kind_name e.kind)); ("a8", int e.a8); ("a16", int e.a16);
+         ("a32", int e.a32) ]
+      @ name)
   in
-  "[" ^ String.concat "," (List.map entry evs) ^ "]"
+  J.to_string (J.Array (List.map entry evs))

@@ -295,27 +295,31 @@ let maybe_slow t job ?trace () =
     end
   end
 
+(* One request answered by one backend call. *)
+let execute_one t job call =
+  match call () with
+  | payload ->
+    finish t job (Data payload);
+    maybe_slow t job ()
+  | exception exn ->
+    let code, msg = refusal_of_exn exn in
+    finish t job (Refused (code, msg))
+
 let execute_group t backend jobs =
   match jobs with
   | [] -> ()
-  | [ { request = Batcher.Statement stmt; _ } as job ] -> (
-    match backend.run_statement stmt with
-    | payload ->
-      finish t job (Data payload);
-      maybe_slow t job ()
-    | exception exn ->
-      let code, msg = refusal_of_exn exn in
-      finish t job (Refused (code, msg)))
-  | [ { request = Batcher.Traced { value; trace_id }; _ } as job ] -> (
-    match backend.run_traced ~trace_id value with
-    | payload ->
-      finish t job (Data payload);
-      (* the trace lives inside the backend; the slow line still carries
-         the digest and latency *)
-      maybe_slow t job ()
-    | exception exn ->
-      let code, msg = refusal_of_exn exn in
-      finish t job (Refused (code, msg)))
+  | [ { request = Batcher.Statement stmt; _ } as job ] ->
+    execute_one t job (fun () -> backend.run_statement stmt)
+  | [ { request = Batcher.Traced { value; trace_id }; _ } as job ] ->
+    (* the trace lives inside the backend; the slow line still carries
+       the digest and latency *)
+    execute_one t job (fun () -> backend.run_traced ~trace_id value)
+  | [ { request = Batcher.Insert value; _ } as job ] ->
+    execute_one t job (fun () -> backend.run_insert value)
+  | [ { request = Batcher.Delete rid; _ } as job ] ->
+    execute_one t job (fun () -> backend.run_delete rid)
+  | [ { request = Batcher.Explain value; _ } as job ] ->
+    execute_one t job (fun () -> backend.run_explain value)
   | ({ request = Batcher.Join values; _ } :: _) as jobs -> (
     (* one evaluation answers the whole group: coalesce only extends a
        Join head with requests sharing it verbatim (Batcher.shares) *)
@@ -329,30 +333,6 @@ let execute_group t backend jobs =
     | exception exn ->
       let code, msg = refusal_of_exn exn in
       List.iter (fun job -> finish t job (Refused (code, msg))) jobs)
-  | [ { request = Batcher.Insert value; _ } as job ] -> (
-    match backend.run_insert value with
-    | payload ->
-      finish t job (Data payload);
-      maybe_slow t job ()
-    | exception exn ->
-      let code, msg = refusal_of_exn exn in
-      finish t job (Refused (code, msg)))
-  | [ { request = Batcher.Delete rid; _ } as job ] -> (
-    match backend.run_delete rid with
-    | payload ->
-      finish t job (Data payload);
-      maybe_slow t job ()
-    | exception exn ->
-      let code, msg = refusal_of_exn exn in
-      finish t job (Refused (code, msg)))
-  | [ { request = Batcher.Explain value; _ } as job ] -> (
-    match backend.run_explain value with
-    | payload ->
-      finish t job (Data payload);
-      maybe_slow t job ()
-    | exception exn ->
-      let code, msg = refusal_of_exn exn in
-      finish t job (Refused (code, msg)))
   | jobs -> (
     (* an all-literal block (Batcher.coalesce groups nothing else); a
        stray non-literal is an internal bug, but the wire protocol has an

@@ -248,10 +248,14 @@ let escape_string buf s =
     s;
   Buffer.add_char buf '"'
 
+(* The shortest of %.15g/%.17g that reads back as [f]; JSON has no NaN
+   or infinity, so those print as null. *)
 let number_to_string f =
-  if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.17g" f
+  if not (Float.is_finite f) then "null"
+  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+  else
+    let short = Printf.sprintf "%.15g" f in
+    if Float.equal (float_of_string short) f then short else Printf.sprintf "%.17g" f
 
 let to_string ?(pretty = false) t =
   let buf = Buffer.create 256 in

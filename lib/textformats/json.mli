@@ -25,6 +25,8 @@ val parse_many : string -> t list
 (** Newline/whitespace-separated JSON values (JSON-lines collections). *)
 
 val to_string : ?pretty:bool -> t -> string
+(** A [Number] that is NaN or infinite prints as [null]. *)
+
 val pp : Format.formatter -> t -> unit
 
 (** {1 Accessors} *)

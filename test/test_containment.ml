@@ -149,6 +149,20 @@ let prop_paper_td_overapproximates =
       let paper = Containment.Top_down.run_paper hom_mode inv q' in
       Containment.Intset.subset strict paper)
 
+(* Galloping intersection and binary-search membership against the
+   list definitions, with one side often much shorter than the other. *)
+let prop_intset_kernels =
+  let set = QCheck.(map Containment.Intset.of_list (list_of_size Gen.(0 -- 200) (int_bound 400))) in
+  let small = QCheck.(map Containment.Intset.of_list (list_of_size Gen.(0 -- 8) (int_bound 400))) in
+  Testutil.qcheck_case ~count:300 ~name:"Intset inter and mem"
+    (QCheck.triple set small (QCheck.int_bound 401))
+    (fun (a, b, x) ->
+      let module I = Containment.Intset in
+      let want = List.filter (fun y -> List.mem y (I.to_list b)) (I.to_list a) in
+      I.to_list (I.inter a b) = want
+      && I.to_list (I.inter b a) = want
+      && I.mem a x = List.mem x (I.to_list a))
+
 (* --- leafless query nodes (node-table extension) --- *)
 
 let test_leafless_query_nodes () =
@@ -274,6 +288,7 @@ let () =
           Alcotest.test_case "leafless query nodes" `Quick test_leafless_query_nodes;
           Alcotest.test_case "empty query" `Quick test_empty_query;
           Alcotest.test_case "atom query rejected" `Quick test_atom_query_rejected;
+          prop_intset_kernels;
         ] );
       ( "agreement",
         [

@@ -533,8 +533,18 @@ let test_retired_bitpacked_tag () =
   (match L.of_bytes ("B" ^ L.to_bytes l) with
   | exception Storage.Codec.Corrupt m ->
     check_bool "names the retired codec" true (Testutil.contains m "retired bitpacked")
-  | _ -> Alcotest.fail "a 'B' payload decoded");
-  check_bool "default is blocked" true (L.codec_of_bytes (L.to_bytes l) = L.Blocked)
+  | _ -> Alcotest.fail "a 'B' payload decoded")
+
+(* Without ~codec a list is written varint up to one block of rows and
+   blocked beyond, and ~codec overrides the choice. *)
+let test_format_follows_length () =
+  let rows n = plist (List.init n (fun i -> (2 * i, []))) in
+  List.iter
+    (fun (n, want) ->
+      check_bool (Printf.sprintf "%d rows" n) true (L.codec_of_bytes (L.to_bytes (rows n)) = want))
+    [ (1, L.Varint); (Invfile.Plist_blocks.block_size, L.Varint);
+      (Invfile.Plist_blocks.block_size + 1, L.Blocked) ];
+  check_bool "override" true (L.codec_of_bytes (L.to_bytes ~codec:L.Blocked (rows 1)) = L.Blocked)
 
 let prop_codecs_agree =
   Testutil.qcheck_case ~name:"varint and blocked payloads decode identically"
@@ -589,6 +599,43 @@ let test_bitpacked_collection_end_to_end () =
       Alcotest.(check (list int)) ("after repair: " ^ s)
         (E.query ~config:naive inv q).E.records (E.query inv q).E.records)
     [ "{UK, {A}}"; "{UK}"; "{London, UK}"; "{A, motorbike}" ]
+
+(* A store written all-blocked, as stores were before the length rule,
+   takes an insert that grows a list past one block and a delete that
+   shrinks it back: each rewritten list follows the rule, the store stays
+   consistent, and answers match the naive scan. *)
+let test_blocked_store_grows () =
+  let module E = Containment.Engine in
+  let n = Invfile.Plist_blocks.block_size in
+  let inv =
+    Testutil.mem_collection
+      (Testutil.licences_strings @ List.init n (fun i -> Printf.sprintf "{common, x%d}" (i mod 3)))
+  in
+  Testutil.recode_lists ~codec:L.Blocked inv;
+  let format () =
+    match (IF.store inv).Storage.Kv.get (IF.atom_key "common") with
+    | Some payload -> L.codec_of_bytes payload
+    | None -> Alcotest.fail "no list for common"
+  in
+  let naive = { E.default with E.algorithm = E.Naive_scan } in
+  let agree ctx =
+    (match E.verify_store inv with
+    | [] -> ()
+    | p :: _ -> Alcotest.failf "%s: %a" ctx Invfile.Integrity.pp_problem p);
+    List.iter
+      (fun s ->
+        let q = Testutil.v s in
+        Alcotest.(check (list int)) (ctx ^ ": " ^ s)
+          (E.query ~config:naive inv q).E.records (E.query inv q).E.records)
+      [ "{common}"; "{common, x1}"; "{UK, {A}}"; "{car}"; "{common, car}" ]
+  in
+  agree "all blocked";
+  let id = Invfile.Updater.add_string inv "{common, car, {UK, {A, motorbike}}}" in
+  check_bool "grown past a block: blocked" true (format () = L.Blocked);
+  agree "after insert";
+  check_bool "deleted" true (Invfile.Updater.delete_record inv id);
+  check_bool "back to one block: varint" true (format () = L.Varint);
+  agree "after delete"
 
 (* --- atom dictionary & binary record format --- *)
 
@@ -753,6 +800,9 @@ let () =
       ( "codecs",
         [
           Alcotest.test_case "retired bitpacked tag" `Quick test_retired_bitpacked_tag;
+          Alcotest.test_case "format follows length" `Quick test_format_follows_length;
+          Alcotest.test_case "blocked store takes insert and delete" `Quick
+            test_blocked_store_grows;
           prop_codecs_agree;
           Alcotest.test_case "bitpacked collection" `Quick
             test_bitpacked_collection_end_to_end;

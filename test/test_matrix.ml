@@ -1,6 +1,8 @@
 (* Configuration-matrix integration tests: one deterministic workload
-   evaluated across every storage backend × postings codec × record format
-   × algorithm combination, all required to produce identical answers.
+   evaluated across every storage backend × postings format (lists written
+   all-varint, all-blocked, or each by the length rule of Plist.to_bytes)
+   × record format × algorithm combination, all required to produce
+   identical answers.
    Complements the per-feature suites by exercising the combinations
    together (where integration bugs live). *)
 
@@ -19,7 +21,7 @@ let values =
 let queries inv =
   Datagen.Workload.values (Datagen.Workload.benchmark_queries ~seed:5 ~count:16 inv)
 
-(* answers from the reference configuration: Mem / Varint / Syntax / BU *)
+(* answers from the reference configuration: Mem / rule / Syntax / BU *)
 let expected =
   lazy
     (let inv = Containment.Collection.of_values (Lazy.force values) in
@@ -45,7 +47,6 @@ let backends =
           fun () -> try Sys.remove path with Sys_error _ -> () ) );
   ]
 
-let codecs = [ ("varint", Invfile.Plist.Varint); ("blocked", Invfile.Plist.Blocked) ]
 let formats = [ ("syntax", `Syntax); ("binary", `Binary) ]
 
 let algorithms =
@@ -56,11 +57,9 @@ let check_combination backend_name mk_backend codec_name codec fmt_name record_f
     () =
   let backend, cleanup = mk_backend () in
   Fun.protect ~finally:cleanup @@ fun () ->
-  let inv =
-    Containment.Collection.of_values ~backend ~codec ~record_format
-      (Lazy.force values)
-  in
+  let inv = Containment.Collection.of_values ~backend ~record_format (Lazy.force values) in
   Fun.protect ~finally:(fun () -> IF.close inv) @@ fun () ->
+  Testutil.recode_lists ?codec inv;
   (* also exercise the cache on the heavier stores *)
   if backend_name <> "mem" then Containment.Collection.with_static_cache inv ~budget:50;
   List.iter2
@@ -86,7 +85,7 @@ let cases =
                 `Slow
                 (check_combination bname mk cname codec fname fmt))
             formats)
-        codecs)
+        Testutil.codecs)
     backends
 
 let () = Alcotest.run "matrix" [ ("backend × codec × format × algorithm", cases) ]

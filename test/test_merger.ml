@@ -75,39 +75,35 @@ let test_all_tombstoned_src () =
 
 (* --- mixed payload representations --- *)
 
-(* Append across every pairing of list codecs: the merger must read the
-   source's representation and keep the destination homogeneous in its
-   own. Integrity.check's canonical-bytes rule then catches any list the
-   merge re-encoded in the wrong format. *)
+(* Append across every pairing of stores written all-varint, all-blocked
+   and by the length rule: the merger reads each list in its own format
+   and writes what it touches by the rule. Integrity.check's
+   canonical-bytes rule then catches any list left in a form its own tag
+   does not re-encode to. One atom ("common") has more than a block of
+   postings on each side, so the rule writes both formats. *)
 
 let build_with_codec path codec values =
-  let store = Storage.Log_store.create path in
-  let b = Invfile.Builder.create ~codec store in
-  List.iter (fun v -> ignore (Invfile.Builder.add_value b v)) values;
-  Invfile.Builder.finish b
+  let inv = build path values in
+  Testutil.recode_lists ?codec inv;
+  inv
 
 let with_store_codec codec values f =
   Testutil.with_temp_path ".log" @@ fun path ->
   let inv = build_with_codec path codec values in
   Fun.protect ~finally:(fun () -> IF.close inv) (fun () -> f inv)
 
-let codec_name = function
-  | Invfile.Plist.Varint -> "varint"
-  | Invfile.Plist.Blocked -> "blocked"
-
 let test_mixed_codec_append () =
-  let half = List.length licences / 2 in
-  let a = List.filteri (fun i _ -> i < half) licences in
-  let b = List.filteri (fun i _ -> i >= half) licences in
-  let codecs = Invfile.Plist.[ Varint; Blocked ] in
+  let filler =
+    List.init 150 (fun i -> Testutil.v (Printf.sprintf "{common, x%d, {A, car}}" (i mod 5)))
+  in
+  let a = filler @ List.filteri (fun i _ -> i < 2) licences in
+  let b = filler @ List.filteri (fun i _ -> i >= 2) licences in
+  let queries = probe_queries @ List.map Testutil.v [ "{common, x3}"; "{common, {A}}" ] in
   List.iter
-    (fun dst_codec ->
+    (fun (dst_name, dst_codec) ->
       List.iter
-        (fun src_codec ->
-          let ctx =
-            Printf.sprintf "%s <- %s" (codec_name dst_codec)
-              (codec_name src_codec)
-          in
+        (fun (src_name, src_codec) ->
+          let ctx = Printf.sprintf "%s <- %s" dst_name src_name in
           with_store_codec dst_codec a @@ fun dst ->
           with_store_codec src_codec b @@ fun src ->
           Invfile.Merger.append ~dst ~src;
@@ -120,13 +116,13 @@ let test_mixed_codec_append () =
                  (List.hd problems)));
           List.iter
             (fun q ->
-              with_store licences @@ fun oracle ->
+              with_store (a @ b) @@ fun oracle ->
               check_ids
                 (ctx ^ ": " ^ V.to_string q)
                 (records oracle q) (records dst q))
-            probe_queries)
-        codecs)
-    codecs
+            queries)
+        Testutil.codecs)
+    Testutil.codecs
 
 (* --- crash mid-merge: repair must restore a consistent store --- *)
 
@@ -160,9 +156,9 @@ let test_mid_merge_crash_sweep () =
   let half = List.length licences / 2 in
   let a = List.filteri (fun i _ -> i < half) licences in
   let b = List.filteri (fun i _ -> i >= half) licences in
-  with_store_codec Invfile.Plist.Blocked b @@ fun src ->
+  with_store_codec (Some Invfile.Plist.Blocked) b @@ fun src ->
   Testutil.with_temp_path ".log" @@ fun pristine ->
-  IF.close (build_with_codec pristine Invfile.Plist.Blocked a);
+  IF.close (build_with_codec pristine (Some Invfile.Plist.Blocked) a);
   let total =
     let wrapper, crashed = append_with_faults pristine src in
     Alcotest.(check bool) "no crash without a crash config" false crashed;
@@ -172,7 +168,7 @@ let test_mid_merge_crash_sweep () =
     (Printf.sprintf "enough write boundaries (%d)" total)
     true (total > 10);
   (* the counting run mutated its destination, so rebuild it *)
-  IF.close (build_with_codec pristine Invfile.Plist.Blocked a);
+  IF.close (build_with_codec pristine (Some Invfile.Plist.Blocked) a);
   for n = 1 to total do
     Testutil.with_temp_path ".log" @@ fun work ->
     copy_file pristine work;

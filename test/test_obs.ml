@@ -10,6 +10,7 @@ module T = Obs.Trace
 
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
+let check_bool = Alcotest.(check bool)
 let check_float = Alcotest.(check (float 1e-9))
 
 (* --- counters --- *)
@@ -190,6 +191,46 @@ let test_render_json () =
       "\"p95\"";
       "\"count\":1";
     ]
+
+(* Every JSON renderer of the library emits what the JSON parser reads
+   back: a control byte in a name is escaped, a non-finite number is
+   null. *)
+let test_json_renderers_parse () =
+  let module J = Textformats.Json in
+  let parse what s =
+    match J.of_string s with
+    | v -> v
+    | exception J.Parse_error { message; _ } -> Alcotest.failf "%s: %s in %S" what message s
+  in
+  let name = "ph\001ase\n" in
+  let reg = M.create () in
+  M.set (M.gauge reg "nscq_nan" ~labels:[ ("k", name) ]) Float.nan;
+  M.set (M.gauge reg "nscq_inf") Float.infinity;
+  (match parse "metrics" (M.render_json reg) with
+  | J.Array [ inf; nan ] ->
+    check_bool "nan is null" true (J.member "value" nan = Some J.Null);
+    check_bool "inf is null" true (J.member "value" inf = Some J.Null);
+    check_bool "label kept" true
+      (Option.bind (J.member "labels" nan) (J.member "k") = Some (J.String name))
+  | _ -> Alcotest.fail "metrics: two series expected");
+  let text = M.render_text reg in
+  check_bool "text spells NaN" true (contains ~sub:"} NaN\n" text);
+  check_bool "text spells +Inf" true (contains ~sub:"nscq_inf +Inf\n" text);
+  let ev kind = { Obs.Recorder.time_us = 5L; domain = 1; kind; a8 = 3; a16 = 0; a32 = 7 } in
+  (match
+     parse "recorder"
+       (Obs.Recorder.render_json ~names:[ (3, name) ] [ ev Obs.Recorder.Phase_begin ])
+   with
+  | J.Array [ e ] -> check_bool "recorder name kept" true (J.member "name" e = Some (J.String name))
+  | _ -> Alcotest.fail "recorder: one event expected");
+  let x =
+    Obs.Explain.make ~target:name ~query:"{a}"
+      ~atoms:[ { Obs.Explain.atom = name; list_len = 1; bytes = 2; codec = "varint"; blocks = 0 } ]
+      ~phases:[ { Obs.Explain.phase = "eval"; est = 1; actual = 1; ms = Float.nan; notes = [ (name, name) ] } ]
+      ()
+  in
+  let j = parse "explain" (Obs.Explain.to_json x) in
+  check_bool "explain target kept" true (J.member "target" j = Some (J.String name))
 
 let test_callback_replacement () =
   let reg = M.create () in
@@ -485,6 +526,7 @@ let () =
         [
           Alcotest.test_case "text exposition" `Quick test_render_text;
           Alcotest.test_case "json dump" `Quick test_render_json;
+          Alcotest.test_case "json renderers parse" `Quick test_json_renderers_parse;
           Alcotest.test_case "callback replacement" `Quick
             test_callback_replacement;
           prop_exposition_well_formed;

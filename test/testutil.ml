@@ -106,3 +106,29 @@ let contains haystack needle =
   let nl = String.length needle and hl = String.length haystack in
   let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
   go 0
+
+(* --- stores written in one payload format ---
+
+   New lists take the format Plist.to_bytes picks from their length.
+   Stores written before that rule hold every list in one format —
+   blocked by default, varint on request — and must keep opening,
+   answering, growing, merging and repairing; these rebuild such a store
+   from one built now. *)
+
+let codecs =
+  [ ("varint", Some Invfile.Plist.Varint); ("blocked", Some Invfile.Plist.Blocked); ("rule", None) ]
+
+(* Rewrites every atom list and the node table of [inv] with [?codec]
+   (by the rule without one). *)
+let recode_lists ?codec inv =
+  let module IF = Invfile.Inverted_file in
+  let store = IF.store inv in
+  let lists = ref [] in
+  store.Storage.Kv.iter (fun key payload ->
+      if key = IF.meta_nodes || (String.length key > 0 && key.[0] = 'a') then
+        lists := (key, payload) :: !lists);
+  List.iter
+    (fun (key, payload) ->
+      store.Storage.Kv.put key (Invfile.Plist.to_bytes ?codec (Invfile.Plist.of_bytes payload)))
+    !lists;
+  IF.refresh inv
