@@ -299,12 +299,41 @@ let internal_invalidate_atom t a =
 let internal_reset_node_table t =
   t.all_nodes <- None
 
-let internal_write_meta t =
-  t.store.Storage.Kv.put meta_roots (Storage.Codec.encode_int_array t.roots);
+let put_roots_and_counts store ~roots ~atom_count ~node_count =
+  store.Storage.Kv.put meta_roots (Storage.Codec.encode_int_array roots);
   let w = Storage.Codec.writer () in
-  Storage.Codec.write_varint w t.atom_count;
-  Storage.Codec.write_varint w t.node_count;
-  t.store.Storage.Kv.put meta_counts (Storage.Codec.contents w)
+  Storage.Codec.write_varint w atom_count;
+  Storage.Codec.write_varint w node_count;
+  store.Storage.Kv.put meta_counts (Storage.Codec.contents w)
+
+let internal_write_meta t =
+  put_roots_and_counts t.store ~roots:t.roots ~atom_count:t.atom_count
+    ~node_count:t.node_count
+
+let top_k = 4096
+
+(* The [top_k] entries of [lengths] by descending length, then atom. *)
+let top_of lengths =
+  let by_len =
+    List.sort
+      (fun (a1, c1) (a2, c2) ->
+        let c = Int.compare c2 c1 in
+        if c <> 0 then c else String.compare a1 a2)
+      lengths
+  in
+  List.filteri (fun i _ -> i < top_k) by_len
+
+let write_meta store ~roots ~atom_count ~node_count ~lengths =
+  put_roots_and_counts store ~roots ~atom_count ~node_count;
+  let top = top_of lengths in
+  let w = Storage.Codec.writer () in
+  Storage.Codec.write_varint w (List.length top);
+  List.iter
+    (fun (a, c) ->
+      Storage.Codec.write_string w a;
+      Storage.Codec.write_varint w c)
+    top;
+  store.Storage.Kv.put meta_topk (Storage.Codec.contents w)
 
 let refresh t =
   let roots, atom_count, node_count = read_meta t.store in

@@ -115,8 +115,21 @@ val iter_records : t -> (int -> Nested.Value.t -> unit) -> unit
 (** Full scan in record-id order (the naive baseline's access path). *)
 
 val top_atoms : t -> (string * int) list
-(** Most frequent atoms with posting counts, descending, as persisted by the
-    builder. *)
+(** The {!top_k} most frequent atoms with their posting counts, descending
+    (ties by atom), as {!write_meta} persisted them. Updates do not
+    refresh the table; a build, a merge or a repair writes it anew. *)
+
+val top_k : int
+(** Entries of the persisted frequency table: 4096. *)
+
+val write_meta :
+  Storage.Kv.t -> roots:int array -> atom_count:int -> node_count:int ->
+  lengths:(string * int) list -> unit
+(** The one writer of a finished index's metadata: the record roots, the
+    atom and node counts, and the frequency table — the {!top_k} longest
+    of [lengths] (atom, posting count), which must hold at least every
+    atom of the table. {!Builder.finish}, {!Repair.rebuild} and
+    {!Merger} call it; each key is put once. *)
 
 (** {1 Caching (paper Sec. 3.3)} *)
 

@@ -66,22 +66,47 @@ let suffix_count d i = d.suffix.(i)
 
 type block = { bmin : int; bmax : int; count : int; as_bitmap : bool; body : string }
 
-let encode ~total blocks =
-  let w = Storage.Codec.writer () in
+let write_entry w ~prev_max ~bmin ~bmax ~count ~as_bitmap ~len =
+  Storage.Codec.write_varint w (bmin - prev_max - 1);
+  Storage.Codec.write_varint w (bmax - bmin);
+  Storage.Codec.write_varint w count;
+  Storage.Codec.write_varint w (if as_bitmap then 1 else 0);
+  Storage.Codec.write_varint w len
+
+(* Directory entries and bodies of blocks [0, keep) of [d], copied as they
+   are, followed by [blocks]. *)
+let write_extended w ?d ~keep ~total blocks =
   Storage.Codec.write_varint w total;
-  Storage.Codec.write_varint w (List.length blocks);
+  Storage.Codec.write_varint w (keep + List.length blocks);
   let prev_max = ref (-1) in
+  Option.iter
+    (fun d ->
+      for i = 0 to keep - 1 do
+        write_entry w ~prev_max:!prev_max ~bmin:d.mins.(i) ~bmax:d.maxs.(i)
+          ~count:d.counts.(i) ~as_bitmap:d.bitmap.(i) ~len:d.lens.(i);
+        prev_max := d.maxs.(i)
+      done)
+    d;
   List.iter
     (fun b ->
-      Storage.Codec.write_varint w (b.bmin - !prev_max - 1);
-      Storage.Codec.write_varint w (b.bmax - b.bmin);
-      Storage.Codec.write_varint w b.count;
-      Storage.Codec.write_varint w (if b.as_bitmap then 1 else 0);
-      Storage.Codec.write_varint w (String.length b.body);
+      write_entry w ~prev_max:!prev_max ~bmin:b.bmin ~bmax:b.bmax ~count:b.count
+        ~as_bitmap:b.as_bitmap ~len:(String.length b.body);
       prev_max := b.bmax)
     blocks;
-  List.iter (fun b -> Storage.Codec.write_raw w b.body) blocks;
-  Storage.Codec.contents w
+  Option.iter
+    (fun d ->
+      if keep > 0 then
+        let lo = d.offs.(0) in
+        Storage.Codec.write_raw_sub w d.payload ~pos:lo
+          ~len:(d.offs.(keep - 1) + d.lens.(keep - 1) - lo))
+    d;
+  List.iter (fun b -> Storage.Codec.write_raw w b.body) blocks
+
+let encode w ~total blocks = write_extended w ~keep:0 ~total blocks
+
+let extend w d ~keep ~total blocks =
+  if keep < 0 || keep > n_blocks d then invalid_arg "Plist_blocks.extend: keep";
+  write_extended w ~d ~keep ~total blocks
 
 (* --- directory parsing --- *)
 

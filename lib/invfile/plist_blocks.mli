@@ -32,8 +32,8 @@ type block = {
   body : string;
 }
 
-val encode : total:int -> block list -> string
-(** The untagged blocked body: directory, then the bodies in order. *)
+val encode : Storage.Codec.writer -> total:int -> block list -> unit
+(** Writes the untagged blocked body: directory, then the bodies in order. *)
 
 (** {1 Reading} *)
 
@@ -70,6 +70,16 @@ val body_len : t -> int -> int
 val suffix_count : t -> int -> int
 (** [suffix_count d i] is the number of postings in blocks [i ..]
     (defined for [0 <= i <= n_blocks d], with the last being [0]). *)
+
+val extend :
+  Storage.Codec.writer -> t -> keep:int -> total:int -> block list -> unit
+(** [extend w d ~keep ~total blocks] writes the body of blocks
+    [0 .. keep - 1] of [d] followed by [blocks]: the kept blocks'
+    directory entries are rewritten from [d] and their bodies copied as
+    bytes, never decoded. The output is what {!encode} writes for the
+    kept blocks and [blocks] together, so a tail append of a list costs
+    its last block, not the whole list.
+    @raise Invalid_argument unless [0 <= keep <= n_blocks d]. *)
 
 val find_block : t -> start:int -> int -> int
 (** [find_block d ~start id] is the first block index [>= start] whose

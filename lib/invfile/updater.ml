@@ -30,10 +30,8 @@ let update_node_table inv f =
   match store.Storage.Kv.get IF.meta_nodes with
   | None -> () (* node table was not built for this collection *)
   | Some payload ->
-    store.Storage.Kv.put IF.meta_nodes (Plist.to_bytes (f (Plist.of_bytes payload)));
+    store.Storage.Kv.put IF.meta_nodes (f payload);
     IF.internal_reset_node_table inv
-
-let append_posting l p = Plist.merge l (Plist.of_postings [| p |])
 
 let meta_keys = [ IF.meta_nodes; IF.meta_roots; IF.meta_counts ]
 
@@ -69,44 +67,46 @@ let add_value ?(journal = true) inv value =
     invalid_arg "Updater.add_value: record value must be a set";
   let record_id = IF.record_count inv in
   let first_id = IF.node_count inv in
-  let tree =
-    Nested.Tree.of_value (Nested.Tree.allocator_from first_id) ~record_id value
-  in
+  let ix = Builder.index ~first_id ~size:16 () in
+  Builder.index_value ix ~record_id value;
   let atoms = Nested.Value.atom_universe value in
   let keys =
     (IF.record_key record_id :: List.map IF.atom_key atoms)
     @ meta_keys @ dict_keys inv atoms
   in
   in_txn ~journal inv keys @@ fun () ->
-  (* New ids exceed all existing ids, so postings append in sorted order. *)
+  (* New ids exceed all existing ids: each touched list grows at its tail,
+     one append per atom and one for the node table. *)
+  let store = IF.store inv in
+  let nodes = Builder.index_nodes ix in
   let added_atoms = ref 0 in
-  let new_postings = ref [] in
-  Nested.Tree.iter
-    (fun n ->
-      let p = Posting.of_tree_node n in
-      new_postings := p :: !new_postings;
-      Array.iter
-        (fun leaf ->
-          added_atoms := !added_atoms + update_list inv leaf (fun l -> append_posting l p))
-        n.Nested.Tree.leaves)
-    tree;
-  update_node_table inv (fun l ->
-      Plist.merge l (Plist.of_list !new_postings));
+  Builder.iter_postings ix (fun atom rows ->
+      let key = IF.atom_key atom in
+      IF.internal_invalidate_atom inv atom;
+      store.Storage.Kv.put key
+        (match store.Storage.Kv.get key with
+        | None ->
+          incr added_atoms;
+          Plist.to_bytes ~rows nodes
+        | Some payload -> Plist.append ~rows payload nodes));
+  update_node_table inv (fun payload -> Plist.append payload nodes);
   IF.internal_put_record inv record_id value;
   (* metadata + in-handle state *)
-  let roots = Array.append (IF.roots inv) [| tree.Nested.Tree.root |] in
+  let roots = Array.append (IF.roots inv) [| first_id |] in
   IF.internal_set_counts inv ~roots
     ~atom_count:(IF.atom_count inv + !added_atoms)
-    ~node_count:(first_id + Nested.Tree.node_count tree);
+    ~node_count:(first_id + Plist.length nodes);
   IF.internal_write_meta inv;
   record_id
 
 let add_string ?journal inv s = add_value ?journal inv (Nested.Syntax.of_string s)
 
+(* The raw slot is compared with the marker: no record is decoded. *)
 let is_deleted inv record_id =
   record_id >= 0
   && record_id < IF.record_count inv
-  && IF.record_value_opt inv record_id = None
+  && (IF.store inv).Storage.Kv.get (IF.record_key record_id)
+     = Some IF.deleted_marker
 
 let delete_record ?(journal = true) inv record_id =
   if record_id < 0 || record_id >= IF.record_count inv then false
@@ -133,8 +133,9 @@ let delete_record ?(journal = true) inv record_id =
             - update_list inv atom (fun l ->
                   Plist.filter (fun i -> not (in_range (Plist.node l i))) l))
         atoms;
-      update_node_table inv (fun l ->
-          Plist.filter (fun i -> not (in_range (Plist.node l i))) l);
+      update_node_table inv (fun payload ->
+          let l = Plist.of_bytes payload in
+          Plist.to_bytes (Plist.filter (fun i -> not (in_range (Plist.node l i))) l));
       let store = IF.store inv in
       store.Storage.Kv.put (IF.record_key record_id) IF.deleted_marker;
       IF.internal_set_counts inv ~roots:(IF.roots inv)

@@ -4,8 +4,9 @@
     downstream user adopts also needs inserts and deletes. Because node ids
     are allocated in DFS order and a fresh record's ids exceed every
     existing id, inserting a record only ever {e appends} to the affected
-    postings lists, so sortedness is preserved with a read-modify-write per
-    touched atom. Deletion removes the record's id range from its atoms'
+    postings lists: its rows are grouped by atom and each touched list,
+    and the node table, takes one tail append ({!Plist.append}), which
+    re-encodes only the list's last block. Deletion removes the record's id range from its atoms'
     lists and tombstones the record slot (record ids are positional and are
     not reused).
 
@@ -34,4 +35,5 @@ val delete_record : ?journal:bool -> Inverted_file.t -> int -> bool
     unchanged. *)
 
 val is_deleted : Inverted_file.t -> int -> bool
-(** Whether a record id (in range) has been tombstoned. *)
+(** Whether a record id (in range) has been tombstoned: its raw slot is
+    compared with the tombstone marker, no record is decoded. *)

@@ -4,8 +4,8 @@
 
     {2 Structure}
 
-    - {e Sealed segments} ({!Segment}): full inverted files built by
-      {!Invfile.Builder} over crash-safe {!Storage.Log_store} files,
+    - {e Sealed segments} ({!Segment}): full inverted files written by
+      {!Invfile.Merger.merge} over crash-safe {!Storage.Log_store} files,
       never written after sealing. Their global-id ranges are disjoint
       and ascending (oldest segment first).
     - {e Memtable}: an ordinary in-memory inverted file
@@ -169,7 +169,9 @@ val fold_live : t -> init:'a -> f:('a -> int -> Nested.Value.t -> 'a) -> 'a
 (** {1 Maintenance} *)
 
 val flush : ?trace:Obs.Trace.t -> t -> int
-(** Seals the memtable: builds a new segment from its live records,
+(** Seals the memtable: merges it into a new segment
+    ({!Invfile.Merger.merge} of one source — the memtable's ids do not
+    move, so its lists are copied as bytes and each key is put once),
     rotates the WAL, commits the manifest (the fsync fence), and resets
     the memtable. Returns the number of records sealed (0 still rotates
     the WAL and persists the tombstone set, keeping recovery O(recent)).
@@ -178,9 +180,11 @@ val flush : ?trace:Obs.Trace.t -> t -> int
 val compact : ?trace:Obs.Trace.t -> ?all:bool -> t -> int option
 (** One leveled compaction step: merges the adjacent run of segments
     with the smallest combined live size (every segment when [~all])
-    through {!Invfile.Merger.append}, purges tombstones falling in the
-    merged range, and atomically swaps the manifest. The heavy build
-    runs off the lock (concurrent queries and writes proceed); returns
+    through one {!Invfile.Merger.merge}, whose keep predicate purges the
+    tombstoned records of the merged range inside the merge, and
+    atomically swaps the manifest; the handle that wrote the new segment
+    serves it. The heavy merge runs off the lock (concurrent queries and
+    writes proceed); returns
     [Some n] ([n] segments merged) or [None] when there is nothing to do
     (fewer than two segments and no tombstones to purge, or a compaction
     is already running). With [?trace], records a [compact] span. *)

@@ -1,5 +1,5 @@
 (** One sealed segment of a live store: an immutable, fully-built
-    inverted file (a {!Invfile.Builder} product over a
+    inverted file (a {!Invfile.Merger.merge} product over a
     {!Storage.Log_store}) plus the positional map from its dense local
     record ids back to the global ids of the live collection.
 
@@ -13,9 +13,11 @@ type t = {
   seg_path : string;  (** absolute/joined path of the store file *)
   inv : Invfile.Inverted_file.t;
   ids : int array;
-      (** local record id → global record id, strictly ascending; entries
-          for slots tombstoned by a past compaction purge remain (the map
-          is positional) *)
+      (** local record id → global record id, strictly ascending. A
+          compaction leaves purged records out of its segment, slot and
+          entry both; a segment written before purging moved inside the
+          merge may still hold tombstoned slots, whose entries remain (the
+          map is positional) *)
 }
 
 val open_seg :
@@ -41,6 +43,7 @@ val max_gid : t -> int
     [min_gid > max_gid] (1, 0) for an empty segment. *)
 
 val live_count : t -> int
-(** Records not tombstoned in the store itself (purged slots). *)
+(** Records not tombstoned in the store itself, by comparing each raw
+    slot with the tombstone marker. *)
 
 val to_manifest : t -> Live_manifest.segment

@@ -107,11 +107,14 @@ let check_no_collision sources path =
 (* Live (local id → global id) pairs of a source shard, in local order.
    The store may have been tombstoned since the manifest was written;
    grown stores are rejected because new records have no global id. *)
-let live_globals (entry : Manifest.shard) inv =
+let check_id_map (entry : Manifest.shard) inv =
   if IF.record_count inv <> Array.length entry.Manifest.ids then
     invalid_arg
       "Partitioner.reshard: shard store and manifest id map disagree \
-       (records were added since the manifest was written)";
+       (records were added since the manifest was written)"
+
+let live_globals (entry : Manifest.shard) inv =
+  check_id_map entry inv;
   let live = ref [] in
   for i = IF.record_count inv - 1 downto 0 do
     match IF.record_value_opt inv i with
@@ -120,46 +123,53 @@ let live_globals (entry : Manifest.shard) inv =
   done;
   !live
 
-(* Shrinking: merge contiguous groups of source shards into each output
-   shard with Merger.append — postings shift mechanically, no record
+(* Shrinking: one Merger.merge per output shard over a contiguous group
+   of source shards — postings shift mechanically, no record
    re-encoding. *)
 let merge_groups ~backend ~output ~shards sources =
   let n = Array.length sources in
   let base = n / shards and extra = n mod shards in
   let start = ref 0 in
-  let entries =
-    List.init shards (fun g ->
-        let size = base + if g < extra then 1 else 0 in
-        let members = Array.sub sources !start size in
-        start := !start + size;
-        let path = shard_store_path ~manifest_path:output ~backend g in
-        let dst_store = create_store backend path in
-        let dst = Invfile.Builder.finish (Invfile.Builder.create dst_store) in
-        let ids = ref [] in
-        Array.iter
-          (fun ((entry : Manifest.shard), src_path) ->
-            let src = IF.open_store (Storage.Store_file.open_existing src_path) in
-            Fun.protect
-              ~finally:(fun () -> IF.close src)
-              (fun () ->
-                let live = live_globals entry src in
-                Invfile.Merger.append ~dst ~src;
-                (* reversed-prepend: a final List.rev restores order *)
-                ids := List.rev_append (List.map fst live) !ids))
-          members;
-        let entry =
-          {
-            Manifest.location = Manifest.Local { path; backend };
-            records = IF.record_count dst;
-            atoms = IF.atom_count dst;
-            nodes = IF.node_count dst;
-            ids = Array.of_list (List.rev !ids);
-          }
-        in
-        IF.close dst;
-        entry)
-  in
-  entries
+  List.init shards (fun g ->
+      let size = base + if g < extra then 1 else 0 in
+      let members = Array.to_list (Array.sub sources !start size) in
+      start := !start + size;
+      let path = shard_store_path ~manifest_path:output ~backend g in
+      let opened = ref [] in
+      Fun.protect
+        ~finally:(fun () -> List.iter IF.close !opened)
+        (fun () ->
+          let srcs =
+            List.map
+              (fun ((entry : Manifest.shard), src_path) ->
+                let src = IF.open_store (Storage.Store_file.open_existing src_path) in
+                opened := src :: !opened;
+                (entry, src))
+              members
+          in
+          List.iter (fun (entry, src) -> check_id_map entry src) srcs;
+          let dst, kept =
+            Invfile.Merger.merge (create_store backend path)
+              (List.map (fun (_, src) -> Invfile.Merger.source src) srcs)
+          in
+          let ids =
+            Array.concat
+              (List.map2
+                 (fun ((entry : Manifest.shard), _) kept ->
+                   Array.map (Array.get entry.Manifest.ids) kept)
+                 srcs kept)
+          in
+          let entry =
+            {
+              Manifest.location = Manifest.Local { path; backend };
+              records = IF.record_count dst;
+              atoms = IF.atom_count dst;
+              nodes = IF.node_count dst;
+              ids;
+            }
+          in
+          IF.close dst;
+          entry))
 
 let reshard ?(backend = `Hash) ~shards ~output manifest =
   if shards < 1 then invalid_arg "Partitioner.reshard: shards must be ≥ 1";

@@ -9,7 +9,7 @@
     would have given it, recorded in the manifest's per-shard id maps.
 
     [reshard] changes the shard count of an existing local manifest:
-    shrinking merges neighbouring shards with {!Invfile.Merger.append}
+    shrinking merges neighbouring shards with {!Invfile.Merger.merge}
     (the mechanical id-shifting reduce — no re-encoding), while growing
     re-partitions the records through fresh builders. *)
 

@@ -278,15 +278,17 @@ let rec leftmost_leaf t page =
   | Leaf _ as l -> (page, l)
   | Internal { children; _ } -> leftmost_leaf t children.(0)
 
-let iter t f =
+let iter_entries t f =
   let rec walk = function
     | Leaf { entries; next } ->
-      Array.iter (fun (k, v) -> f k (load_value t v)) entries;
+      Array.iter (fun (k, v) -> f k v) entries;
       if next <> 0 then walk (read_node t next)
     | Internal _ -> failwith "Btree_store.iter: leaf chain reached an internal node"
   in
   let _, leaf = leftmost_leaf t t.root in
   walk leaf
+
+let iter t f = iter_entries t (fun k v -> f k (load_value t v))
 
 (* Leaf containing the first key >= lo, by descent. *)
 let rec seek_leaf t page key =
@@ -320,6 +322,7 @@ let to_kv t =
     put = put t;
     delete = (fun k -> delete_from t t.root k);
     iter = iter t;
+    iter_keys = (fun f -> iter_entries t (fun k _ -> f k));
     length = (fun () -> t.count);
     sync =
       (fun () ->

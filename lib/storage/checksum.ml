@@ -1,27 +1,53 @@
+(* Slicing-by-8 over native ints: slice k of [table] maps a byte to the
+   CRC of that byte followed by k zero bytes, so eight bytes fold in with
+   eight lookups. Every value is an immediate int (the CRC fits in 32
+   bits of a 63-bit int), so a checksum allocates nothing but its boxed
+   result. *)
 let table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
+  let t = Array.make (8 * 256) 0 in
+  for n = 0 to 255 do
+    let c = ref n in
+    for _ = 0 to 7 do
+      c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done;
+    t.(n) <- !c
+  done;
+  for k = 1 to 7 do
+    for n = 0 to 255 do
+      let prev = t.(((k - 1) * 256) + n) in
+      t.((k * 256) + n) <- (prev lsr 8) lxor t.(prev land 0xff)
+    done
+  done;
+  t
 
-let update crc byte =
-  let t = Lazy.force table in
-  Int32.logxor
-    t.(Int32.to_int (Int32.logand (Int32.logxor crc (Int32.of_int byte)) 0xFFl))
-    (Int32.shift_right_logical crc 8)
+let mask = 0xFFFFFFFF
 
 let crc32_bytes ?(init = 0l) b ~pos ~len =
-  let crc = ref (Int32.lognot init) in
-  for i = pos to pos + len - 1 do
-    crc := update !crc (Char.code (Bytes.get b i))
+  if pos < 0 || len < 0 || pos > Bytes.length b - len then
+    invalid_arg "Checksum.crc32: bad range";
+  let byte i = Char.code (Bytes.unsafe_get b i) in
+  let slice k x = Array.unsafe_get table ((k lsl 8) lor x) in
+  let crc = ref (Int32.to_int init land mask lxor mask) in
+  let i = ref pos in
+  let stop = pos + len in
+  while !i + 8 <= stop do
+    let c = !crc and j = !i in
+    crc :=
+      slice 7 (byte j lxor (c land 0xff))
+      lxor slice 6 (byte (j + 1) lxor ((c lsr 8) land 0xff))
+      lxor slice 5 (byte (j + 2) lxor ((c lsr 16) land 0xff))
+      lxor slice 4 (byte (j + 3) lxor (c lsr 24))
+      lxor slice 3 (byte (j + 4))
+      lxor slice 2 (byte (j + 5))
+      lxor slice 1 (byte (j + 6))
+      lxor slice 0 (byte (j + 7));
+    i := j + 8
   done;
-  Int32.lognot !crc
+  while !i < stop do
+    crc := slice 0 ((!crc lxor byte !i) land 0xff) lxor (!crc lsr 8);
+    incr i
+  done;
+  Int32.of_int (!crc lxor mask)
 
 let crc32_sub ?init s ~pos ~len =
   crc32_bytes ?init (Bytes.unsafe_of_string s) ~pos ~len

@@ -133,6 +133,10 @@ let wrap ?(config = default) inner =
     check_alive s "iter";
     inner.Kv.iter f
   in
+  let iter_keys f =
+    check_alive s "iter";
+    inner.Kv.iter_keys f
+  in
   let length () =
     check_alive s "length";
     inner.Kv.length ()
@@ -144,6 +148,7 @@ let wrap ?(config = default) inner =
       put;
       delete;
       iter;
+      iter_keys;
       length;
       sync;
       close = inner.Kv.close;

@@ -202,6 +202,7 @@ let to_kv t =
     put = put t;
     delete = delete t;
     iter = iter t;
+    iter_keys = (fun f -> iter t (fun k _ -> f k));
     length = (fun () -> t.count);
     sync = (fun () -> sync t);
     close = (fun () -> close t);

@@ -4,6 +4,7 @@ type t = {
   put : string -> string -> unit;
   delete : string -> bool;
   iter : (string -> string -> unit) -> unit;
+  iter_keys : (string -> unit) -> unit;
   length : unit -> int;
   sync : unit -> unit;
   close : unit -> unit;
@@ -21,7 +22,7 @@ let update t k f = t.put k (f (t.get k))
 
 let keys t =
   let acc = ref [] in
-  t.iter (fun k _ -> acc := k :: !acc);
+  t.iter_keys (fun k -> acc := k :: !acc);
   List.sort String.compare !acc
 
 let to_alist t =

@@ -12,6 +12,10 @@ type t = {
   put : string -> string -> unit;  (** inserts or replaces *)
   delete : string -> bool;  (** [true] if the key was present *)
   iter : (string -> string -> unit) -> unit;  (** arbitrary order *)
+  iter_keys : (string -> unit) -> unit;
+      (** the keys of {!iter}, without reading a value where the backend
+          keeps its keys apart (the log store's directory, the in-memory
+          table, the B+tree's leaves) *)
   length : unit -> int;  (** number of live keys *)
   sync : unit -> unit;
   close : unit -> unit;

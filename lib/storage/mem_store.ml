@@ -23,6 +23,7 @@ let create ?(initial_size = 1024) () =
     put;
     delete;
     iter = (fun f -> Hashtbl.iter f table);
+    iter_keys = (fun f -> Hashtbl.iter (fun k _ -> f k) table);
     length = (fun () -> Hashtbl.length table);
     sync = (fun () -> ());
     close = (fun () -> Hashtbl.reset table);

@@ -568,6 +568,79 @@ let prop_codecs_agree =
       L.to_postings (L.of_bytes (L.to_bytes ~codec:L.Blocked l)) = L.to_postings l
       && L.to_postings (L.of_bytes (L.to_bytes ~codec:L.Varint l)) = L.to_postings l)
 
+(* --- tail appends: Plist.append = to_bytes of the concatenation --- *)
+
+(* [n] rows with strictly increasing ids; dense ids (gap 1) make bitmap
+   blocks, sparse ones delta-varint blocks. *)
+let gen_rows ~n ~dense st =
+  let node = ref (QCheck.Gen.int_range 0 3 st) in
+  L.of_postings
+    (Array.init n (fun i ->
+         if i > 0 then node := !node + if dense then 1 else QCheck.Gen.int_range 1 40 st;
+         let id = !node in
+         {
+           P.node = id;
+           children = Array.init (QCheck.Gen.int_range 0 2 st) (fun k -> id + 1 + (2 * k));
+           leaf_count = QCheck.Gen.int_range 0 4 st;
+           post = QCheck.Gen.int_range 0 5000 st;
+           parent = (if i = 0 || QCheck.Gen.bool st then -1 else id - 1);
+         }))
+
+(* A list, where to cut it, and the format its head was written in
+   ([None]: by the length rule; the others are the legacy all-'V' and
+   all-'C' stores). Cuts cluster at block boundaries: a full last block
+   (a multiple of 128), one row either side, anywhere. *)
+let arbitrary_append =
+  let b = Invfile.Plist_blocks.block_size in
+  QCheck.make
+    ~print:(fun (l, cut, codec, dense) ->
+      Printf.sprintf "%d rows, cut at %d, head %s, %s" (L.length l) cut
+        (match codec with None -> "by rule" | Some L.Varint -> "'V'" | Some L.Blocked -> "'C'")
+        (if dense then "dense" else "sparse"))
+    (fun st ->
+      let n = QCheck.Gen.int_range 1 300 st in
+      let dense = QCheck.Gen.bool st in
+      let cut =
+        QCheck.Gen.oneofl [ b - 1; b; b + 1; 2 * b; (2 * b) + 1; n - 1; n ] st
+        |> fun c -> if QCheck.Gen.bool st then QCheck.Gen.int_range 0 n st else min n c
+      in
+      let codec = QCheck.Gen.oneofl [ None; Some L.Varint; Some L.Blocked ] st in
+      (gen_rows ~n ~dense st, cut, codec, dense))
+
+let prop_append_is_concat =
+  Testutil.qcheck_case ~count:500 ~name:"append = to_bytes of the concatenation"
+    arbitrary_append (fun (l, cut, codec, _) ->
+      let n = L.length l in
+      let head = L.to_bytes ?codec ~rows:(Array.init cut Fun.id) l in
+      let tail = Array.init (n - cut) (fun k -> cut + k) in
+      let want = L.to_bytes l in
+      String.equal (L.append ~rows:tail head l) want
+      && String.equal (L.append head (L.filter (fun i -> i >= cut) l)) want
+      && L.payload_length want = n)
+
+(* Append is given the payload's own bytes: a cut-short or mislabelled
+   payload raises Corrupt as of_bytes does, and rows that do not follow
+   the payload are refused. *)
+let test_append_rejects () =
+  let st = Random.State.make [| 7 |] in
+  List.iter
+    (fun (n, codec) ->
+      let l = gen_rows ~n ~dense:false st in
+      let payload = L.to_bytes ?codec ~rows:(Array.init (n - 1) Fun.id) l in
+      let last = L.filter (fun i -> i = n - 1) l in
+      for len = 0 to String.length payload - 1 do
+        match L.append (String.sub payload 0 len) last with
+        | _ -> Alcotest.failf "%d rows cut to %d bytes: appended" n len
+        | exception Storage.Codec.Corrupt _ -> ()
+      done;
+      (match L.append ("B" ^ String.sub payload 1 (String.length payload - 1)) last with
+      | _ -> Alcotest.fail "retired tag appended"
+      | exception Storage.Codec.Corrupt _ -> ());
+      Alcotest.check_raises "rows that do not follow"
+        (Invalid_argument "Plist.append: rows do not follow the payload") (fun () ->
+          ignore (L.append payload (L.filter (fun i -> i = 0) l))))
+    [ (5, None); (200, None); (300, Some L.Blocked); (150, Some L.Varint) ]
+
 (* A store still holding a list in the retired bitpacked format: queries
    that touch it fail with Malformed naming the codec and the way out,
    check reports the payload, and repair rebuilds the index so answers
@@ -804,6 +877,9 @@ let () =
           Alcotest.test_case "blocked store takes insert and delete" `Quick
             test_blocked_store_grows;
           prop_codecs_agree;
+          prop_append_is_concat;
+          Alcotest.test_case "append rejects corrupt payloads" `Quick
+            test_append_rejects;
           Alcotest.test_case "bitpacked collection" `Quick
             test_bitpacked_collection_end_to_end;
         ] );
