@@ -995,7 +995,7 @@ let join_scaling scale =
         let outers = Datagen.Workload.values w.Datagen.Paired.outer in
         let naive_pairs, naive_s = H.time (fun () -> Join.Engine.naive inv outers) in
         let r, join_s = H.time (fun () -> Join.Engine.join inv outers) in
-        (* the oracle gate: cuts, root lifting, and verification must not
+        (* the oracle gate: cuts, cursor narrowing and engine routing must not
            change the answer, at any scale *)
         if r.Join.Engine.pairs <> naive_pairs then
           failwith

@@ -678,7 +678,7 @@ let join_cmd =
       print_summary s.Join.Engine.pairs dt "";
       Printf.printf
         "  prefix tree: %d node(s), %d expanded, %d intersection(s) shared \
-         / %d recomputed, %d adaptive cut(s), %d candidate(s) verified, %d \
+         / %d recomputed, %d adaptive cut(s), %d candidate(s) checked, %d \
          preflight-rejected, %d fallback %s\n"
         s.Join.Engine.tree_nodes s.Join.Engine.nodes_expanded
         s.Join.Engine.intersections_shared

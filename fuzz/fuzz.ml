@@ -147,8 +147,9 @@ let scenario rng i =
 (* --- join mode ---
 
    The prefix-tree join engine against the naive per-query loop: random
-   inner collections (random backend), random outer collections mixing
-   subqueries of records (dense positives) with fresh sets, under random
+   inner collections (random backend, sometimes behind a static cache),
+   random outer collections mixing subqueries of records (dense
+   positives) with fresh sets, under a random embedding and random
    LIMIT+ cut thresholds — every cut point must stay exact. *)
 
 let join_scenario rng i =
@@ -164,6 +165,8 @@ let join_scenario rng i =
   let inner = List.init n0 (fun _ -> random_set rng 0) in
   let inv = Containment.Collection.of_values ~backend inner in
   Fun.protect ~finally:(fun () -> IF.close inv) @@ fun () ->
+  let cache = if Random.State.bool rng then Random.State.int rng 4 else 0 in
+  if cache > 0 then Containment.Collection.with_static_cache inv ~budget:cache;
   let inner_arr = Array.of_list inner in
   let rec subquery v =
     if V.is_atom v then v
@@ -184,20 +187,24 @@ let join_scenario rng i =
         else random_set rng 1)
     |> List.filter V.is_set
   in
+  let embedding = embeddings rng in
   let config =
     {
-      Join.Engine.default with
-      Join.Engine.max_depth = Random.State.int rng 4;
+      Join.Engine.engine = { E.default with E.embedding };
+      max_depth = Random.State.int rng 4;
       cut_candidates = Random.State.int rng 4;
       cut_fanout = 1 + Random.State.int rng 3;
     }
   in
   let got = (Join.Engine.join ~config inv outer).Join.Engine.pairs in
-  let expected = Join.Engine.naive inv outer in
+  let expected = Join.Engine.naive ~config:config.Join.Engine.engine inv outer in
   if got <> expected then begin
     Printf.printf "\nJOIN DIVERGENCE in scenario %d:\n" i;
-    Printf.printf "  config: max_depth=%d cut_candidates=%d cut_fanout=%d\n"
-      config.Join.Engine.max_depth config.Join.Engine.cut_candidates
+    Printf.printf
+      "  config: %s, static cache %d, max_depth=%d cut_candidates=%d \
+       cut_fanout=%d\n"
+      (Format.asprintf "%a" S.pp_embedding embedding)
+      cache config.Join.Engine.max_depth config.Join.Engine.cut_candidates
       config.Join.Engine.cut_fanout;
     List.iteri
       (fun id s -> Printf.printf "  record %d: %s\n" id (V.to_string s))

@@ -239,48 +239,19 @@ let witness ?wildcards join embedding ~q ~s id =
     | exception No_witness -> None
   end
 
-(* --- prepared checks: hoist the per-query work of [at_node] ---
-
-   A join verifies one query against many candidate records; re-indexing
-   the query (and re-validating the mode) per candidate would dominate the
-   check. [prepare] does both once. Single-node queries under containment
-   with a child-preserving embedding need no DP at all — the node test is
-   the whole check, so [run] skips the matcher and its memo tables. *)
-
-type prepared = {
-  p_wildcards : bool;
-  p_join : Semantics.join;
-  p_embedding : Semantics.embedding;
-  p_qx : qidx;
-  p_flat : (string array -> bool) option;
-      (* complete check against the data node's own leaves, when sound *)
-}
-
-let prepare ?(wildcards = false) join embedding q =
+(* A flat query under containment with a child-preserving embedding needs
+   no DP: the node's own leaves decide, so no matcher or memo table is
+   built. *)
+let at_node ?(wildcards = false) join embedding ~q ~s id =
   check_supported ~wildcards join embedding;
   let qx = index_query q in
-  let p_flat =
-    if Array.length qx.q_children.(0) > 0 then None
-    else
-      match join, embedding with
-      | Semantics.Containment, (Semantics.Hom | Semantics.Iso | Semantics.Homeo)
-        ->
-        if wildcards then Some (fun leaves -> wildcard_subset qx.q_leaves.(0) leaves)
-        else Some (fun leaves -> str_subset qx.q_leaves.(0) leaves)
-      | _ -> None
-  in
-  { p_wildcards = wildcards; p_join = join; p_embedding = embedding;
-    p_qx = qx; p_flat }
-
-let run p ~s id =
   let sn = T.node s id in
-  match p.p_flat with
-  | Some check -> check sn.T.leaves
-  | None ->
-    matcher ~wildcards:p.p_wildcards p.p_join p.p_embedding p.p_qx s 0 sn
-
-let at_node ?wildcards join embedding ~q ~s id =
-  run (prepare ?wildcards join embedding q) ~s id
+  match join, embedding with
+  | Semantics.Containment, (Semantics.Hom | Semantics.Iso | Semantics.Homeo)
+    when Array.length qx.q_children.(0) = 0 ->
+    if wildcards then wildcard_subset qx.q_leaves.(0) sn.T.leaves
+    else str_subset qx.q_leaves.(0) sn.T.leaves
+  | _ -> matcher ~wildcards join embedding qx s 0 sn
 
 let nodes ?wildcards join embedding ~q ~s =
   check_supported ?wildcards join embedding;

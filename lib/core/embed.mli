@@ -18,27 +18,6 @@ val at_node :
     @raise Invalid_argument if the node id is not in [s];
     @raise Semantics.Unsupported as {!Semantics.mode_of} does. *)
 
-(** {1 Prepared checks}
-
-    One query verified against many data trees — a join's verification
-    loop. {!prepare} hoists the per-query work (mode validation, query
-    indexing) out of the loop; {!run} then costs one DP pass per tree, or
-    a single sorted-array subset test when the query is one node deep
-    under a containment join with a child-preserving embedding. *)
-
-type prepared
-
-val prepare :
-  ?wildcards:bool ->
-  Semantics.join -> Semantics.embedding -> Query.t -> prepared
-(** Precompile the query for repeated {!run} calls. Raises as {!at_node}
-    does on unsupported mode combinations. *)
-
-val run : prepared -> s:Nested.Tree.t -> int -> bool
-(** [run p ~s id] ≡ [at_node ... ~q ~s id] for the query [p] was prepared
-    from.
-    @raise Invalid_argument if the node id is not in [s]. *)
-
 val nodes :
   ?wildcards:bool ->
   Semantics.join -> Semantics.embedding -> q:Query.t -> s:Nested.Tree.t -> Intset.t

@@ -66,7 +66,9 @@ val with_pinned : t -> ((string -> unit) -> 'a) -> 'a
     until [f] returns reads that resolution. A traced query pins its
     distinct atoms in its [retrieve] span, so evaluation then runs the
     same kernels on the same cursor kinds as an untraced query, with one
-    lookup per distinct atom. *)
+    lookup per distinct atom. [Join.Engine.join] pins every outer atom
+    for the whole call, so its tree and the engine queries it runs share
+    one lookup per distinct atom. *)
 
 val prefetch : t -> string list -> int
 (** [prefetch t atoms] block-probes the inverted file: every distinct atom

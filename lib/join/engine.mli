@@ -2,27 +2,35 @@
     in one pass (PRETTI with an adaptive depth limit — Bouros et al., "Set
     Containment Join Revisited", PAPERS.md).
 
-    Each outer set's atoms are sorted by ascending posting-list length
-    (rarest — most selective — first, ties by atom) and threaded into a
-    {!Prefix_tree}; a single DFS then computes the record-level candidate
-    intersection of every prefix {e once}, shared by all queries passing
-    through the node, galloping over per-atom {e root lists} (posting
-    lists lifted from nodes to sorted arrays of the records containing
-    them — atoms of a nested set may occur at different nodes of one
-    record, so node-level intersection would be unsound at the record
-    level). A query naming an atom absent from the collection is rejected
-    during the build by a key-existence probe, before any list is
-    decoded.
+    The join first resolves each distinct outer atom once
+    ({!Invfile.Inverted_file.with_pinned}): a cached list costs no I/O, any
+    other one store read, and the list length read off a fresh cursor both
+    orders the atoms and rejects, with zero matches, every query naming an
+    atom the collection does not have.
+
+    A flat query (one query node) under [Hom], [Iso] or [Homeo] matches a
+    record exactly when the record's root carries every query atom as a
+    direct leaf, so node-level posting lists answer it with no record
+    decode. Such queries have their atoms sorted by ascending list length
+    (rarest first, ties by atom) and threaded into one {!Prefix_tree}; a
+    single DFS then computes each prefix's candidate roots {e once}, shared
+    by every query through the node. A depth-1 node's candidates are the
+    root rows of its atom's list; a deeper node narrows its parent's
+    candidates through {!Invfile.Plist_stream.inter_many} [~among], so a
+    cached list is galloped in place and a payload decodes only the blocks
+    the candidates land on.
 
     Tree expansion stops early, LIMIT+-style, when a node's candidate list
     is small, its sharing factor drops below a threshold, or the depth cap
-    is reached; the queries below a cut finish by per-candidate
-    verification with the {!Containment.Embed} oracle — the same check
-    {!Containment.Engine}'s [~verify] path uses, so a cut at any point is
-    exact. Configurations the prefix filter is not sound for (any join
-    other than containment, [Anywhere] scope, wildcard patterns, atomless
-    queries) fall back to the per-query engine loop, keeping the contract
-    below for every configuration.
+    is reached; the queries below a cut narrow those candidates by their
+    remaining atoms in one cursor pass, so a cut at any point is exact.
+
+    Every other query is answered by {!Containment.Engine.query}, reading
+    the atoms already resolved: nested queries and all queries under
+    [Homeo_full] (their atoms may be witnessed at different nodes of a
+    record), atomless queries, and every query of a configuration the
+    prefix filter is not sound for (any join other than containment,
+    [Anywhere] scope, wildcard patterns).
 
     Contract: [join inv values] returns exactly the pairs the naive loop
     [Containment.Engine.containment_join] returns — the qcheck differential
@@ -30,14 +38,15 @@
 
 type config = {
   engine : Containment.Engine.config;
-      (** semantics of each (outer, inner) test, and the fallback path's
-          engine configuration *)
+      (** semantics of each (outer, inner) test, and the configuration of
+          the engine queries that answer what the tree does not *)
   max_depth : int;
       (** hard cap on prefix-tree expansion depth; [<= 0] means unlimited *)
   cut_candidates : int;
       (** LIMIT+ candidate threshold: a node whose candidate list has at
-          most this many records is not expanded further — verification of
-          so few candidates is cheaper than more intersections *)
+          most this many records is not expanded further — narrowing so
+          few candidates by the remaining atoms is cheaper than more
+          tree levels *)
   cut_fanout : int;
       (** LIMIT+ sharing threshold: a node serving fewer than this many
           queries is not expanded further (1 = never cut by fanout) *)
@@ -50,12 +59,15 @@ val default : config
 type stats = {
   outer : int;  (** outer queries processed *)
   fast_path : int;
-      (** queries answered through the prefix tree (including
-          preflight-rejected ones, which never reach it) *)
+      (** queries answered through the prefix tree, plus the
+          preflight-rejected ones, which never reach it *)
   preflight_rejected : int;
-      (** fast-path queries dismissed with zero matches because an atom
-          does not occur anywhere in the collection *)
-  fallback : int;  (** queries answered by the per-query engine loop *)
+      (** queries dismissed with zero matches because an atom does not
+          occur anywhere in the collection *)
+  fallback : int;
+      (** queries answered by {!Containment.Engine.query}: nested and
+          [Homeo_full] queries, atomless ones, and every query of a
+          configuration the tree is not sound for *)
   tree_nodes : int;  (** prefix-tree nodes built *)
   nodes_expanded : int;  (** nodes whose candidate list was computed *)
   intersections_shared : int;
@@ -63,10 +75,11 @@ type stats = {
           serving [k] queries, the naive loop would compute its
           intersection [k] times — [k - 1] are shared *)
   intersections_recomputed : int;
-      (** root-list intersections actually performed (depth ≥ 2 nodes;
-          depth-1 candidate lists are plain lookups) *)
+      (** cursor intersections actually performed (depth ≥ 2 nodes;
+          depth-1 candidate lists are a scan of one list) *)
   limit_cuts : int;  (** subtrees finished early by a LIMIT+ cut *)
-  candidates_checked : int;  (** per-candidate oracle verifications run *)
+  candidates_checked : int;
+      (** candidates of cut queries narrowed by their remaining atoms *)
   pairs : int;  (** result pairs emitted *)
 }
 
@@ -84,7 +97,7 @@ val join :
     When [trace] is given, three phase spans are recorded into it:
     [build-tree] (queries routed, distinct atoms fetched, tree size),
     [intersect] (nodes expanded, intersections shared vs recomputed,
-    LIMIT+ cuts) and [verify] (candidates checked, pairs kept, fallback
+    LIMIT+ cuts) and [verify] (candidates checked, pairs kept, engine
     queries run) — each with I/O deltas, mirroring
     {!Containment.Engine.query}'s phase tree. While the flight recorder
     is enabled, the three phases also leave begin/end edges in it (query

@@ -83,6 +83,22 @@ let prop_cut_configs =
         (fun (inner, outer) -> differential ~config inner outer))
     cut_configs
 
+(* Every embedding under the containment join: flat Hom/Iso/Homeo
+   queries are answered by the tree, nested ones and every Homeo_full
+   query by the engine. *)
+let embeddings = [ Sem.Hom; Sem.Iso; Sem.Homeo; Sem.Homeo_full ]
+
+let embedding_config embedding =
+  { J.default with J.engine = { E.default with E.embedding } }
+
+let prop_embeddings =
+  Testutil.qcheck_case ~count:75 ~name:"join = naive under each embedding"
+    arbitrary_join_case
+    (fun (inner, outer) ->
+      List.for_all
+        (fun e -> differential ~config:(embedding_config e) inner outer)
+        embeddings)
+
 (* Non-fast-path semantics route through the fallback and must still
    match the naive loop under the same engine config. *)
 let fallback_configs =
@@ -90,7 +106,6 @@ let fallback_configs =
     { E.default with E.join = Sem.Equality };
     { E.default with E.join = Sem.Superset };
     { E.default with E.scope = E.Anywhere };
-    { E.default with E.embedding = Sem.Iso };
   ]
 
 let prop_fallback =
@@ -103,6 +118,121 @@ let prop_fallback =
           | ok -> ok
           | exception Sem.Unsupported _ -> true)
         fallback_configs)
+
+(* --- every list source feeds the join ---
+
+   Common atoms pass one block (128 postings), so their lists are stored
+   blocked ('C'); the rare ones stay varint ('V'); a static cache holds
+   the most frequent few decoded. The join reads each kind through the
+   same cursors. *)
+
+let long_inner =
+  let st = Random.State.make [| 5 |] in
+  List.init 300 (fun i ->
+      let s = Testutil.gen_leafy_set ~max_depth:3 ~max_width:4 st in
+      V.set (V.atom (Printf.sprintf "r%d" (i mod 40)) :: V.elements s))
+
+let long_outer =
+  let st = Random.State.make [| 13 |] in
+  let records = Array.of_list long_inner in
+  List.init 60 (fun i ->
+      match i mod 4 with
+      | 0 | 1 -> Testutil.shrink_to_subquery st records.(Random.State.int st 300)
+      | 2 -> Testutil.gen_leafy_set ~max_depth:2 ~max_width:3 st
+      | _ -> V.set [ V.atom "a"; V.atom (Printf.sprintf "r%d" (i mod 45)) ])
+  |> as_outer
+
+let with_long_store f =
+  Testutil.with_temp_path ".tch" @@ fun path ->
+  IF.close
+    (Containment.Collection.of_values ~backend:(Containment.Collection.Hash path)
+       long_inner);
+  f path
+
+let payload_tags inv =
+  let tags = ref [] in
+  (IF.store inv).Storage.Kv.iter (fun k v ->
+      if k.[0] = 'a' && not (List.exists (Char.equal v.[0]) !tags) then
+        tags := v.[0] :: !tags);
+  List.sort Char.compare !tags
+
+let test_long_lists () =
+  with_long_store @@ fun path ->
+  List.iter
+    (fun budget ->
+      let inv = IF.open_store (Storage.Hash_store.open_existing path) in
+      Fun.protect ~finally:(fun () -> IF.close inv) @@ fun () ->
+      Alcotest.(check (list char)) "blocked and varint lists" [ 'C'; 'V' ]
+        (payload_tags inv);
+      if budget > 0 then Containment.Collection.with_static_cache inv ~budget;
+      List.iter
+        (fun e ->
+          List.iter
+            (fun (label, cut) ->
+              let config = { (embedding_config e) with J.cut_candidates = cut } in
+              check_pairs
+                (Format.asprintf "%s, cache %d, %a" label budget
+                   Sem.pp_embedding e)
+                (J.naive ~config:config.J.engine inv long_outer)
+                (J.join ~config inv long_outer).J.pairs)
+            [ ("default cuts", J.default.J.cut_candidates);
+              ("always cut", max_int); ("no cuts", 0) ])
+        embeddings)
+    [ 0; 3 ]
+
+(* --- I/O accounting ---
+
+   The join resolves each distinct atom once: at most one store read per
+   atom key, none for an atom the static cache holds (so no existence
+   probe either), and every lookup it counts is a hit or a miss. *)
+
+let test_io_accounting () =
+  with_long_store @@ fun path ->
+  List.iter
+    (fun budget ->
+      let kv = Storage.Hash_store.open_existing path in
+      let gets : (string, int) Hashtbl.t = Hashtbl.create 64 in
+      let counting =
+        {
+          kv with
+          Storage.Kv.get =
+            (fun k ->
+              Hashtbl.replace gets k
+                (1 + Option.value ~default:0 (Hashtbl.find_opt gets k));
+              kv.Storage.Kv.get k);
+        }
+      in
+      let inv = IF.open_store counting in
+      Fun.protect ~finally:(fun () -> IF.close inv) @@ fun () ->
+      if budget > 0 then Containment.Collection.with_static_cache inv ~budget;
+      let cached =
+        match IF.cache inv with
+        | Some c -> Invfile.Cache.cached_atoms c
+        | None -> []
+      in
+      Alcotest.(check int) "cache holds its budget" budget (List.length cached);
+      Hashtbl.reset gets;
+      let r = J.join inv long_outer in
+      let reads = Hashtbl.copy gets in
+      let ctx = Printf.sprintf "cache %d" budget in
+      check_pairs ctx (J.naive inv long_outer) r.J.pairs;
+      Alcotest.(check bool) (ctx ^ ": the join runs the engine") true
+        (r.J.stats.J.fallback > 0);
+      Hashtbl.iter
+        (fun k n ->
+          if k.[0] = 'a' && n > 1 then
+            Alcotest.failf "%s: atom key %S read %d times" ctx k n)
+        reads;
+      List.iter
+        (fun a ->
+          if Hashtbl.mem reads (IF.atom_key a) then
+            Alcotest.failf "%s: cached atom %S read from the store" ctx a)
+        cached;
+      let s = IF.lookup_stats inv in
+      Alcotest.(check int) (ctx ^ ": hits + misses = lookups")
+        (Storage.Io_stats.lookups s)
+        (Storage.Io_stats.hits s + Storage.Io_stats.misses s))
+    [ 0; 3 ]
 
 (* --- deterministic edges --- *)
 
@@ -442,7 +572,14 @@ let () =
   Alcotest.run "join"
     [
       ( "differential",
-        prop_differential :: prop_fallback :: prop_cut_configs );
+        prop_differential :: prop_embeddings :: prop_fallback
+        :: prop_cut_configs );
+      ( "list sources",
+        [
+          Alcotest.test_case "decoded, varint and blocked lists" `Quick
+            test_long_lists;
+          Alcotest.test_case "one read per atom" `Quick test_io_accounting;
+        ] );
       ( "edges",
         [
           Alcotest.test_case "empty/duplicate/atom edges" `Quick test_edges;
