@@ -855,11 +855,10 @@ let intersect scale =
   let module L = Invfile.Plist in
   let module R = Invfile.Plist_ref in
   let module St = Invfile.Plist_stream in
-  let module P = Invfile.Posting in
   let posting_of_id node =
     let h = (node * 2654435761) land 0x3FFFFFFF in
     {
-      P.node;
+      R.node;
       children = Array.init (h land 3) (fun k -> node + 1 + k + ((h lsr 2) land 7));
       leaf_count = (h lsr 8) land 15;
       post = node + ((h lsr 12) land 255);
@@ -896,18 +895,18 @@ let intersect scale =
     List.concat_map
       (fun (density, stride) ->
         let big = Array.init big_n (fun i -> posting_of_id (i * stride)) in
-        let big_l = L.of_postings big in
+        let big_l = R.to_plist big in
         let big_v = L.to_bytes ~codec:L.Varint big_l in
         let big_c = L.to_bytes ~codec:L.Blocked big_l in
         List.map
           (fun ratio ->
             let small = sample big (max 1 (big_n / ratio)) in
-            let small_l = L.of_postings small in
+            let small_l = R.to_plist small in
             let small_v = L.to_bytes ~codec:L.Varint small_l in
             let small_c = L.to_bytes ~codec:L.Blocked small_l in
             let expect = R.inter small big in
             let check name got =
-              if L.to_postings got <> expect then
+              if R.of_plist got <> expect then
                 failwith
                   (Printf.sprintf "E23: %s kernel diverges from the oracle (%s 1:%d)"
                      name density ratio)

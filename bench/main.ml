@@ -90,15 +90,15 @@ let bechamel_suite () =
   in
   (* core-operation micro benches *)
   let l1 =
-    Invfile.Plist.of_list
-      (List.init 10_000 (fun i ->
-           { Invfile.Posting.node = 3 * i; children = [| (3 * i) + 1 |];
+    Invfile.Plist_ref.to_plist
+      (Array.init 10_000 (fun i ->
+           { Invfile.Plist_ref.node = 3 * i; children = [| (3 * i) + 1 |];
              leaf_count = 2; post = 3 * i; parent = -1 }))
   in
   let l2 =
-    Invfile.Plist.of_list
-      (List.init 10_000 (fun i ->
-           { Invfile.Posting.node = 5 * i; children = [| (5 * i) + 1 |];
+    Invfile.Plist_ref.to_plist
+      (Array.init 10_000 (fun i ->
+           { Invfile.Plist_ref.node = 5 * i; children = [| (5 * i) + 1 |];
              leaf_count = 2; post = 5 * i; parent = -1 }))
   in
   let bloom_a = Containment.Bloom.create ~bits:1024 () in

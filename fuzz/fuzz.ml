@@ -457,7 +457,6 @@ let live_scenario rng i =
 module L = Invfile.Plist
 module R = Invfile.Plist_ref
 module St = Invfile.Plist_stream
-module P = Invfile.Posting
 
 (* Deterministic posting per node id — equal ids carry identical payloads
    across lists, the invariant the intersection kernels assume. *)
@@ -468,7 +467,7 @@ let posting_of_id node =
   let children = Array.init n_children (fun k -> node + 1 + ((k + 1) * step)) in
   let parent = if node = 0 || h land 16 = 0 then -1 else (h lsr 5) mod node in
   {
-    P.node;
+    R.node;
     children;
     leaf_count = (h lsr 8) land 15;
     post = node + ((h lsr 12) land 255);
@@ -530,7 +529,7 @@ let codec_scenario rng i =
       fmt
   in
   let lists = List.init (1 + Random.State.int rng 4) (fun _ -> random_plist rng) in
-  let cols = List.map L.of_postings lists in
+  let cols = List.map R.to_plist lists in
   (* a mutant decodes canonically (and a cursor drains the same rows) or
      is refused with Corrupt; nothing else may escape *)
   let check_mutant m =
@@ -543,7 +542,7 @@ let codec_scenario rng i =
     | Some back, Some streamed ->
       if not (String.equal (L.to_bytes ~codec:(L.codec_of_bytes m) back) m) then
         fail "mutant of %d bytes decoded but does not re-encode" (String.length m);
-      if L.to_postings streamed <> L.to_postings back then
+      if R.of_plist streamed <> R.of_plist back then
         fail "cursor and decoder disagree on a mutant"
     | None, None -> ()
     | Some _, None | None, Some _ ->
@@ -556,7 +555,7 @@ let codec_scenario rng i =
           let payload = L.to_bytes ~codec c in
           (match L.of_bytes payload with
           | back ->
-            if L.to_postings back <> l then
+            if R.of_plist back <> l then
               fail "round trip diverged (%d postings)" (Array.length l);
             (* canonical: decode-then-encode reproduces the payload *)
             if not (String.equal (L.to_bytes ~codec back) payload) then
@@ -580,10 +579,10 @@ let codec_scenario rng i =
         | _ -> St.cursor_of_bytes (L.to_bytes ~codec:L.Varint l))
       sources cols
   in
-  if L.to_postings (St.inter_many (cursors ())) <> R.inter_many lists then
+  if R.of_plist (St.inter_many (cursors ())) <> R.inter_many lists then
     fail "inter_many diverged";
   let u, counts = St.union_with_counts (cursors ()) in
-  if Array.mapi (fun k p -> (p, counts.(k))) (L.to_postings u) <> R.union_with_counts lists
+  if Array.mapi (fun k p -> (p, counts.(k))) (R.of_plist u) <> R.union_with_counts lists
   then fail "union_with_counts diverged";
   (* ascending seeks on a cursor vs the oracle's lower_bound *)
   let check_seeks l c =
@@ -593,7 +592,7 @@ let codec_scenario rng i =
       let lb = R.lower_bound l !probe in
       let id = St.seek c !probe in
       if lb < Array.length l then begin
-        if id <> l.(lb).P.node || L.get (St.head_list c) (St.head_row c) <> l.(lb) then
+        if id <> l.(lb).R.node || R.row (St.head_list c) (St.head_row c) <> l.(lb) then
           fail "seek %d diverged" !probe
       end
       else if id <> St.eof then fail "seek %d diverged" !probe;
@@ -607,7 +606,7 @@ let codec_scenario rng i =
   List.iter
     (fun n ->
       let l = random_plist ~n rng in
-      let payload = L.to_bytes (L.of_postings l) in
+      let payload = L.to_bytes (R.to_plist l) in
       let want = if n <= Invfile.Plist_blocks.block_size then L.Varint else L.Blocked in
       if L.codec_of_bytes payload <> want then fail "%d postings written in the wrong format" n;
       (match L.of_bytes payload with
@@ -615,7 +614,7 @@ let codec_scenario rng i =
         if not (String.equal (L.to_bytes back) payload) then
           fail "rule payload not canonical (%d postings)" n
       | exception e -> fail "rule payload decode raised %s" (Printexc.to_string e));
-      if L.to_postings (St.inter_many [ St.cursor_of_bytes payload ]) <> R.inter_many [ l ] then
+      if R.of_plist (St.inter_many [ St.cursor_of_bytes payload ]) <> R.inter_many [ l ] then
         fail "cursor over a rule payload diverged (%d postings)" n;
       check_seeks l (St.cursor_of_bytes payload))
     [ 1; 127; 128; 129; 384 ]

@@ -37,13 +37,12 @@ let universe inv =
   match Invfile.Inverted_file.all_nodes inv with
   | l -> l
   | exception Invfile.Inverted_file.Malformed _ ->
-    let out = ref [] in
-    Invfile.Inverted_file.iter_records inv (fun record_id _ ->
-        let tree = Invfile.Inverted_file.record_tree inv record_id in
-        Nested.Tree.iter
-          (fun node -> out := Invfile.Posting.of_tree_node node :: !out)
-          tree);
-    P.of_list !out
+    let ix = Invfile.Builder.index () in
+    let roots = Invfile.Inverted_file.roots inv in
+    Invfile.Inverted_file.iter_records inv (fun record_id value ->
+        ignore
+          (Invfile.Builder.index_value_at ix ~root:roots.(record_id) ~record_id value));
+    Invfile.Builder.index_nodes ix
 
 (* The small side of Alg. 4: a caller that only needs the candidates
    parenting some member of head set [h] passes [~parents_of:h]. When the

@@ -9,12 +9,12 @@ type index = {
   mutable next : int;  (* the next free node id *)
 }
 
-let index ?(first_id = 0) ?(size = 4096) () =
+let index ?(size = 4096) () =
   {
     postings = Hashtbl.create size;
     nodes = Plist.Buf.create (min size 1024);
     roots = [];
-    next = first_id;
+    next = 0;
   }
 
 (* Records occupy contiguous, equal pre and post ranges, so an allocator
@@ -35,6 +35,11 @@ let index_value ix ~record_id value =
     tree;
   ix.roots <- tree.Nested.Tree.root :: ix.roots;
   ix.next <- ix.next + Nested.Tree.node_count tree
+
+let index_value_at ix ~root ~record_id value =
+  ix.next <- root;
+  index_value ix ~record_id value;
+  ix.next
 
 let reserve_slot ix =
   ix.roots <- ix.next :: ix.roots;

@@ -34,17 +34,28 @@ val finish : t -> Inverted_file.t
 (** {1 Index derivation}
 
     What a build derives from its records, shared with {!Updater} (one
-    record's rows, appended at the tail of the lists) and {!Repair} (the
-    whole index again, from the stored records). *)
+    record's rows, appended at the tail of the lists), {!Repair} (the
+    whole index again, from the stored records) and {!Integrity} (the
+    index the stored records imply, to compare the stored one with). *)
 
 type index
 
-val index : ?first_id:int -> ?size:int -> unit -> index
-(** An empty index whose first record's ids start at [first_id]
-    (default 0); [size] (default 4096) sizes its atom table. *)
+val index : ?size:int -> unit -> index
+(** An empty index whose first record's ids start at 0 ({!index_value_at}
+    starts a record elsewhere); [size] (default 4096) sizes its atom
+    table. *)
 
 val index_value : index -> record_id:int -> Nested.Value.t -> unit
 (** Numbers a record's nodes from the next free id and adds its postings.
+    @raise Invalid_argument if the value is an atom. *)
+
+val index_value_at : index -> root:int -> record_id:int -> Nested.Value.t -> int
+(** {!index_value} with the record numbered from [root] instead of the
+    next free id: {!Updater} places a new record after the stored ones,
+    and {!Integrity} numbers a stored record from its stored root, as
+    {!Inverted_file.record_tree} does. Returns the id after the record's
+    last node. The lists stay sorted while each record starts at or after
+    the end of the one before.
     @raise Invalid_argument if the value is an atom. *)
 
 val reserve_slot : index -> unit

@@ -4,6 +4,17 @@ exception Malformed of string
    Record values live under "r:<decimal id>". *)
 let atom_key a = "a" ^ a
 let record_key id = "r:" ^ string_of_int id
+
+let atom_of_key key =
+  if String.length key > 0 && key.[0] = 'a' then
+    Some (String.sub key 1 (String.length key - 1))
+  else None
+
+let record_id_of_key key =
+  if String.length key > 2 && key.[0] = 'r' && key.[1] = ':' then
+    int_of_string_opt (String.sub key 2 (String.length key - 2))
+  else None
+
 let meta_roots = "m:roots"
 let meta_counts = "m:counts"
 let meta_topk = "m:topk"
@@ -163,19 +174,19 @@ let with_pinned t f =
 let mem_atom t a = Storage.Kv.mem t.store (atom_key a)
 
 let atoms_with_prefix t prefix =
-  let lo = atom_key prefix in
-  let is_prefixed key =
-    String.length key >= String.length lo
-    && String.sub key 0 (String.length lo) = lo
+  let prefixed key =
+    Option.bind (atom_of_key key) (fun a ->
+        if String.starts_with ~prefix a then Some a else None)
   in
-  let strip key = String.sub key 1 (String.length key - 1) in
+  let lo = atom_key prefix in
   (* ordered range scan when the backend supports it; '\xff' caps the range
      (atom bytes below 0xff; a pathological 0xff-atom falls back below) *)
   match Storage.Btree_store.range t.store ~lo ~hi:(lo ^ "\xff\xff\xff\xff") with
-  | pairs -> List.filter_map (fun (k, _) -> if is_prefixed k then Some (strip k) else None) pairs
+  | pairs -> List.filter_map (fun (k, _) -> prefixed k) pairs
   | exception Invalid_argument _ ->
     let out = ref [] in
-    t.store.Storage.Kv.iter (fun k _ -> if is_prefixed k then out := strip k :: !out);
+    t.store.Storage.Kv.iter_keys (fun k ->
+        Option.iter (fun a -> out := a :: !out) (prefixed k));
     List.sort String.compare !out
 
 let all_nodes t =

@@ -2,7 +2,7 @@
 
     The key space is the set of atoms occurring in the collection; the
     payload of atom [a] is the sorted postings list [S_IF(a)] (see
-    {!Posting}). Alongside the inverted lists the store holds:
+    {!Plist}). Alongside the inverted lists the store holds:
 
     - the record values themselves (for result materialization and the
       naive baseline's full scan),
@@ -147,9 +147,13 @@ val lookup_stats : t -> Storage.Io_stats.t
 
 (**/**)
 
-(* Store key layout, shared with {!Builder}. *)
+(* Store key layout, shared with the writers and checkers of this
+   library: [atom_of_key] and [record_id_of_key] invert [atom_key] and
+   [record_key], [None] for any other key. *)
 val atom_key : string -> string
 val record_key : int -> string
+val atom_of_key : string -> string option
+val record_id_of_key : string -> int option
 val meta_roots : string
 val meta_counts : string
 val meta_topk : string

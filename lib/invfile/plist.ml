@@ -33,17 +33,6 @@ let child l i k = l.kids.(l.coff.(i) + k)
 let children l i = Array.sub l.kids l.coff.(i) (n_children l i)
 let nodes l = Array.sub l.node 0 l.len
 
-let get l i =
-  {
-    Posting.node = l.node.(i);
-    children = children l i;
-    leaf_count = l.leaf_count.(i);
-    post = l.post.(i);
-    parent = l.parent.(i);
-  }
-
-let to_postings l = Array.init l.len (get l)
-
 (* --- building --- *)
 
 module Buf = struct
@@ -176,26 +165,6 @@ let build f =
     slot := Some b;
     l
   end
-
-let of_postings (a : Posting.t array) =
-  let b = Buf.create (Array.length a) in
-  Array.iteri
-    (fun i (p : Posting.t) ->
-      if i > 0 && a.(i - 1).Posting.node >= p.Posting.node then
-        invalid_arg "Plist.of_postings: node ids not strictly increasing";
-      Buf.add b ~node:p.Posting.node ~leaf_count:p.Posting.leaf_count
-        ~post:p.Posting.post ~parent:p.Posting.parent;
-      Array.iter (Buf.add_child b) p.Posting.children)
-    a;
-  Buf.contents b
-
-let of_list postings =
-  let a = Array.of_list (List.sort Posting.compare postings) in
-  for i = 1 to Array.length a - 1 do
-    if a.(i - 1).Posting.node = a.(i).Posting.node then
-      invalid_arg "Plist.of_list: duplicate node id"
-  done;
-  of_postings a
 
 (* --- searching --- *)
 

@@ -10,11 +10,11 @@
     {!Inverted_file.lookup}, the node table and every candidate list of
     {!Containment.Semantics} use it.
 
-    {!Builder} and {!Repair} collect the node table in columns
-    ({!Buf.add_node}) and encode each atom's list from its rows of it;
-    {!Posting.t} stays the row record of {!Merger}, {!Updater},
-    {!Integrity} and the {!Plist_ref} oracle, and {!of_postings}, {!get}
-    and {!to_postings} convert between the two.
+    {!Builder.index} collects the node table in columns
+    ({!Buf.add_node}) and encodes each atom's list from its rows of it:
+    the derivation {!Builder}, {!Updater}, {!Repair} and {!Integrity}
+    share. Only the {!Plist_ref} oracle keeps a posting as a record, and
+    converts through {!Buf.add}.
 
     The module also holds the list join [▷◁_IF] (Sec. 2) in its
     parent–child and ancestor–descendant (Sec. 4.2) variants and the
@@ -50,22 +50,8 @@ val child : t -> int -> int -> int
 val children : t -> int -> int array
 (** A fresh copy of row [i]'s children. *)
 
-val get : t -> int -> Posting.t
-(** Row [i] as a record. *)
-
 val nodes : t -> int array
 (** The node ids, in ascending order (a fresh copy of the column). *)
-
-(** {1 Conversions} *)
-
-val of_postings : Posting.t array -> t
-(** @raise Invalid_argument unless strictly increasing by node id. *)
-
-val of_list : Posting.t list -> t
-(** Sorts and checks for duplicate node ids.
-    @raise Invalid_argument on duplicates. *)
-
-val to_postings : t -> Posting.t array
 
 (** {1 Searching} *)
 
@@ -217,11 +203,11 @@ type codec = Varint | Blocked
 
 val to_bytes : ?codec:codec -> ?rows:int array -> t -> string
 (** The payload of a list, in the format its length picks (see above).
-    [~codec] forces a format instead: for re-encoding a payload in its own
-    tag ({!Integrity}), and for measuring or testing one format. With
-    [~rows] (ascending row indices) only those rows are encoded, as if
-    they were the list: how {!Builder} and {!Repair} write each atom's
-    list straight from the node table.
+    [~codec] forces a format instead: for encoding the list a payload
+    should hold in that payload's own tag ({!Integrity}), and for
+    measuring or testing one format. With [~rows] (ascending row
+    indices) only those rows are encoded, as if they were the list: how
+    {!Builder} writes each atom's list straight from the node table.
     @raise Invalid_argument if a row's children are not strictly
     increasing. *)
 
@@ -274,9 +260,15 @@ module Buf : sig
   val clear : t -> unit
   val length : t -> int
 
+  val add : t -> node:int -> leaf_count:int -> post:int -> parent:int -> unit
+  (** Appends a row with no children yet. *)
+
+  val add_child : t -> int -> unit
+  (** Appends an internal child to the last row, in ascending order. *)
+
   val add_node : t -> Nested.Tree.node -> unit
-  (** Appends the posting of a record-tree node: how {!Builder} and
-      {!Repair} collect the node table. *)
+  (** Appends the posting of a record-tree node: how {!Builder} collects
+      the node table. *)
 
   val add_row : t -> plist -> int -> unit
   (** Appends a copy of row [i] of a list. Rows must be appended in

@@ -7,20 +7,50 @@
    byte-for-byte on every input; do not "improve" these — their
    obviousness is the point. *)
 
-type t = Posting.t array
+type posting = {
+  node : int;
+  children : int array;
+  leaf_count : int;
+  post : int;
+  parent : int;
+}
+
+type t = posting array
+
+let row l i =
+  {
+    node = Plist.node l i;
+    children = Plist.children l i;
+    leaf_count = Plist.leaf_count l i;
+    post = Plist.post l i;
+    parent = Plist.parent l i;
+  }
+
+let of_plist l = Array.init (Plist.length l) (row l)
+
+let to_plist (a : t) =
+  Plist.build (fun b ->
+      Array.iteri
+        (fun i p ->
+          if i > 0 && a.(i - 1).node >= p.node then
+            invalid_arg "Plist_ref.to_plist: node ids not strictly increasing";
+          Plist.Buf.add b ~node:p.node ~leaf_count:p.leaf_count ~post:p.post
+            ~parent:p.parent;
+          Array.iter (Plist.Buf.add_child b) p.children)
+        a)
 
 let lower_bound (l : t) id =
   let rec bsearch lo hi =
     if lo >= hi then lo
     else
       let mid = (lo + hi) / 2 in
-      if l.(mid).Posting.node < id then bsearch (mid + 1) hi else bsearch lo mid
+      if l.(mid).node < id then bsearch (mid + 1) hi else bsearch lo mid
   in
   bsearch 0 (Array.length l)
 
 let find (l : t) id =
   let i = lower_bound l id in
-  if i < Array.length l && l.(i).Posting.node = id then Some l.(i) else None
+  if i < Array.length l && l.(i).node = id then Some l.(i) else None
 
 let mem l id = Option.is_some (find l id)
 
@@ -31,11 +61,11 @@ let inter (a : t) (b : t) : t =
   if Array.length small * 16 < Array.length big then
     Array.of_list
       (Array.to_list small
-      |> List.filter (fun p -> mem big p.Posting.node))
+      |> List.filter (fun p -> mem big p.node))
   else begin
     let out = ref [] and i = ref 0 and j = ref 0 in
     while !i < la && !j < lb do
-      let c = Int.compare a.(!i).Posting.node b.(!j).Posting.node in
+      let c = Int.compare a.(!i).node b.(!j).node in
       if c = 0 then begin
         out := a.(!i) :: !out;
         incr i;
@@ -51,7 +81,7 @@ let union (a : t) (b : t) : t =
   let out = ref [] and i = ref 0 and j = ref 0 in
   let la = Array.length a and lb = Array.length b in
   while !i < la && !j < lb do
-    let c = Int.compare a.(!i).Posting.node b.(!j).Posting.node in
+    let c = Int.compare a.(!i).node b.(!j).node in
     if c <= 0 then begin
       out := a.(!i) :: !out;
       if c = 0 then incr j;
@@ -86,14 +116,14 @@ let inter_many = function
 
 let union_with_counts (lists : t list) =
   let all = Array.concat lists in
-  Array.sort Posting.compare all;
+  Array.sort (fun a b -> Int.compare a.node b.node) all;
   let out = ref [] in
   let n = Array.length all in
   let i = ref 0 in
   while !i < n do
     let p = all.(!i) in
     let j = ref (!i + 1) in
-    while !j < n && all.(!j).Posting.node = p.Posting.node do incr j done;
+    while !j < n && all.(!j).node = p.node do incr j done;
     out := (p, !j - !i) :: !out;
     i := !j
   done;
@@ -103,7 +133,7 @@ let restrict (l : t) ids : t =
   let nl = Array.length l and ni = Array.length ids in
   let out = ref [] and i = ref 0 and j = ref 0 in
   while !i < nl && !j < ni do
-    let c = Int.compare l.(!i).Posting.node ids.(!j) in
+    let c = Int.compare l.(!i).node ids.(!j) in
     if c = 0 then begin
       out := l.(!i) :: !out;
       incr i;

@@ -2,24 +2,17 @@ module IF = Inverted_file
 
 type outcome = { live_records : int; tombstoned : int; atoms : int }
 
-let record_id_of_key key =
-  if String.length key > 2 && key.[0] = 'r' && key.[1] = ':' then
-    int_of_string_opt (String.sub key 2 (String.length key - 2))
-  else None
-
-let is_atom_key key = String.length key > 0 && key.[0] = 'a'
-
 let rebuild inv =
   let store = IF.store inv in
   (* The slot count comes from the stored records themselves, not from the
      (possibly damaged) roots metadata. *)
   let max_id = ref (-1) in
   let old_atom_keys = ref [] in
-  store.Storage.Kv.iter (fun key _ ->
-      (match record_id_of_key key with
+  store.Storage.Kv.iter_keys (fun key ->
+      (match IF.record_id_of_key key with
       | Some id when id > !max_id -> max_id := id
       | _ -> ());
-      if is_atom_key key then old_atom_keys := key :: !old_atom_keys);
+      if Option.is_some (IF.atom_of_key key) then old_atom_keys := key :: !old_atom_keys);
   let n = 1 + max !max_id (IF.record_count inv - 1) in
   (* Readable values; anything else is tombstoned below. *)
   let values =

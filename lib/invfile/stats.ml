@@ -44,7 +44,7 @@ let compute inv =
   let posting_hist : (int, int) Hashtbl.t = Hashtbl.create 16 in
   let atoms = ref 0 in
   (Inverted_file.store inv).Storage.Kv.iter (fun key payload ->
-      if String.length key > 0 && key.[0] = 'a' then begin
+      if Option.is_some (Inverted_file.atom_of_key key) then begin
         incr atoms;
         let len =
           (* the header's count: no posting is decoded *)

@@ -67,8 +67,8 @@ let add_value ?(journal = true) inv value =
     invalid_arg "Updater.add_value: record value must be a set";
   let record_id = IF.record_count inv in
   let first_id = IF.node_count inv in
-  let ix = Builder.index ~first_id ~size:16 () in
-  Builder.index_value ix ~record_id value;
+  let ix = Builder.index ~size:16 () in
+  let node_count = Builder.index_value_at ix ~root:first_id ~record_id value in
   let atoms = Nested.Value.atom_universe value in
   let keys =
     (IF.record_key record_id :: List.map IF.atom_key atoms)
@@ -95,7 +95,7 @@ let add_value ?(journal = true) inv value =
   let roots = Array.append (IF.roots inv) [| first_id |] in
   IF.internal_set_counts inv ~roots
     ~atom_count:(IF.atom_count inv + !added_atoms)
-    ~node_count:(first_id + Plist.length nodes);
+    ~node_count;
   IF.internal_write_meta inv;
   record_id
 

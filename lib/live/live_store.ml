@@ -853,22 +853,17 @@ let verify t =
 let repair t =
   locked t (fun () ->
       ensure_open t;
-      let actions = ref [] in
-      List.iter
-        (fun seg ->
-          if Invfile.Integrity.check seg.Segment.inv <> [] then begin
-            let report = E.repair seg.Segment.inv in
-            actions :=
-              Format.asprintf "segment %s: %a" seg.Segment.file
-                E.pp_repair_report report
-              :: !actions
-          end)
-        t.segments;
-      if Invfile.Integrity.check t.mem <> [] then begin
-        let report = E.repair t.mem in
-        actions :=
-          Format.asprintf "memtable: %a" E.pp_repair_report report :: !actions
-      end;
-      List.rev !actions)
+      let parts =
+        List.map (fun seg -> ("segment " ^ seg.Segment.file, seg.Segment.inv)) t.segments
+        @ [ ("memtable", t.mem) ]
+      in
+      List.filter_map
+        (fun (part, inv) ->
+          let report = E.repair inv in
+          if report.E.rolled_back > 0 || Option.is_some report.E.rebuilt then
+            Some (Format.asprintf "%s: %a" part E.pp_repair_report report)
+          else None)
+        parts)
 
 let set_step_hook t hook = t.on_step <- hook
+let internal_memtable t = locked t (fun () -> t.mem)

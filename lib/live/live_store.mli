@@ -223,10 +223,11 @@ val verify : t -> (string * string) list
     means consistent. *)
 
 val repair : t -> string list
-(** Repairs what {!verify} can detect per segment (via
-    {!Containment.Engine.repair} — journal rollback, then an index
-    rebuild from the stored records when needed). Returns a description
-    of each action taken. WAL torn tails are already healed on open. *)
+(** Repairs what {!verify} can detect in each sealed segment and in the
+    memtable: one {!Containment.Engine.repair} per part (journal
+    rollback, then an index rebuild from the stored records when
+    needed). Returns a description of each part that rolled back or was
+    rebuilt. WAL torn tails are already healed on open. *)
 
 (**/**)
 
@@ -235,5 +236,8 @@ val repair : t -> string list
    and compaction ("compact:dst-built", "compact:manifest-swapped") —
    the crash sweep raises from it. *)
 val set_step_hook : t -> (string -> unit) -> unit
+
+(* Test hook: the memtable's inverted file, for tests that damage it. *)
+val internal_memtable : t -> Invfile.Inverted_file.t
 
 (**/**)

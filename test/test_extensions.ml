@@ -6,6 +6,7 @@
 module E = Containment.Engine
 module S = Containment.Semantics
 module IF = Invfile.Inverted_file
+module R = Invfile.Plist_ref
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -80,11 +81,11 @@ let test_ext_stack_binary_payloads =
 (* --- Plist_stream --- *)
 
 let plist specs =
-  Invfile.Plist.of_list
-    (List.map
-       (fun n ->
-         { Invfile.Posting.node = n; children = [| n + 1 |]; leaf_count = 1; post = n; parent = -1 })
-       specs)
+  R.to_plist
+    (Array.of_list
+       (List.map
+          (fun n -> { R.node = n; children = [| n + 1 |]; leaf_count = 1; post = n; parent = -1 })
+          specs))
 
 (* A cursor over the encoded payload (streamed) and one over the decoded
    list (materialized, as a cached list is read). *)
@@ -255,8 +256,7 @@ let test_merger_equals_scratch () =
   List.iter
     (fun atom ->
       check_bool ("postings equal for " ^ atom) true
-        (Invfile.Plist.to_postings (IF.lookup scratch atom)
-         = Invfile.Plist.to_postings (IF.lookup dst atom)))
+        (R.of_plist (IF.lookup scratch atom) = R.of_plist (IF.lookup dst atom)))
     [ "UK"; "A"; "motorbike"; "Paris"; "Austin" ]
 
 let test_merger_skips_tombstones () =
@@ -319,26 +319,70 @@ let test_integrity_detects_corruption () =
     if Invfile.Integrity.check inv = [] then
       Alcotest.failf "%s not detected" what
   in
+  let get inv key = Option.get ((IF.store inv).Storage.Kv.get key) in
+  let put inv key payload = (IF.store inv).Storage.Kv.put key payload in
   broken "missing list" (fun inv ->
       ignore ((IF.store inv).Storage.Kv.delete "aLondon"));
   broken "phantom list" (fun inv ->
-      (IF.store inv).Storage.Kv.put "aPhantom"
+      put inv "aPhantom"
         (Invfile.Plist.to_bytes
-           (Invfile.Plist.of_list
-              [ { Invfile.Posting.node = 0; children = [||]; leaf_count = 1;
-                  post = 0; parent = -1 } ])));
+           (R.to_plist
+              [| { R.node = 0; children = [||]; leaf_count = 1; post = 0; parent = -1 } |])));
   broken "stale posting" (fun inv ->
       let l = IF.lookup inv "London" in
-      let extra =
-        { Invfile.Posting.node = 9; children = [||]; leaf_count = 1; post = 4;
-          parent = -1 }
+      let extra = { R.node = 9; children = [||]; leaf_count = 1; post = 4; parent = -1 } in
+      put inv "aLondon"
+        (Invfile.Plist.to_bytes (R.to_plist (Array.append (R.of_plist l) [| extra |]))));
+  broken "tampered record" (fun inv -> put inv "r:0" "S{tampered}");
+  broken "trailing byte" (fun inv -> put inv "aUK" (get inv "aUK" ^ "\000"));
+  broken "node table missing a row" (fun inv ->
+      let table = Invfile.Plist.of_bytes (get inv IF.meta_nodes) in
+      put inv IF.meta_nodes
+        (Invfile.Plist.to_bytes (Invfile.Plist.filter (fun i -> i <> 3) table)));
+  broken "tombstoned record's postings restored" (fun inv ->
+      let saved = List.map (fun key -> (key, get inv key)) [ "aUK"; "aUSA"; "aBoston" ] in
+      check_bool "delete" true (Invfile.Updater.delete_record inv 1);
+      List.iter (fun (key, payload) -> put inv key payload) saved);
+  broken "overlapping records" (fun inv ->
+      let roots = Array.copy (IF.roots inv) in
+      roots.(1) <- roots.(1) - 1;
+      put inv IF.meta_roots (Storage.Codec.encode_int_array roots);
+      IF.refresh inv);
+  broken "phantom record key" (fun inv ->
+      put inv (IF.record_key (IF.record_count inv)) "S{ghost}")
+
+(* A payload that does not decode is a problem to report, not an
+   exception out of the check. *)
+let test_integrity_reports_undecodable () =
+  List.iter
+    (fun (what, key, payload) ->
+      let inv = Testutil.mem_collection Testutil.licences_strings in
+      (IF.store inv).Storage.Kv.put key payload;
+      match Invfile.Integrity.check inv with
+      | [] -> Alcotest.failf "%s not detected" what
+      | _ :: _ -> ()
+      | exception e -> Alcotest.failf "%s raised %s" what (Printexc.to_string e))
+    [
+      ("undecodable record", IF.record_key 1, "S{Boston");
+      ("undecodable node table", IF.meta_nodes, "Zjunk");
+    ]
+
+(* Legacy stores hold every list in one format: each payload is checked
+   in its own format, so they check clean, also once updates mix in
+   lists written by the length rule. *)
+let test_integrity_legacy_codecs () =
+  List.iter
+    (fun codec ->
+      let inv =
+        Testutil.mem_collection
+          (List.init 300 (fun i -> Printf.sprintf "{a, b, r%d, {a, c, {b, d%d}}}" i (i mod 7)))
       in
-      (IF.store inv).Storage.Kv.put "aLondon"
-        (Invfile.Plist.to_bytes
-           (Invfile.Plist.of_postings
-              (Array.append (Invfile.Plist.to_postings l) [| extra |]))));
-  broken "tampered record" (fun inv ->
-      (IF.store inv).Storage.Kv.put "r:0" "S{tampered}")
+      Testutil.recode_lists ~codec inv;
+      check_int "recoded store clean" 0 (List.length (Invfile.Integrity.check inv));
+      ignore (Invfile.Updater.add_string inv "{a, fresh, {c}}");
+      ignore (Invfile.Updater.delete_record inv 4);
+      check_int "clean after updates" 0 (List.length (Invfile.Integrity.check inv)))
+    [ Invfile.Plist.Varint; Invfile.Plist.Blocked ]
 
 (* --- hash store optimize --- *)
 
@@ -809,6 +853,10 @@ let () =
             test_integrity_clean_and_after_updates;
           Alcotest.test_case "detects corruption" `Quick
             test_integrity_detects_corruption;
+          Alcotest.test_case "legacy codecs clean" `Quick
+            test_integrity_legacy_codecs;
+          Alcotest.test_case "undecodable payloads reported" `Quick
+            test_integrity_reports_undecodable;
         ] );
       ( "hash optimize",
         [ Alcotest.test_case "reclaims space" `Quick test_hash_optimize ] );

@@ -1,24 +1,29 @@
 (* Tests for the inverted file: postings, the sorted-list algebra, the
    builder (against the paper's Table 2), and caches. *)
 
-module P = Invfile.Posting
 module L = Invfile.Plist
+module R = Invfile.Plist_ref
 module IF = Invfile.Inverted_file
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
 let posting ?(leaf_count = 1) ?(post = 0) ?(parent = -1) node children =
-  { P.node; children = Array.of_list children; leaf_count; post; parent }
+  { R.node; children = Array.of_list children; leaf_count; post; parent }
 
-let plist specs = L.of_list (List.map (fun (n, cs) -> posting n cs) specs)
+(* Postings in any order, sorted into a list; a duplicate node id is
+   refused by Plist_ref.to_plist. *)
+let of_postings ps =
+  R.to_plist (Array.of_list (List.sort (fun a b -> Int.compare a.R.node b.R.node) ps))
+
+let plist specs = of_postings (List.map (fun (n, cs) -> posting n cs) specs)
 
 let nodes_of l = Array.to_list (L.nodes l)
 
 (* A node's row as a record, as the writers and the oracle see it. *)
 let find l id =
   let r = L.find_row l id in
-  if r < 0 then None else Some (L.get l r)
+  if r < 0 then None else Some (R.row l r)
 
 (* Every node of a list, as a head set. *)
 let idset l = L.idset_filter (fun _ -> true) l
@@ -38,7 +43,7 @@ let test_of_list_sorts_and_rejects_dups () =
   let l = plist [ (5, []); (2, [ 3 ]); (9, []) ] in
   Alcotest.(check (list int)) "sorted" [ 2; 5; 9 ] (nodes_of l);
   Alcotest.check_raises "duplicates"
-    (Invalid_argument "Plist.of_list: duplicate node id") (fun () ->
+    (Invalid_argument "Plist_ref.to_plist: node ids not strictly increasing") (fun () ->
       ignore (plist [ (1, []); (1, []) ]))
 
 let test_find_mem () =
@@ -46,7 +51,7 @@ let test_find_mem () =
   check_bool "mem 5" true (L.mem l 5);
   check_bool "mem 4" false (L.mem l 4);
   (match find l 2 with
-  | Some p -> Alcotest.(check (array int)) "payload" [| 3 |] p.P.children
+  | Some p -> Alcotest.(check (array int)) "payload" [| 3 |] p.R.children
   | None -> Alcotest.fail "find 2");
   check_bool "find absent" true (find l 7 = None)
 
@@ -89,7 +94,7 @@ let test_union_with_counts () =
 
 let test_leaf_count_filters () =
   let l =
-    L.of_list
+    of_postings
       [ posting ~leaf_count:1 1 []; posting ~leaf_count:2 2 []; posting ~leaf_count:3 3 [] ]
   in
   Alcotest.(check (list int)) "eq 2" [ 2 ] (nodes_of (L.filter_leaf_count_eq 2 l));
@@ -122,19 +127,19 @@ let test_join_descendant () =
   (* Record: 0 (post 3) → 1 (post 1) → 2 (post 0); 0 → 3 (post 2).
      DFS: pre 0 1 2 3; post: node2=0, node1=1, node3=2, node0=3. *)
   let mk node post children =
-    { P.node; children = Array.of_list children; leaf_count = 1; post; parent = -1 }
+    { R.node; children = Array.of_list children; leaf_count = 1; post; parent = -1 }
   in
   let paths =
-    L.paths_of_candidates (L.of_list [ mk 0 3 [ 1; 3 ] ])
+    L.paths_of_candidates (of_postings [ mk 0 3 [ 1; 3 ] ])
   in
-  let cand = L.of_list [ mk 2 0 []; mk 3 2 [] ] in
+  let cand = of_postings [ mk 2 0 []; mk 3 2 [] ] in
   let j = L.join_descendant paths cand in
   Alcotest.(check (list int))
     "both descendants found (grandchild too)"
     [ 2; 3 ]
     (List.map snd (path_pairs j));
   (* from node 1, only node 2 is a descendant *)
-  let paths1 = L.paths_of_candidates (L.of_list [ mk 1 1 [ 2 ] ]) in
+  let paths1 = L.paths_of_candidates (of_postings [ mk 1 1 [ 2 ] ]) in
   let j1 = L.join_descendant paths1 cand in
   Alcotest.(check (list int)) "subtree only" [ 2 ]
     (List.map snd (path_pairs j1))
@@ -148,11 +153,11 @@ let test_idset_covers () =
   check_bool "empty idset" false (L.covers_child p 0 (idset L.empty))
 
 let test_covers_descendant () =
-  let anc = { P.node = 10; children = [| 11 |]; leaf_count = 0; post = 15; parent = -1 } in
+  let anc = { R.node = 10; children = [| 11 |]; leaf_count = 0; post = 15; parent = -1 } in
   (* descendant: node 12 with post 12 < 15; non-descendant: node 30, post 40 *)
-  let h_desc = idset (L.of_list [ { P.node = 12; children = [||]; leaf_count = 0; post = 12; parent = 10 } ]) in
-  let h_far = idset (L.of_list [ { P.node = 30; children = [||]; leaf_count = 0; post = 40; parent = -1 } ]) in
-  let anc = L.of_list [ anc ] in
+  let h_desc = idset (of_postings [ { R.node = 12; children = [||]; leaf_count = 0; post = 12; parent = 10 } ]) in
+  let h_far = idset (of_postings [ { R.node = 30; children = [||]; leaf_count = 0; post = 40; parent = -1 } ]) in
+  let anc = of_postings [ anc ] in
   check_bool "descendant" true (L.covers_descendant anc 0 h_desc);
   check_bool "not descendant" false (L.covers_descendant anc 0 h_far);
   check_bool "self not descendant" false
@@ -160,17 +165,17 @@ let test_covers_descendant () =
 
 let test_plist_codec_roundtrip () =
   let l =
-    L.of_list
+    of_postings
       [
-        { P.node = 3; children = [| 4; 9 |]; leaf_count = 2; post = 7; parent = 1 };
-        { P.node = 12; children = [||]; leaf_count = 5; post = 1; parent = -1 };
+        { R.node = 3; children = [| 4; 9 |]; leaf_count = 2; post = 7; parent = 1 };
+        { R.node = 12; children = [||]; leaf_count = 5; post = 1; parent = -1 };
       ]
   in
   let l' = L.of_bytes (L.to_bytes l) in
   check_int "length" 2 (L.length l');
-  Alcotest.(check (array int)) "children" [| 4; 9 |] (Option.get (find l' 3)).P.children;
-  check_int "leaf_count" 5 (Option.get (find l' 12)).P.leaf_count;
-  check_int "post" 7 (Option.get (find l' 3)).P.post
+  Alcotest.(check (array int)) "children" [| 4; 9 |] (Option.get (find l' 3)).R.children;
+  check_int "leaf_count" 5 (Option.get (find l' 12)).R.leaf_count;
+  check_int "post" 7 (Option.get (find l' 3)).R.post
 
 let prop_inter_correct =
   Testutil.qcheck_case ~name:"inter = set intersection"
@@ -198,7 +203,7 @@ let prop_codec_roundtrip =
               Hashtbl.replace seen node ();
               Some
                 {
-                  P.node;
+                  R.node;
                   children = [| node + 1; node + 5 |];
                   leaf_count = lc;
                   post;
@@ -207,9 +212,9 @@ let prop_codec_roundtrip =
             end)
           specs
       in
-      let l = L.of_list postings in
+      let l = of_postings postings in
       let l' = L.of_bytes (L.to_bytes l) in
-      L.to_postings l = L.to_postings l')
+      R.of_plist l = R.of_plist l')
 
 (* --- join spec properties: the ▷◁ join against a brute-force model --- *)
 
@@ -219,7 +224,8 @@ let gen_forest =
   QCheck.make
     ~print:(fun l ->
       String.concat "; "
-        (List.map (fun p -> Format.asprintf "%a" P.pp p) l))
+        (List.map (fun p -> Printf.sprintf "(%d, {%s})" p.R.node
+             (String.concat ", " (List.map string_of_int (Array.to_list p.R.children)))) l))
     (fun st ->
       let n_parents = QCheck.Gen.int_range 1 6 st in
       let next = ref 0 and posts = ref [] in
@@ -241,11 +247,11 @@ let gen_forest =
       let post_of x = List.assoc x !posts in
       List.concat_map
         (fun (id, children) ->
-          { P.node = id; children; leaf_count = 1; post = post_of id; parent = -1 }
+          { R.node = id; children; leaf_count = 1; post = post_of id; parent = -1 }
           :: Array.to_list
                (Array.map
                   (fun c ->
-                    { P.node = c; children = [||]; leaf_count = 1; post = post_of c;
+                    { R.node = c; children = [||]; leaf_count = 1; post = post_of c;
                       parent = id })
                   children))
         parents)
@@ -254,21 +260,21 @@ let prop_join_child_spec =
   Testutil.qcheck_case ~count:300 ~name:"join_child = brute-force spec"
     (QCheck.pair gen_forest QCheck.(list_of_size (Gen.int_range 0 8) (int_bound 20)))
     (fun (forest, picks) ->
-      let all = L.of_list forest in
+      let all = of_postings forest in
       (* left: paths over a random subset of postings; right: candidates *)
       let lefts =
         List.sort_uniq Int.compare picks
         |> List.filter_map (find all)
         |> Array.of_list
       in
-      let paths = L.paths_of_candidates (L.of_postings lefts) in
+      let paths = L.paths_of_candidates (R.to_plist lefts) in
       let joined = L.join_child paths all in
       let expected =
         Array.to_list lefts
         |> List.concat_map (fun p ->
-               Array.to_list p.P.children
+               Array.to_list p.R.children
                |> List.filter_map (fun c ->
-                      Option.map (fun p' -> (p.P.node, p'.P.node)) (find all c)))
+                      Option.map (fun p' -> (p.R.node, p'.R.node)) (find all c)))
         |> List.sort_uniq compare
       in
       let got = List.sort_uniq compare (path_pairs joined) in
@@ -279,11 +285,8 @@ let prop_join_descendant_spec =
     Testutil.arbitrary_value (fun v ->
       QCheck.assume (Nested.Value.is_set v);
       let tree = Nested.Tree.of_value (Nested.Tree.allocator ()) ~record_id:0 v in
-      let postings =
-        Nested.Tree.fold (fun acc n -> P.of_tree_node n :: acc) [] tree
-        |> List.rev |> Array.of_list
-      in
-      let all = L.of_list (Array.to_list postings) in
+      let all = L.build (fun b -> Nested.Tree.iter (L.Buf.add_node b) tree) in
+      let postings = R.of_plist all in
       let paths = L.paths_of_candidates all in
       let joined = L.join_descendant paths all in
       let got = List.sort_uniq compare (path_pairs joined) in
@@ -293,9 +296,9 @@ let prop_join_descendant_spec =
                Array.to_list postings
                |> List.filter_map (fun d ->
                       if
-                        a.P.node <> d.P.node
-                        && Nested.Tree.is_descendant tree ~anc:a.P.node ~desc:d.P.node
-                      then Some (a.P.node, d.P.node)
+                        a.R.node <> d.R.node
+                        && Nested.Tree.is_descendant tree ~anc:a.R.node ~desc:d.R.node
+                      then Some (a.R.node, d.R.node)
                       else None))
         |> List.sort_uniq compare
       in
@@ -311,8 +314,8 @@ let prop_join_descendant_spec =
 let test_builder_reproduces_table2 () =
   let inv = Testutil.mem_collection (List.filteri (fun i _ -> i < 2) Testutil.licences_strings) in
   let postings atom =
-    Array.to_list (L.to_postings (IF.lookup inv atom))
-    |> List.map (fun p -> (p.P.node, Array.to_list p.P.children))
+    Array.to_list (R.of_plist (IF.lookup inv atom))
+    |> List.map (fun p -> (p.R.node, Array.to_list p.R.children))
   in
   (* Sue = record 0 (ids 0-4), Tim = record 1 (ids 5-9). Canonical element
      order in Tim: {UK,{A,motorbike}} = node 6 (with child 7), then
@@ -473,8 +476,8 @@ let test_prefetch_respects_capacity () =
    yields the stored list. *)
 let test_cursor_resolution () =
   let inv = Testutil.mem_collection Testutil.licences_strings in
-  let drain a = L.to_postings (St.inter_many [ IF.cursor inv a ]) in
-  let want = L.to_postings (IF.lookup inv "Paris") in
+  let drain a = R.of_plist (St.inter_many [ IF.cursor inv a ]) in
+  let want = R.of_plist (IF.lookup inv "Paris") in
   let stats = IF.lookup_stats inv in
   let static = Invfile.Cache.create Invfile.Cache.Static ~capacity:3 in
   IF.attach_cache inv static;
@@ -559,14 +562,14 @@ let prop_codecs_agree =
             else begin
               Hashtbl.replace seen node ();
               Some
-                { P.node; children = [| node + 1; node + 5 |]; leaf_count = lc;
+                { R.node; children = [| node + 1; node + 5 |]; leaf_count = lc;
                   post; parent = (if node = 0 then -1 else node - 1) }
             end)
           specs
       in
-      let l = L.of_list postings in
-      L.to_postings (L.of_bytes (L.to_bytes ~codec:L.Blocked l)) = L.to_postings l
-      && L.to_postings (L.of_bytes (L.to_bytes ~codec:L.Varint l)) = L.to_postings l)
+      let l = of_postings postings in
+      R.of_plist (L.of_bytes (L.to_bytes ~codec:L.Blocked l)) = R.of_plist l
+      && R.of_plist (L.of_bytes (L.to_bytes ~codec:L.Varint l)) = R.of_plist l)
 
 (* --- tail appends: Plist.append = to_bytes of the concatenation --- *)
 
@@ -574,12 +577,12 @@ let prop_codecs_agree =
    blocks, sparse ones delta-varint blocks. *)
 let gen_rows ~n ~dense st =
   let node = ref (QCheck.Gen.int_range 0 3 st) in
-  L.of_postings
+  R.to_plist
     (Array.init n (fun i ->
          if i > 0 then node := !node + if dense then 1 else QCheck.Gen.int_range 1 40 st;
          let id = !node in
          {
-           P.node = id;
+           R.node = id;
            children = Array.init (QCheck.Gen.int_range 0 2 st) (fun k -> id + 1 + (2 * k));
            leaf_count = QCheck.Gen.int_range 0 4 st;
            post = QCheck.Gen.int_range 0 5000 st;

@@ -11,10 +11,9 @@
    intersection kernel relies on when lists come from the same builder.
    Inputs are generated as record arrays (the oracle's representation)
    and converted to columnar lists for the kernels; results are compared
-   through Plist.to_postings, since a columnar list may share longer
+   through Plist_ref.of_plist, since a columnar list may share longer
    arrays with the buffer that built it. *)
 
-module P = Invfile.Posting
 module L = Invfile.Plist
 module R = Invfile.Plist_ref
 module B = Invfile.Plist_blocks
@@ -33,7 +32,7 @@ let posting_of_id node =
   let children = Array.init n_children (fun i -> node + 1 + ((i + 1) * step)) in
   let parent = if node = 0 || h land 16 = 0 then -1 else (h lsr 5) mod node in
   {
-    P.node;
+    R.node;
     children;
     leaf_count = (h lsr 8) land 15;
     post = node + ((h lsr 12) land 255);
@@ -50,13 +49,13 @@ let plist_of_ints ints =
   |> Array.of_list
 
 let same name (a : L.t) (b : R.t) =
-  if L.to_postings a <> b then
+  if R.of_plist a <> b then
     Alcotest.failf "%s: kernels diverge (%d vs %d postings)" name
       (L.length a) (Array.length b);
   (* equal rows must also mean payloads byte-identical once re-encoded *)
   List.iter
     (fun codec ->
-      if not (String.equal (L.to_bytes ~codec a) (L.to_bytes ~codec (L.of_postings b)))
+      if not (String.equal (L.to_bytes ~codec a) (L.to_bytes ~codec (R.to_plist b)))
       then
         Alcotest.failf "%s: equal lists re-encode differently" name)
     [ L.Varint; L.Blocked ];
@@ -71,8 +70,8 @@ let arb_pair bound =
 
 (* The three cursor sources: a decoded (cached) list, a 'C' payload and
    a 'V' payload. *)
-let mem l = St.cursor_of_plist (L.of_postings l)
-let payload codec l = L.to_bytes ~codec (L.of_postings l)
+let mem l = St.cursor_of_plist (R.to_plist l)
+let payload codec l = L.to_bytes ~codec (R.to_plist l)
 let blocked l = St.cursor_of_bytes (payload L.Blocked l)
 let varint l = St.cursor_of_bytes (payload L.Varint l)
 
@@ -125,7 +124,7 @@ let prop_inter_many ints_lists =
     [ 0; 1; 2 ]
 
 let counts_same name (l, counts) b =
-  let a = Array.mapi (fun k p -> (p, counts.(k))) (L.to_postings l) in
+  let a = Array.mapi (fun k p -> (p, counts.(k))) (R.of_plist l) in
   if a <> b then
     Alcotest.failf "%s: multiset kernels diverge (%d vs %d entries)" name
       (Array.length a) (Array.length b);
@@ -148,7 +147,7 @@ let prop_roundtrip ints =
     (fun codec ->
       let payload = payload codec l in
       let back = L.of_bytes payload in
-      if L.to_postings back <> l then Alcotest.failf "round trip lost postings";
+      if R.of_plist back <> l then Alcotest.failf "round trip lost postings";
       if L.codec_of_bytes payload <> codec then
         Alcotest.failf "codec tag not preserved";
       (* canonical: re-encoding the decoded list reproduces the payload *)
@@ -169,9 +168,9 @@ let prop_cursor_drain ints =
       Array.iter
         (fun p ->
           if St.head c = St.eof then Alcotest.failf "%s: cursor ended early" name;
-          let q = L.get (St.head_list c) (St.head_row c) in
+          let q = R.row (St.head_list c) (St.head_row c) in
           if q <> p then
-            Alcotest.failf "%s: decoded node %d, expected %d" name q.P.node p.P.node;
+            Alcotest.failf "%s: decoded node %d, expected %d" name q.R.node p.R.node;
           St.advance c)
         l;
       check_bool (name ^ " exhausted") true (St.head c = St.eof);
@@ -195,7 +194,7 @@ let prop_cursor_skip_to (ints, probes) =
               Alcotest.failf "%s: seek %d landed on node %d past the end" name id got
           end
           else if got = St.eof then Alcotest.failf "%s: seek %d ended early" name id
-          else if L.get (St.head_list c) (St.head_row c) <> l.(lb) then
+          else if R.row (St.head_list c) (St.head_row c) <> l.(lb) then
             Alcotest.failf "%s: seek %d landed on node %d" name id got;
           check_int
             (Printf.sprintf "%s remaining after seek %d" name id)
@@ -216,14 +215,14 @@ let test_block_boundaries () =
           let l = Array.init n (fun i -> posting_of_id (i * stride)) in
           let payload = payload L.Blocked l in
           let back = L.of_bytes payload in
-          if L.to_postings back <> l then
+          if R.of_plist back <> l then
             Alcotest.failf "blocked round trip, %s n=%d" shape n;
           let c = St.cursor_of_bytes payload in
           check_int (Printf.sprintf "%s n=%d remaining" shape n) n
             (St.remaining c);
           let seen = ref 0 in
           while St.head c <> St.eof do
-            check_int "drained in order" l.(!seen).P.node (St.head c);
+            check_int "drained in order" l.(!seen).R.node (St.head c);
             incr seen;
             St.advance c
           done;
@@ -247,7 +246,7 @@ let test_block_directory () =
     check_int "block min" (L.node b 0) (B.block_min d i);
     check_int "block max" (L.node b (L.length b - 1)) (B.block_max d i)
   done;
-  check_bool "decode" true (L.to_postings (L.of_bytes payload) = l);
+  check_bool "decode" true (R.of_plist (L.of_bytes payload) = l);
   (* find_block: first block whose max covers the probe *)
   check_int "find first" 0 (B.find_block d ~start:0 0);
   check_int "find mid" 1 (B.find_block d ~start:0 (B.block_max d 0 + 1));
@@ -290,7 +289,7 @@ let test_skewed_intersection () =
   let small = [| posting_of_id 0; posting_of_id 150_000; posting_of_id 299_997 |] in
   let expect = R.inter small big in
   check_int "oracle finds the planted hits" 3 (Array.length expect);
-  let agrees l = L.to_postings l = expect in
+  let agrees l = R.of_plist l = expect in
   check_bool "gallop" true (agrees (inter2 mem mem small big));
   check_bool "gallop sym" true (agrees (inter2 mem mem big small));
   check_bool "block skipping" true (agrees (inter2 blocked blocked small big));

@@ -313,6 +313,46 @@ let test_verify_healthy () =
   check_bool "is_live_dir" true (L.is_live_dir dir);
   check_bool "not a live dir" false (L.is_live_dir (Filename.concat dir "nope"))
 
+(* One damaged list in a sealed segment and one in the memtable: repair
+   rebuilds each of the two parts once and names both, and the store is
+   then consistent and answers as the rebuild oracle does. *)
+let test_repair_damaged_parts () =
+  with_temp_dir @@ fun dir ->
+  let kvs = Hashtbl.create 4 in
+  let wrap path kv =
+    Hashtbl.replace kvs (Filename.basename path) kv;
+    kv
+  in
+  let store = L.create ~config:{ manual with L.wrap } dir in
+  Fun.protect ~finally:(fun () -> L.close store) @@ fun () ->
+  List.iter (fun value -> ignore (L.insert store value)) licences;
+  ignore (L.flush store);
+  List.iter (fun value -> ignore (L.insert store value)) licences;
+  (* drop the first posting of UK's list *)
+  let damage (kv : Storage.Kv.t) =
+    let key = IF.atom_key "UK" in
+    let l = Invfile.Plist.of_bytes (Option.get (kv.Storage.Kv.get key)) in
+    kv.Storage.Kv.put key (Invfile.Plist.to_bytes (Invfile.Plist.filter (fun i -> i > 0) l))
+  in
+  let segment =
+    Hashtbl.fold
+      (fun file kv acc -> if String.starts_with ~prefix:"seg-" file then kv :: acc else acc)
+      kvs []
+  in
+  check_int "one sealed segment" 1 (List.length segment);
+  damage (List.hd segment);
+  damage (IF.store (L.internal_memtable store));
+  let named prefix = List.exists (String.starts_with ~prefix) in
+  let problems = List.map fst (L.verify store) in
+  check_bool "verify names the segment" true (named "segment " problems);
+  check_bool "verify names the memtable" true (named "memtable" problems);
+  let actions = L.repair store in
+  check_int "one action per damaged part" 2 (List.length actions);
+  check_bool "repair names the segment" true (named "segment " actions);
+  check_bool "repair names the memtable" true (named "memtable" actions);
+  check_bool "verify clean after repair" true (L.verify store = []);
+  assert_equiv ~ctx:"repaired: " store
+
 (* --- qcheck differential: random interleavings vs the rebuild oracle --- *)
 
 type op = Insert of V.t | Delete of int | Flush | Compact | Reopen
@@ -626,6 +666,8 @@ let () =
           Alcotest.test_case "rejections" `Quick test_rejections;
           Alcotest.test_case "verify/repair on a healthy store" `Quick
             test_verify_healthy;
+          Alcotest.test_case "repair a damaged segment and memtable" `Quick
+            test_repair_damaged_parts;
         ] );
       ("differential", [ test_differential ]);
       ( "crash",

@@ -1003,7 +1003,7 @@ let default_rules_for file =
   let r1 =
     in_dir "lib/core/" file || in_dir "lib/nested/" file
     (* the intersection kernels: a stray polymorphic compare on postings
-       would silently bypass Posting.compare *)
+       would silently bypass the int compare on node ids *)
     || in_dir "lib/invfile/plist" file
     (* the join engine sorts atoms and postings on hot paths *)
     || in_dir "lib/join/" file
