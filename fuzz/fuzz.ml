@@ -30,6 +30,13 @@
    to a list that re-encodes to the mutant's own bytes and that a cursor
    drains identically, or raise Storage.Codec.Corrupt.
 
+   The differential and live modes sometimes draw a skewed collection:
+   150 to 200 records all holding the stopword "a", one of them the rare
+   atom "z", and queries that name "z" half the time. The stopword's list
+   is then over 128 times the rare one's, so the engine narrows its
+   cursors to the rare atom's records (its record filter); each mode
+   prints how many queries ran with the filter.
+
    Exits non-zero on the first divergence, printing a reproducer. *)
 
 module E = Containment.Engine
@@ -47,6 +54,42 @@ let rec random_set rng depth =
   let n_children = if depth >= 3 then 0 else Random.State.int rng 3 in
   let children = List.init n_children (fun _ -> random_set rng (depth + 1)) in
   V.set (leaves @ children)
+
+(* Adds atom [a] to [v] or, at random, to one of its set elements, at
+   any depth. *)
+let rec plant rng a v =
+  let kids = List.filter V.is_set (V.elements v) in
+  if kids = [] || Random.State.bool rng then V.add (V.atom a) v
+  else
+    let k = List.nth kids (Random.State.int rng (List.length kids)) in
+    V.set (plant rng a k :: List.filter (fun e -> e != k) (V.elements v))
+
+(* A skewed collection: "a" in every record, "z" in one. *)
+let skewed_records rng =
+  let n = 150 + Random.State.int rng 51 in
+  let rare = Random.State.int rng n in
+  List.init n (fun i ->
+      let v = plant rng "a" (V.add (V.atom "a") (random_set rng 0)) in
+      if i = rare then plant rng "z" v else v)
+
+(* A query over a skewed collection names the rare atom half the time. *)
+let random_query rng ~skewed =
+  let q = random_set rng 1 in
+  if skewed && Random.State.bool rng then plant rng "z" q else q
+
+(* Queries whose trace shows the engine's record filter applied. *)
+let filtered = ref 0
+
+let rec filter_applied (s : Obs.Trace.span) =
+  (s.Obs.Trace.name = "eval"
+  && List.assoc_opt "filter" s.Obs.Trace.attrs = Some "true")
+  || List.exists filter_applied s.Obs.Trace.children
+
+let count_filtered f =
+  let trace = Obs.Trace.create "query" in
+  let r = f trace in
+  if filter_applied (Obs.Trace.finish trace) then incr filtered;
+  r
 
 let joins rng =
   match Random.State.int rng 5 with
@@ -77,8 +120,11 @@ let scenario rng i =
       (Containment.Collection.Log path, fun () -> try Sys.remove path with _ -> ())
   in
   Fun.protect ~finally:cleanup @@ fun () ->
-  let n0 = 3 + Random.State.int rng 8 in
-  let initial = List.init n0 (fun _ -> random_set rng 0) in
+  let skewed = Random.State.int rng 4 = 0 in
+  let initial =
+    if skewed then skewed_records rng
+    else List.init (3 + Random.State.int rng 8) (fun _ -> random_set rng 0)
+  in
   let inv = Containment.Collection.of_values ~backend initial in
   (* model: live record id -> value *)
   let model : (int, V.t) Hashtbl.t = Hashtbl.create 16 in
@@ -97,7 +143,7 @@ let scenario rng i =
   done;
   (* random queries under random configurations *)
   for _ = 1 to 8 do
-    let q = random_set rng 1 in
+    let q = random_query rng ~skewed in
     let join = joins rng and embedding = embeddings rng in
     match S.mode_of join embedding with
     | exception S.Unsupported _ -> ()
@@ -114,7 +160,9 @@ let scenario rng i =
         (fun (name, algorithm) ->
           (* the naive scan handles every combination the oracle does *)
           let config = { E.default with E.algorithm; E.join; E.embedding } in
-          let got = (E.query ~config inv q).E.records in
+          let got =
+            count_filtered (fun trace -> (E.query ~config ~trace inv q).E.records)
+          in
           if got <> expected then begin
             Printf.printf "\nDIVERGENCE in scenario %d (%s, %s):\n" i name
               (Format.asprintf "%a × %a" S.pp_join join S.pp_embedding embedding);
@@ -369,14 +417,20 @@ let live_scenario rng i =
   in
   Fun.protect ~finally:(fun () -> if Sys.file_exists dir then rm dir)
   @@ fun () ->
+  let skewed = Random.State.int rng 4 = 0 in
   let config =
     { LS.default with
-      LS.flush_records = Random.State.int rng 6;
+      (* a skewed collection is inserted in bulk into one part *)
+      LS.flush_records = (if skewed then 0 else Random.State.int rng 6);
       max_segments = 0;
       auto_compact = false }
   in
   let store = ref (LS.create ~config dir) in
   let model : (int, V.t) Hashtbl.t = Hashtbl.create 16 in
+  if skewed then
+    List.iter
+      (fun v -> Hashtbl.replace model (LS.insert !store v) v)
+      (skewed_records rng);
   let fail fmt =
     Printf.ksprintf
       (fun msg ->
@@ -422,7 +476,7 @@ let live_scenario rng i =
   if live <> wanted then fail "live records differ from the model";
   (* random queries under random configurations *)
   for _ = 1 to 8 do
-    let q = random_set rng 1 in
+    let q = random_query rng ~skewed in
     let join = joins rng and embedding = embeddings rng in
     match S.mode_of join embedding with
     | exception S.Unsupported _ -> ()
@@ -437,7 +491,7 @@ let live_scenario rng i =
         |> List.sort Int.compare
       in
       let config = { E.default with E.join; E.embedding } in
-      let got = LS.query ~config !store q in
+      let got = count_filtered (fun trace -> LS.query ~config ~trace !store q) in
       if got <> expected then
         fail "query %s under %s: got [%s], expected [%s]" (V.to_string q)
           (Format.asprintf "%a × %a" S.pp_join join S.pp_embedding embedding)
@@ -631,7 +685,9 @@ let run ~label ~scenarios ~seed one =
     end
   done;
   Printf.printf "all %d %s scenarios passed (%.1fs)\n" scenarios label
-    (Unix.gettimeofday () -. t0)
+    (Unix.gettimeofday () -. t0);
+  if !filtered > 0 then
+    Printf.printf "%d %s queries ran with the record filter\n" !filtered label
 
 let () =
   let args = Array.to_list Sys.argv in

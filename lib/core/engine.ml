@@ -135,8 +135,8 @@ let with_io ?trace inv f =
   Storage.Io_stats.attribute ?trace ~store:(IF.store inv).Storage.Kv.stats
     (IF.lookup_stats inv) f
 
-(* Distinct non-pattern leaf atoms of a query, in first-occurrence order
-   (shared with batching below). *)
+(* Distinct non-pattern leaf atoms of a batch of queries, in
+   first-occurrence order (batching and explain below). *)
 let distinct_atoms config qs =
   let seen = Hashtbl.create 64 in
   let out = ref [] in
@@ -154,6 +154,74 @@ let distinct_atoms config qs =
   List.iter walk qs;
   List.rev !out
 
+(* --- the record filter ---
+
+   Under the containment and equality joins a node matches only if every
+   query atom occurs at or below it (a leaf value of its own or of a node
+   a query child maps to), so the record holding an answer holds every
+   non-pattern query atom: every answer lies in a record of the shortest
+   list. Each algorithm decides a node from the postings of its own
+   record alone, so restricting every cursor to those records loses no
+   answer and adds none. It pays when that list is far shorter than the
+   longest: the cursors then decode only the blocks the filtered records
+   land on. *)
+
+let filter_applies config =
+  (match config.join with
+  | Semantics.Containment | Semantics.Equality -> true
+  | Semantics.Superset | Semantics.Overlap _ | Semantics.Similarity _ -> false)
+  &&
+  match config.algorithm with
+  | Top_down | Top_down_paper | Bottom_up -> true
+  | Naive_scan | Signature_scan -> false
+
+(* Resolves each distinct non-pattern query atom once, returning the
+   rarest one with its list length (the first of equals, in query
+   order) and the longest length. An empty list ends the resolution
+   where the filter applies: it answers the query empty on its own. A
+   traced run records one [atom:a] span per atom with its lookup
+   deltas. *)
+let resolve_atoms config ?trace inv (q : Query.t) =
+  let rarest = ref None and longest = ref 0 in
+  let settled () =
+    match !rarest with Some (_, 0) -> filter_applies config | Some _ | None -> false
+  in
+  let visit a =
+    if not
+         ((config.wildcards && Semantics.is_pattern a)
+         || IF.pinned inv a || settled ())
+    then begin
+      let n =
+        match trace with
+        | None -> IF.pin inv a
+        | Some _ ->
+          Obs.Trace.opt_span trace ("atom:" ^ a) (fun () ->
+              Storage.Io_stats.attribute ?trace (IF.lookup_stats inv) (fun () ->
+                  IF.pin inv a))
+      in
+      (match !rarest with
+      | Some (_, m) when m <= n -> ()
+      | Some _ | None -> rarest := Some (a, n));
+      longest := Int.max !longest n
+    end
+  in
+  let rec walk (n : Query.node) =
+    Array.iter visit n.Query.leaves;
+    List.iter walk n.Query.children
+  in
+  walk q;
+  (!rarest, !longest)
+
+(* The rarest atom, when its list is empty or a block of postings per
+   record of it still reads fewer postings than the longest list. *)
+let filter_atom config (rarest, longest) =
+  match rarest with
+  | Some (a, shortest)
+    when filter_applies config
+         && (shortest = 0 || shortest * Invfile.Plist_blocks.block_size < longest) ->
+    Some a
+  | Some _ | None -> None
+
 let evaluate config ?trace ~qid inv (q : Query.t) =
   let rejected =
     config.preflight
@@ -164,116 +232,120 @@ let evaluate config ?trace ~qid inv (q : Query.t) =
   in
   if rejected then { nodes = Intset.empty; records = []; prefilter_survivors = None }
   else
-  (* Bloom prefilter: restrict to records that might match. *)
-  let allowed, prefilter_survivors =
+  (* Bloom prefilter: the record ids that might match. *)
+  let survivors =
     match config.filter_index with
-    | None -> (None, None)
+    | None -> None
     | Some fi ->
       Obs.Phase.run ?trace ~qid Prefilter (fun () ->
-          match
-            Filter_index.candidate_records fi ~join:config.join
-              ~embedding:config.embedding (Query.to_value q)
-          with
-          | None -> (None, None)
-          | Some records ->
-            let roots = IF.roots inv in
-            let set = Intset.of_list (List.map (fun r -> roots.(r)) records) in
-            Obs.Trace.opt_attr trace "survivors" (string_of_int (List.length records));
-            (Some set, Some (List.length records)))
+          Option.map
+            (fun records ->
+              Obs.Trace.opt_attr trace "survivors"
+                (string_of_int (List.length records));
+              Array.of_list records)
+            (Filter_index.candidate_records fi ~join:config.join
+               ~embedding:config.embedding (Query.to_value q)))
   in
-  (* Anchor Equation-2 queries at record roots (intersected with Bloom
-     survivors when a prefilter ran): the index algorithms then never chase
-     heads that cannot be results. The naive scan checks roots directly. *)
-  let root_filter =
+  let prefilter_survivors = Option.map Array.length survivors in
+  (* Anchor Equation-2 queries at record roots — the records the filter
+     keeps, or else every record the Bloom prefilter passed: the index
+     algorithms then never chase heads that cannot be results. The
+     survivors test the root alone, so they narrow root-scope queries
+     only. The naive scan checks roots directly. *)
+  let anchored =
     match config.scope, config.algorithm with
-    | Anywhere, _ | _, Naive_scan -> None
-    | _, Signature_scan -> None
-    | Roots, (Top_down | Top_down_paper | Bottom_up) ->
-      Some
-        (match allowed with
-        | None -> IF.roots inv
-        | Some a -> Intset.inter (IF.roots inv) a)
+    | Roots, (Top_down | Top_down_paper | Bottom_up) -> true
+    | Anywhere, _ | Roots, (Naive_scan | Signature_scan) -> false
+  in
+  let roots_of records = Array.map (fun r -> (IF.roots inv).(r)) records in
+  let root_filter =
+    if not anchored then None
+    else
+      match survivors with
+      | None -> Some (IF.roots inv)
+      | Some s -> Some (roots_of s)
   in
   let pruned =
     match root_filter with Some f -> Intset.is_empty f | None -> false
   in
-  (* Per-atom retrieval spans: resolve each distinct query atom once into
-     the handle's per-query table, so the trace shows which lists were
-     cached and which were read from the store, and eval then reads
-     exactly those sources — the kernels and cursor kinds of an untraced
-     run, with one lookup per distinct atom. *)
-  let with_retrieval f =
-    if Option.is_none trace || pruned then f ()
+  IF.with_query inv @@ fun () ->
+  (* Each distinct query atom is resolved once, into the handle's
+     per-query pins: eval then reads exactly those sources, with no
+     further lookup, traced or not. *)
+  let chosen =
+    if pruned then None
     else
-      IF.with_pinned inv (fun pin ->
-          Obs.Phase.run ?trace ~qid Retrieve (fun () ->
-              with_io ?trace inv (fun () ->
-                  List.iter
-                    (fun a ->
-                      Obs.Trace.opt_span trace ("atom:" ^ a) (fun () ->
-                          Storage.Io_stats.attribute ?trace
-                            (IF.lookup_stats inv) (fun () -> pin a)))
-                    (distinct_atoms config [ q ])));
-          f ())
+      Obs.Phase.run ?trace ~qid Retrieve (fun () ->
+          with_io ?trace inv (fun () ->
+              filter_atom config (resolve_atoms config ?trace inv q)))
   in
-  with_retrieval (fun () ->
-      let t0 = Unix.gettimeofday () in
-      let nodes =
-        Obs.Phase.run ?trace ~qid Eval (fun () ->
-            with_io ?trace inv (fun () ->
-                let nodes =
-                  if pruned then begin
-                    Log.debug (fun m ->
-                        m "prefilter eliminated every record; skipping algorithm");
-                    Intset.empty
-                  end
-                  else run_algorithm config ?root_filter inv q
+  let nodes =
+    Obs.Phase.run ?trace ~qid Eval (fun () ->
+        with_io ?trace inv (fun () ->
+            let root_filter, pruned =
+              match chosen with
+              | None -> (root_filter, pruned)
+              | Some a ->
+                let records = IF.records_of inv a in
+                let records =
+                  match survivors with
+                  | Some s when anchored -> Intset.inter records s
+                  | Some _ | None -> records
                 in
-                Obs.Trace.opt_attr trace "algorithm" (algorithm_name config.algorithm);
-                Obs.Trace.opt_attr trace "candidates"
-                  (string_of_int (Intset.cardinal nodes));
-                nodes))
-      in
-      Log.debug (fun m ->
-          m "%s %a/%a: %d candidate node(s) in %.3f ms"
-            (match config.algorithm with
-            | Top_down -> "top-down"
-            | Top_down_paper -> "top-down(paper)"
-            | Bottom_up -> "bottom-up"
-            | Naive_scan -> "naive"
-            | Signature_scan -> "signature-scan")
-            Semantics.pp_join config.join Semantics.pp_embedding config.embedding
-            (Intset.cardinal nodes)
-            (1000. *. (Unix.gettimeofday () -. t0)));
-      let nodes =
-        Obs.Phase.run ?trace ~qid Verify (fun () ->
-            with_io ?trace inv (fun () ->
-                let checked = Intset.cardinal nodes in
-                (* Scope: Equation 2 keeps only record roots. *)
-                let nodes =
-                  match config.scope with
-                  | Anywhere -> nodes
-                  | Roots ->
-                    Array.of_list
-                      (List.filter (IF.is_root inv) (Intset.to_list nodes))
-                in
-                let nodes =
-                  if config.verify then
-                    Array.of_list
-                      (List.filter (verify_node config inv q) (Intset.to_list nodes))
-                  else nodes
-                in
-                Obs.Trace.opt_attr trace "checked" (string_of_int checked);
-                Obs.Trace.opt_attr trace "kept" (string_of_int (Intset.cardinal nodes));
-                nodes))
-      in
-      let records =
-        (* records containing at least one matching node *)
-        Intset.to_list nodes
-        |> List.map (fun id -> IF.record_of_root inv (IF.root_of_node inv id))
-        |> List.sort_uniq Int.compare
-      in
-      { nodes; records; prefilter_survivors })
+                IF.filter_records inv records;
+                Obs.Trace.opt_attr trace "filter_atom" a;
+                Obs.Trace.opt_attr trace "filter_records"
+                  (string_of_int (Array.length records));
+                ( (if anchored then Some (roots_of records) else None),
+                  Array.length records = 0 )
+            in
+            Obs.Trace.opt_attr trace "filter" (string_of_bool (Option.is_some chosen));
+            let nodes =
+              if pruned then begin
+                Log.debug (fun m ->
+                    m "no record can match; skipping algorithm");
+                Intset.empty
+              end
+              else run_algorithm config ?root_filter inv q
+            in
+            Obs.Trace.opt_attr trace "algorithm" (algorithm_name config.algorithm);
+            Obs.Trace.opt_attr trace "candidates"
+              (string_of_int (Intset.cardinal nodes));
+            nodes))
+  in
+  Log.debug (fun m ->
+      m "%s %a/%a: %d candidate node(s)" (algorithm_name config.algorithm)
+        Semantics.pp_join config.join Semantics.pp_embedding config.embedding
+        (Intset.cardinal nodes));
+  let nodes =
+    Obs.Phase.run ?trace ~qid Verify (fun () ->
+        with_io ?trace inv (fun () ->
+            let checked = Intset.cardinal nodes in
+            (* Scope: Equation 2 keeps only record roots. *)
+            let nodes =
+              match config.scope with
+              | Anywhere -> nodes
+              | Roots ->
+                Array.of_list
+                  (List.filter (IF.is_root inv) (Intset.to_list nodes))
+            in
+            let nodes =
+              if config.verify then
+                Array.of_list
+                  (List.filter (verify_node config inv q) (Intset.to_list nodes))
+              else nodes
+            in
+            Obs.Trace.opt_attr trace "checked" (string_of_int checked);
+            Obs.Trace.opt_attr trace "kept" (string_of_int (Intset.cardinal nodes));
+            nodes))
+  in
+  let records =
+    (* records containing at least one matching node *)
+    Intset.to_list nodes
+    |> List.map (fun id -> IF.record_of_root inv (IF.root_of_node inv id))
+    |> List.sort_uniq Int.compare
+  in
+  { nodes; records; prefilter_survivors }
 
 let query_prepared ?(config = default) ?trace inv q =
   let qid = Obs.Recorder.begin_query () in
@@ -408,8 +480,7 @@ let atom_plan inv a =
     in
     {
       Obs.Explain.atom = a;
-      list_len =
-        Invfile.Plist_stream.remaining (Invfile.Plist_stream.cursor_of_bytes payload);
+      list_len = Invfile.Plist.payload_length payload;
       bytes = String.length payload;
       codec = codec_label codec;
       blocks;
@@ -461,7 +532,9 @@ let profile_phases ~record_count ~min_len root =
       | Eval ->
         let actual = geti s "candidates" in
         eval_actual := actual;
-        (min_len, actual, Obs.Explain.notes s [ "algorithm" ])
+        ( min_len, actual,
+          Obs.Explain.notes s
+            [ "algorithm"; "filter"; "filter_atom"; "filter_records" ] )
       | Verify -> (!eval_actual, geti s "kept", [])
       | Build_tree | Intersect -> (-1, -1, []))
     root

@@ -74,7 +74,8 @@ val query :
     [rejected] attr), [prefilter] (when a filter index is set, with
     [survivors]), [retrieve] (one [atom:a] child per distinct query atom,
     each with its lookup/hit/miss delta), [eval] (algorithm, candidate
-    count, I/O deltas) and [verify] (checked/kept). Every phase span and
+    count, [filter] true or false, and when true [filter_atom] and
+    [filter_records], I/O deltas) and [verify] (checked/kept). Every phase span and
     the enclosing root carry [lookups]/[hits]/[misses] deltas pulled from
     {!Invfile.Inverted_file.lookup_stats}, so the tree reconciles with
     {!Storage.Io_stats} totals. Without [trace], nothing is recorded, no
@@ -82,12 +83,25 @@ val query :
     recorder is enabled, the same phases also leave begin/end edges in
     it, traced or not.
 
-    The [retrieve] phase resolves each distinct atom once into a
-    per-query table on the handle ({!Invfile.Inverted_file.with_pinned}):
-    the cached list, or the undecoded payload when the cache would not
-    keep it. [eval] reads those sources, so a traced query runs the same
-    kernels on the same cursor kinds as an untraced one, with one lookup
-    per distinct atom.
+    The [retrieve] phase resolves each distinct non-pattern atom once,
+    traced or not ({!Invfile.Inverted_file.pin}): the cached list, or the
+    undecoded payload when the cache would not keep it, with its length
+    from the list header. [eval] reads those sources, so a traced query
+    runs the same kernels on the same cursor kinds as an untraced one,
+    with one lookup per distinct atom, and looks nothing up itself.
+
+    {b Record filter.} Under the [Containment] and [Equality] joins, with
+    [Top_down], [Top_down_paper] or [Bottom_up], every answer lies in a
+    record that holds every non-pattern query atom. When the shortest
+    atom list is empty, or its length times
+    {!Invfile.Plist_blocks.block_size} is below the longest list's,
+    [eval] restricts every cursor of the query to the records of that
+    shortest list (intersected with the Bloom survivors under [Roots]),
+    so the kernels decode only the blocks those records land on; the
+    answer is unchanged. An empty shortest list answers empty without
+    running the algorithm — also for a combination the algorithm would
+    refuse, as a Bloom prefilter or preflight that eliminates every
+    record already did. There is no knob: the gate decides.
     @raise Invalid_argument if the query is an atom.
     @raise Semantics.Unsupported per {!Semantics.mode_of}. *)
 

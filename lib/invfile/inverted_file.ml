@@ -33,7 +33,11 @@ type t = {
   mutable all_nodes : Plist.t option;
   mutable cache : Cache.t option;
   mutable pinned : (string, source) Hashtbl.t option;
-      (* the current traced query's atoms, resolved once (with_pinned) *)
+      (* every atom of the enclosing call, resolved once (with_pinned) *)
+  pins : (string, source) Hashtbl.t;
+      (* the current query's atoms, resolved once (with_query) *)
+  mutable within : Plist_stream.ranges option;
+      (* the current query's record filter (with_query) *)
   lookup_stats : Storage.Io_stats.t;
 }
 
@@ -79,6 +83,8 @@ let open_store ?(lenient = false) store =
     all_nodes = None;
     cache = None;
     pinned = None;
+    pins = Hashtbl.create 16;
+    within = None;
     lookup_stats = Storage.Io_stats.create ();
   }
 
@@ -152,15 +158,28 @@ let source t a =
       | None -> Decoded Plist.empty
       | Some payload -> Payload payload))
 
-let cursor_of_source a = function
-  | Decoded l -> Plist_stream.cursor_of_plist l
+let cursor_of_source ?within a = function
+  | Decoded l -> Plist_stream.cursor_of_plist ?within l
   | Payload payload -> (
-    try Plist_stream.cursor_of_bytes payload
+    try Plist_stream.cursor_of_bytes ?within payload
     with Storage.Codec.Corrupt m -> raise (malformed_list a m))
 
-let cursor t a =
-  let pinned = Option.bind t.pinned (fun tbl -> Hashtbl.find_opt tbl a) in
-  cursor_of_source a (match pinned with Some s -> s | None -> source t a)
+(* The list length, from the header alone. *)
+let length_of_source a = function
+  | Decoded l -> Plist.length l
+  | Payload payload -> (
+    try Plist.payload_length payload
+    with Storage.Codec.Corrupt m -> raise (malformed_list a m))
+
+let resolved t a =
+  match
+    if Hashtbl.length t.pins = 0 then None else Hashtbl.find_opt t.pins a
+  with
+  | Some _ as s -> s
+  | None -> Option.bind t.pinned (fun tbl -> Hashtbl.find_opt tbl a)
+
+let source_of t a = match resolved t a with Some s -> s | None -> source t a
+let cursor t a = cursor_of_source ?within:t.within a (source_of t a)
 
 let with_pinned t f =
   let saved = t.pinned in
@@ -170,6 +189,40 @@ let with_pinned t f =
     ~finally:(fun () -> t.pinned <- saved)
     (fun () ->
       f (fun a -> if not (Hashtbl.mem tbl a) then Hashtbl.replace tbl a (source t a)))
+
+(* The handle's one pin table is emptied, not replaced, between
+   queries (reset shrinks it after a query with many atoms), and no
+   Fun.protect: a query's scope allocates next to nothing. *)
+let with_query t f =
+  let within = t.within in
+  let restore () =
+    Hashtbl.reset t.pins;
+    t.within <- within
+  in
+  match f () with
+  | v ->
+    restore ();
+    v
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    restore ();
+    Printexc.raise_with_backtrace e bt
+
+let pinned t a = Hashtbl.mem t.pins a
+
+(* An atom the enclosing call already pinned is read from its table;
+   a new one joins that table, so the call keeps one lookup per atom. *)
+let pin t a =
+  let s =
+    match resolved t a with
+    | Some s -> s
+    | None ->
+      let s = source t a in
+      Option.iter (fun tbl -> Hashtbl.replace tbl a s) t.pinned;
+      s
+  in
+  Hashtbl.replace t.pins a s;
+  length_of_source a s
 
 let mem_atom t a = Storage.Kv.mem t.store (atom_key a)
 
@@ -226,6 +279,39 @@ let is_root t id =
 let record_of_root t id =
   let i = root_index t id in
   if t.roots.(i) = id then i else raise Not_found
+
+(* One seek per record: from a posting's record straight to the next
+   record's first id. *)
+let records_of t a =
+  let c = cursor_of_source a (source_of t a) in
+  let n = Array.length t.roots and acc = ref [] in
+  let id = ref (Plist_stream.head c) in
+  while !id <> Plist_stream.eof do
+    if n = 0 || !id < t.roots.(0) then
+      (* no record holds it: a damaged index; skip to the first record *)
+      id := if n = 0 then Plist_stream.eof else Plist_stream.seek c t.roots.(0)
+    else begin
+      let r = root_index t !id in
+      acc := r :: !acc;
+      id := if r + 1 < n then Plist_stream.seek c t.roots.(r + 1) else Plist_stream.eof
+    end
+  done;
+  Array.of_list (List.rev !acc)
+
+(* Record [r] owns the ids [roots.(r), roots.(r + 1)); consecutive
+   records share one range. *)
+let filter_records t records =
+  let n = Array.length t.roots in
+  let spans = ref [] in
+  Array.iter
+    (fun r ->
+      let lo = t.roots.(r) and hi = if r + 1 < n then t.roots.(r + 1) else max_int in
+      spans :=
+        match !spans with
+        | (plo, phi) :: rest when phi = lo -> (plo, hi) :: rest
+        | l -> (lo, hi) :: l)
+    records;
+  t.within <- Some (Plist_stream.ranges (Array.of_list (List.rev !spans)))
 
 let deleted_marker = "\x00deleted"
 

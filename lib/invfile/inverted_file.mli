@@ -53,22 +53,58 @@ val cursor : t -> string -> Plist_stream.cursor
     it ({!Cache.admits}), this is {!lookup}: an in-memory cursor over the
     decoded list, with the same admission and hit/miss counting.
     Otherwise it is a cursor over the stored payload that decodes only
-    the blocks it lands on (one counted lookup and miss). Inside
-    {!with_pinned}, an atom the current query already resolved is served
-    from that resolution without touching the cache, the counters or the
-    store.
+    the blocks it lands on (one counted lookup and miss). An atom already
+    resolved by {!pin} or {!with_pinned} is served from that resolution
+    without touching the cache, the counters or the store. While a record
+    filter is set ({!filter_records}), the cursor is restricted to the
+    filtered records' node ids ({!Plist_stream.ranges}).
     @raise Malformed as {!lookup}, for a corrupt payload header. *)
 
 val with_pinned : t -> ((string -> unit) -> 'a) -> 'a
-(** [with_pinned t f] runs [f pin] with a per-query table on the handle:
+(** [with_pinned t f] runs [f pin] with a per-call table on the handle:
     [pin a] resolves [a] once, exactly as {!cursor} would (the cached
     list, or the undecoded payload), and every {!cursor} call on [a]
-    until [f] returns reads that resolution. A traced query pins its
-    distinct atoms in its [retrieve] span, so evaluation then runs the
-    same kernels on the same cursor kinds as an untraced query, with one
-    lookup per distinct atom. [Join.Engine.join] pins every outer atom
-    for the whole call, so its tree and the engine queries it runs share
-    one lookup per distinct atom. *)
+    until [f] returns reads that resolution. [Join.Engine.join] pins
+    every outer atom for the whole call, so its tree and the engine
+    queries it runs share one lookup per distinct atom: a query's own
+    {!pin} reads that table and adds the atoms it lacks. *)
+
+(** {1 One query's scope}
+
+    [Engine.evaluate] resolves each distinct query atom once with {!pin}
+    in its [retrieve] phase, traced or not, and may then narrow every
+    cursor of the query to the records that hold its rarest atom. *)
+
+val with_query : t -> (unit -> 'a) -> 'a
+(** [with_query t f] runs [f] and then drops the pins and the record
+    filter [f] set, also when [f] raises. The pins live in one table the
+    handle owns and empties after each query, so a query's scope
+    allocates no table and runs no [Fun.protect]. Queries on one handle
+    do not nest: an inner query empties the outer one's pins (its
+    cursors then resolve their atoms again). *)
+
+val pin : t -> string -> int
+(** [pin t a] resolves [a] once for the query in progress — from the
+    enclosing {!with_pinned} table when that holds it, else as {!cursor}
+    would (one counted lookup), adding it to that table when there is
+    one — and returns its list length, read from the list header: no
+    cursor, no decoded posting. A second [pin] of [a] in the same query
+    looks nothing up. Call it inside {!with_query} only.
+    @raise Malformed for a corrupt or retired payload header. *)
+
+val pinned : t -> string -> bool
+(** Whether the query in progress has pinned the atom. *)
+
+val records_of : t -> string -> int array
+(** The ascending ids of the records that hold atom [a], found with one
+    {!Plist_stream.seek} per record (from a posting to the next record's
+    first id), so the cost is O(records), not O(postings). Reads [a]'s
+    pinned resolution, unrestricted. *)
+
+val filter_records : t -> int array -> unit
+(** [filter_records t records] (ascending record ids) restricts every
+    {!cursor} of the query in progress to [records]' node ids, until the
+    enclosing {!with_query} returns. *)
 
 val prefetch : t -> string list -> int
 (** [prefetch t atoms] block-probes the inverted file: every distinct atom

@@ -16,27 +16,48 @@
     cursor, not a record per posting. The kernels copy matching rows into
     columnar output.
 
+    A cursor may be {e restricted} to a set of node-id ranges: it then
+    reads as the list filtered to those ranges, and its head and {!seek}
+    jump from range to range, so on a [Blocked] payload the blocks
+    between ranges are never decoded. {!Inverted_file.cursor} hands out
+    restricted cursors while a query's record filter is set.
+
     Results agree exactly with the frozen {!Plist_ref} oracle (checked by
-    the differential suite). *)
+    the differential suite), restricted cursors with the oracle filtered
+    to their ranges. *)
 
 type cursor
 
-val cursor_of_bytes : string -> cursor
+type ranges
+(** Sorted, disjoint, non-empty half-open node-id ranges [[lo, hi)]. *)
+
+val ranges : (int * int) array -> ranges
+(** [ranges [| (lo0, hi0); (lo1, hi1); ... |]]. Adjacent ranges
+    ([hi0 = lo1]) are allowed; the empty array restricts a cursor to
+    nothing.
+    @raise Invalid_argument unless [lo < hi] for every range and each
+    range starts at or after the end of the one before. *)
+
+val cursor_of_bytes : ?within:ranges -> string -> cursor
 (** A cursor over an encoded postings list (the payload stored under an
-    atom key — see {!Plist.to_bytes}). [Varint] payloads decode
-    sequentially, a block-sized chunk at a time; [Blocked] payloads decode
-    one block at a time and support block skipping (see {!seek}).
+    atom key — see {!Plist.to_bytes}), restricted to [within] when
+    given. [Varint] payloads decode sequentially, a block-sized chunk at
+    a time; [Blocked] payloads decode one block at a time and support
+    block skipping (see {!seek}).
     @raise Storage.Codec.Corrupt on a malformed header (per
     {!Plist.codec_of_bytes} and {!Plist_blocks.directory}); corruption
     inside a block surfaces when the cursor reaches it. *)
 
-val cursor_of_plist : Plist.t -> cursor
-(** A cursor over a decoded list; {!seek} gallops. *)
+val cursor_of_plist : ?within:ranges -> Plist.t -> cursor
+(** A cursor over a decoded list, restricted to [within] when given;
+    {!seek} gallops. *)
 
 val remaining : cursor -> int
-(** Postings not yet consumed. On a fresh cursor over a payload this is
-    the list length, read from the header (the [Varint] count or the
-    block directory's total) without decoding a posting. *)
+(** Postings not yet consumed. On a fresh unrestricted cursor over a
+    payload this is the list length, read from the header (the [Varint]
+    count or the block directory's total) without decoding a posting. On
+    a restricted cursor it is an upper bound: the postings not yet
+    consumed whether inside a range or not, and 0 once exhausted. *)
 
 val eof : int
 (** The head node id of an exhausted cursor: [max_int], after every real
@@ -61,14 +82,16 @@ val seek : cursor -> int -> int
     the head node id, [>= id] (or {!eof}). On [Varint] payloads the
     skipped prefix is decoded; on [Blocked] payloads whole blocks whose
     max node id is below [id] are skipped via the directory without
-    touching their bytes; in-memory cursors gallop. *)
+    touching their bytes; in-memory cursors gallop. A restricted cursor
+    first moves [id] up to the start of the next range that ends above
+    it, so it decodes only the blocks its ranges land on. *)
 
 (** {1 n-way operations} *)
 
 val inter_many : ?among:int array -> cursor list -> Plist.t
 (** Intersection, driven from the cursor with the fewest remaining
     postings with {!seek} advances on the others. A single fresh
-    in-memory cursor returns its list without copying. With [~among]
+    unrestricted in-memory cursor returns its list without copying. With [~among]
     (ascending node ids) only the rows whose node is among them are
     kept, and the ids drive: each id seeks every cursor, so a few ids
     against long payloads decode only the blocks they land on. Consumes

@@ -280,6 +280,30 @@ let test_trace_uncached_one_lookup_per_atom () =
       check_int "eval looks nothing up" 0 (Option.get (int_attr "lookups" (span "eval")));
       check_bool "eval reads nothing" true (int_attr "reads" (span "eval") = None))
 
+(* Untraced queries resolve each distinct atom once too, and inside an
+   enclosing [with_pinned] call (as a join runs its engine queries) they
+   read that call's table and add what it lacks: a second query over the
+   same atoms looks nothing up. *)
+let test_untraced_one_lookup_per_atom () =
+  with_backend `Hash (fun inv ->
+      let q = Testutil.v "{{UK, A, {A, motorbike}}, {A}}" in
+      let lookups f =
+        let l = IF.lookup_stats inv in
+        let before = Storage.Io_stats.lookups l in
+        let r = f () in
+        (r, Storage.Io_stats.lookups l - before)
+      in
+      let plain, n = lookups (fun () -> (E.query inv q).E.records) in
+      check_int "one lookup per distinct atom" 3 n;
+      IF.with_pinned inv (fun pin ->
+          pin "UK";
+          let r, n = lookups (fun () -> (E.query inv q).E.records) in
+          check_records "pinned agrees" plain r;
+          check_int "the pinned atom is not looked up" 2 n;
+          let r, n = lookups (fun () -> (E.query inv q).E.records) in
+          check_records "pinned again agrees" plain r;
+          check_int "the query's atoms joined the table" 0 n))
+
 let test_trace_batch_positional () =
   with_backend `Mem (fun inv ->
       let qs = [ Testutil.v q_uk; Testutil.v "{{zzz_nowhere}}"; Testutil.v q_uk ] in
@@ -390,6 +414,8 @@ let () =
             test_trace_absent_records_nothing;
           Alcotest.test_case "uncached: one lookup per atom" `Quick
             test_trace_uncached_one_lookup_per_atom;
+          Alcotest.test_case "untraced and nested: one lookup per atom" `Quick
+            test_untraced_one_lookup_per_atom;
           Alcotest.test_case "batch: positional traces" `Quick
             test_trace_batch_positional;
           Alcotest.test_case "explain reconciles with trace" `Quick

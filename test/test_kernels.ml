@@ -203,6 +203,171 @@ let prop_cursor_skip_to (ints, probes) =
       true)
     (cursors_of l)
 
+(* --- restricted cursors: the lists filtered to node-id ranges ---
+
+   A restricted cursor must read exactly as the oracle list filtered to
+   its ranges, over every source, through every kernel. Ranges come from
+   (gap, width) pairs: a zero gap makes a range adjacent to the one
+   before it. *)
+
+let ranges_of_pairs pairs =
+  let _, spans =
+    List.fold_left
+      (fun (from, acc) (gap, width) ->
+        let lo = from + gap in
+        let hi = lo + 1 + width in
+        (hi, (lo, hi) :: acc))
+      (0, []) pairs
+  in
+  Array.of_list (List.rev spans)
+
+let in_spans spans id = Array.exists (fun (lo, hi) -> lo <= id && id < hi) spans
+
+let filtered spans (l : R.t) =
+  Array.of_list (List.filter (fun p -> in_spans spans p.R.node) (Array.to_list l))
+
+let restricted_sources spans =
+  let within = St.ranges spans in
+  [
+    ("mem", fun l -> St.cursor_of_plist ~within (R.to_plist l));
+    ("blocked", fun l -> St.cursor_of_bytes ~within (payload L.Blocked l));
+    ("varint", fun l -> St.cursor_of_bytes ~within (payload L.Varint l));
+  ]
+
+(* Range pairs scaled to the id bound, so ranges cover some ids and
+   skip others (and some run past the last id). *)
+let arb_ranges bound =
+  QCheck.(list_of_size Gen.(0 -- 6) (pair (int_bound (bound / 4)) (int_bound (bound / 8))))
+
+(* Many short ranges over dense ids: gaps of zero, one or a few ids. *)
+let arb_ranges_dense =
+  QCheck.(list_of_size Gen.(0 -- 40) (pair (int_bound 3) (int_bound 12)))
+
+let restricted_drain_same name spans l c =
+  let expect = filtered spans l in
+  Array.iter
+    (fun p ->
+      if St.head c = St.eof then Alcotest.failf "%s: restricted cursor ended early" name;
+      let q = R.row (St.head_list c) (St.head_row c) in
+      if q <> p then
+        Alcotest.failf "%s: restricted head %d, expected %d" name q.R.node p.R.node;
+      St.advance c)
+    expect;
+  if St.head c <> St.eof then
+    Alcotest.failf "%s: restricted cursor read node %d past its ranges" name (St.head c);
+  check_int (name ^ " exhausted remaining") 0 (St.remaining c)
+
+let prop_restricted_drain (ints, pairs) =
+  let l = plist_of_ints ints and spans = ranges_of_pairs pairs in
+  List.for_all
+    (fun (name, src) ->
+      restricted_drain_same name spans l (src l);
+      (* inter_many of one cursor drains it; a decoded list is copied *)
+      same (name ^ " drain") (St.inter_many [ src l ]) (filtered spans l))
+    (restricted_sources spans)
+
+let prop_restricted_seek ((ints, pairs), probes) =
+  let l = plist_of_ints ints and spans = ranges_of_pairs pairs in
+  let expect = filtered spans l in
+  let probes = List.sort_uniq Int.compare (List.map (fun i -> i land 0xFFFFF) probes) in
+  List.for_all
+    (fun (name, src) ->
+      let c = src l in
+      List.iter
+        (fun id ->
+          let lb = R.lower_bound expect id in
+          let got = St.seek c id in
+          if lb = Array.length expect then begin
+            if got <> St.eof then
+              Alcotest.failf "%s: restricted seek %d landed on node %d past the end"
+                name id got
+          end
+          else if got = St.eof then
+            Alcotest.failf "%s: restricted seek %d ended early" name id
+          else if R.row (St.head_list c) (St.head_row c) <> expect.(lb) then
+            Alcotest.failf "%s: restricted seek %d landed on node %d" name id got;
+          (* head after seek stays put *)
+          check_int (name ^ " head after seek") got (St.head c))
+        probes;
+      true)
+    (restricted_sources spans)
+
+let mixed_restricted ~offset spans lists =
+  let srcs = Array.of_list (List.map snd (restricted_sources spans)) in
+  List.mapi (fun i l -> srcs.((i + offset) mod 3) l) lists
+
+let prop_restricted_inter_many ((ints_lists, pairs), among) =
+  let lists = List.map plist_of_ints ints_lists and spans = ranges_of_pairs pairs in
+  let expect = R.inter_many (List.map (filtered spans) lists) in
+  let among = Array.of_list (List.sort_uniq Int.compare among) in
+  List.for_all
+    (fun offset ->
+      same "restricted inter_many"
+        (St.inter_many (mixed_restricted ~offset spans lists))
+        expect
+      && same "restricted inter_many ~among"
+           (St.inter_many ~among (mixed_restricted ~offset spans lists))
+           (R.restrict expect among))
+    [ 0; 1; 2 ]
+
+let prop_restricted_union ((ints_lists, pairs) : int list list * (int * int) list) =
+  let lists = List.map plist_of_ints ints_lists and spans = ranges_of_pairs pairs in
+  List.for_all
+    (fun offset ->
+      counts_same "restricted union_with_counts"
+        (St.union_with_counts (mixed_restricted ~offset spans lists))
+        (R.union_with_counts (List.map (filtered spans) lists)))
+    [ 0; 1; 2 ]
+
+(* Edge cases over bitmap ('dense', consecutive ids) and sparse varint
+   blocks ('sparse', stride 1009), 1000 postings: eight blocks. *)
+let test_restricted_edges () =
+  List.iter
+    (fun (shape, stride) ->
+      let l = Array.init 1000 (fun i -> posting_of_id (i * stride)) in
+      let last = 999 * stride in
+      let b1 = 128 * stride in
+      List.iter
+        (fun (case, spans) ->
+          List.iter
+            (fun (name, src) ->
+              let ctx = Printf.sprintf "%s %s %s" shape case name in
+              restricted_drain_same ctx spans l (src l))
+            (restricted_sources spans))
+        [
+          ("no ranges", [||]);
+          ("adjacent", [| (0, stride * 3); (stride * 3, stride * 5); (stride * 5, stride * 6) |]);
+          ("inside one block", [| (b1 + stride, b1 + (stride * 4)) |]);
+          ("past the last id", [| (last + 1, last + 100); (last + 200, max_int) |]);
+          ("straddling the last id", [| (last - stride, max_int) |]);
+          ("one per block", Array.init 8 (fun k -> (k * b1, (k * b1) + 1)));
+          ("one-id gaps", Array.init 50 (fun k -> (3 * k * stride, ((3 * k) + 2) * stride)));
+        ])
+    [ ("dense", 1); ("sparse", 1009) ];
+  Alcotest.check_raises "overlapping ranges refused"
+    (Invalid_argument "Plist_stream.ranges: not sorted, disjoint and non-empty")
+    (fun () -> ignore (St.ranges [| (0, 5); (4, 9) |]));
+  Alcotest.check_raises "empty range refused"
+    (Invalid_argument "Plist_stream.ranges: not sorted, disjoint and non-empty")
+    (fun () -> ignore (St.ranges [| (3, 3) |]))
+
+(* A restricted 'C' cursor decodes only the blocks its ranges land on:
+   a block it skips may be garbage. *)
+let test_restricted_skips_blocks () =
+  let stride = 1009 in
+  let l = Array.init 1000 (fun i -> posting_of_id (i * stride)) in
+  let bytes = Bytes.of_string (payload L.Blocked l) in
+  let d = B.directory (Bytes.to_string bytes) ~pos:1 in
+  check_bool "block 3 is sparse" false (B.is_bitmap d 3);
+  Bytes.fill bytes (B.body_pos d 3) (B.body_len d 3) '\xff';
+  let damaged = Bytes.to_string bytes in
+  let spans = [| (B.block_min d 1, B.block_max d 1 + 1); (B.block_min d 6, B.block_min d 6 + 1) |] in
+  let c = St.cursor_of_bytes ~within:(St.ranges spans) damaged in
+  restricted_drain_same "around a damaged block" spans l c;
+  match St.inter_many [ St.cursor_of_bytes damaged ] with
+  | exception Storage.Codec.Corrupt _ -> ()
+  | _ -> Alcotest.failf "the unrestricted cursor decoded the damaged block"
+
 (* --- block format edges --- *)
 
 (* Lengths straddling the 128-posting block boundary, dense (consecutive
@@ -456,6 +621,35 @@ let () =
           qc ~name:"skip_to = oracle lower_bound"
             QCheck.(pair (list (int_bound 50_000)) (list (int_bound 50_000)))
             prop_cursor_skip_to;
+        ] );
+      ( "restricted",
+        [
+          qc ~name:"drain = filtered ref"
+            QCheck.(pair (list (int_bound 50_000)) (arb_ranges 50_000))
+            prop_restricted_drain;
+          qc ~name:"drain = filtered ref (dense ranges)"
+            QCheck.(pair (list (int_bound 600)) arb_ranges_dense)
+            prop_restricted_drain;
+          qc ~name:"seek = filtered ref lower_bound"
+            QCheck.(
+              pair
+                (pair (list (int_bound 50_000)) (arb_ranges 50_000))
+                (list (int_bound 50_000)))
+            prop_restricted_seek;
+          qc ~name:"inter_many (~among) = filtered ref, mixed codecs"
+            QCheck.(
+              pair (pair (arb_family 800) (arb_ranges 800)) (list (int_bound 800)))
+            prop_restricted_inter_many;
+          qc ~name:"inter_many (~among) = filtered ref (dense ranges)"
+            QCheck.(
+              pair (pair (arb_family 300) arb_ranges_dense) (list (int_bound 300)))
+            prop_restricted_inter_many;
+          qc ~name:"union_with_counts = filtered ref, mixed codecs"
+            QCheck.(pair (arb_family 800) (arb_ranges 800))
+            prop_restricted_union;
+          Alcotest.test_case "edges" `Quick test_restricted_edges;
+          Alcotest.test_case "skipped blocks stay undecoded" `Quick
+            test_restricted_skips_blocks;
         ] );
       ( "blocks",
         [
