@@ -84,8 +84,6 @@ let bechamel_suite () =
          (workload ~config:{ E.default with E.filter_index = Some fi } sw q_sw));
       (Containment.Collection.with_static_cache sw ~budget:250;
        Test.make ~name:"e8/cached-250" (workload sw q_sw));
-      Test.make ~name:"e17/preflight"
-        (workload ~config:{ E.default with E.preflight = true } sw q_sw);
     ]
   in
   (* core-operation micro benches *)

@@ -1316,7 +1316,7 @@ let serve_cmd =
       value & opt int 8
       & info [ "max-batch" ] ~docv:"N"
           ~doc:"Coalesce up to $(docv) compatible queued queries into one \
-                block probe of the inverted file.")
+                batch that looks each distinct atom up once.")
   in
   let stats_interval_arg =
     Arg.(

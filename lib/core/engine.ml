@@ -22,7 +22,6 @@ type config = {
   filter_index : Filter_index.t option;
   td_order : Top_down.order;
   spill_to : string option;
-  preflight : bool;
   wildcards : bool;
   minimize : bool;
 }
@@ -37,7 +36,6 @@ let default =
     filter_index = None;
     td_order = Top_down.Query_order;
     spill_to = None;
-    preflight = false;
     wildcards = false;
     minimize = false;
   }
@@ -95,27 +93,6 @@ let verify_node config inv q id =
   let tree = IF.record_tree inv (IF.record_of_root inv root) in
   Embed.at_node ~wildcards:config.wildcards config.join config.embedding ~q ~s:tree id
 
-(* Under containment-style joins, every query atom must occur in the
-   collection for any record to match; checking key existence is far
-   cheaper than decoding the posting lists an algorithm would touch. *)
-let preflight_rejects config inv (q : Query.t) =
-  config.preflight
-  && (match config.join with
-     | Semantics.Containment | Semantics.Equality -> true
-     | Semantics.Superset | Semantics.Overlap _ | Semantics.Similarity _ -> false)
-  &&
-  let leaf_exists a =
-    if config.wildcards && Semantics.is_pattern a then
-      (* a pattern's existence would need a range probe; don't reject *)
-      true
-    else IF.mem_atom inv a
-  in
-  let rec atoms_exist (n : Query.node) =
-    Array.for_all leaf_exists n.Query.leaves
-    && List.for_all atoms_exist n.Query.children
-  in
-  not (atoms_exist q)
-
 (* --- observability ---
 
    Opt-in: without [trace] every phase runs directly and no counter is
@@ -135,9 +112,9 @@ let with_io ?trace inv f =
   Storage.Io_stats.attribute ?trace ~store:(IF.store inv).Storage.Kv.stats
     (IF.lookup_stats inv) f
 
-(* Distinct non-pattern leaf atoms of a batch of queries, in
-   first-occurrence order (batching and explain below). *)
-let distinct_atoms config qs =
+(* Distinct non-pattern leaf atoms of a query, in first-occurrence
+   order (explain below). *)
+let distinct_atoms config q =
   let seen = Hashtbl.create 64 in
   let out = ref [] in
   let add a =
@@ -151,7 +128,7 @@ let distinct_atoms config qs =
     Array.iter add n.Query.leaves;
     List.iter walk n.Query.children
   in
-  List.iter walk qs;
+  walk q;
   List.rev !out
 
 (* --- the record filter ---
@@ -166,38 +143,42 @@ let distinct_atoms config qs =
    longest: the cursors then decode only the blocks the filtered records
    land on. *)
 
-let filter_applies config =
-  (match config.join with
-  | Semantics.Containment | Semantics.Equality -> true
-  | Semantics.Superset | Semantics.Overlap _ | Semantics.Similarity _ -> false)
-  &&
+(* The naive and signature scans read records, not lists. *)
+let reads_lists config =
   match config.algorithm with
   | Top_down | Top_down_paper | Bottom_up -> true
   | Naive_scan | Signature_scan -> false
 
-(* Resolves each distinct non-pattern query atom once, returning the
-   rarest one with its list length (the first of equals, in query
-   order) and the longest length. An empty list ends the resolution
-   where the filter applies: it answers the query empty on its own. A
-   traced run records one [atom:a] span per atom with its lookup
-   deltas. *)
+let filter_applies config =
+  (match config.join with
+  | Semantics.Containment | Semantics.Equality -> true
+  | Semantics.Superset | Semantics.Overlap _ | Semantics.Similarity _ -> false)
+  && reads_lists config
+
+(* Pins every non-pattern query atom, returning the rarest one with its
+   list length (the first of equals, in query order) and the longest
+   length. An atom an enclosing batch or join already pinned is weighed
+   like any other, and a repeated atom changes neither bound, so the
+   choice is the one the query makes alone. An empty list ends the
+   resolution where the filter applies: it answers the query empty on
+   its own. A traced run records one [atom:a] span per distinct atom
+   with its lookup deltas. *)
 let resolve_atoms config ?trace inv (q : Query.t) =
   let rarest = ref None and longest = ref 0 in
   let settled () =
     match !rarest with Some (_, 0) -> filter_applies config | Some _ | None -> false
   in
+  let spanned = Option.map (fun _ -> Hashtbl.create 16) trace in
   let visit a =
-    if not
-         ((config.wildcards && Semantics.is_pattern a)
-         || IF.pinned inv a || settled ())
-    then begin
+    if not ((config.wildcards && Semantics.is_pattern a) || settled ()) then begin
       let n =
-        match trace with
-        | None -> IF.pin inv a
-        | Some _ ->
+        match spanned with
+        | Some seen when not (Hashtbl.mem seen a) ->
+          Hashtbl.add seen a ();
           Obs.Trace.opt_span trace ("atom:" ^ a) (fun () ->
               Storage.Io_stats.attribute ?trace (IF.lookup_stats inv) (fun () ->
                   IF.pin inv a))
+        | Some _ | None -> IF.pin inv a
       in
       (match !rarest with
       | Some (_, m) when m <= n -> ()
@@ -223,15 +204,6 @@ let filter_atom config (rarest, longest) =
   | Some _ | None -> None
 
 let evaluate config ?trace ~qid inv (q : Query.t) =
-  let rejected =
-    config.preflight
-    && Obs.Phase.run ?trace ~qid Preflight (fun () ->
-           let r = preflight_rejects config inv q in
-           Obs.Trace.opt_attr trace "rejected" (string_of_bool r);
-           r)
-  in
-  if rejected then { nodes = Intset.empty; records = []; prefilter_survivors = None }
-  else
   (* Bloom prefilter: the record ids that might match. *)
   let survivors =
     match config.filter_index with
@@ -251,11 +223,9 @@ let evaluate config ?trace ~qid inv (q : Query.t) =
      keeps, or else every record the Bloom prefilter passed: the index
      algorithms then never chase heads that cannot be results. The
      survivors test the root alone, so they narrow root-scope queries
-     only. The naive scan checks roots directly. *)
+     only. The naive and signature scans check roots directly. *)
   let anchored =
-    match config.scope, config.algorithm with
-    | Roots, (Top_down | Top_down_paper | Bottom_up) -> true
-    | Anywhere, _ | Roots, (Naive_scan | Signature_scan) -> false
+    (match config.scope with Roots -> true | Anywhere -> false) && reads_lists config
   in
   let roots_of records = Array.map (fun r -> (IF.roots inv).(r)) records in
   let root_filter =
@@ -269,11 +239,12 @@ let evaluate config ?trace ~qid inv (q : Query.t) =
     match root_filter with Some f -> Intset.is_empty f | None -> false
   in
   IF.with_query inv @@ fun () ->
-  (* Each distinct query atom is resolved once, into the handle's
-     per-query pins: eval then reads exactly those sources, with no
-     further lookup, traced or not. *)
+  (* Each distinct query atom is resolved once, into the handle's pins
+     (shared with an enclosing batch or join): eval then reads exactly
+     those sources, with no further lookup, traced or not. The scans
+     read no list and resolve nothing. *)
   let chosen =
-    if pruned then None
+    if pruned || not (reads_lists config) then None
     else
       Obs.Phase.run ?trace ~qid Retrieve (fun () ->
           with_io ?trace inv (fun () ->
@@ -379,15 +350,10 @@ let record_values inv result = List.map (IF.record_value inv) result.records
 
 (* --- batched execution --- *)
 
-(* Wildcard patterns are resolved by range scans, not point probes, so
-   they are not prefetchable — [distinct_atoms] (above) excludes them. *)
-
-(* A block of queries against one handle: probe the inverted file once per
-   distinct atom (cf. Bouros et al., "Set Containment Join Revisited" —
-   block processing amortizes index probes), then evaluate each query
-   against the warmed cache. When the handle has no cache attached, a
-   transient one scoped to the batch is used. Returns results in input
-   order. *)
+(* A block of queries against one handle, in one resolution scope: each
+   distinct atom of the block is looked up once, by the first query that
+   names it, and the queries after it read that pin. Returns results in
+   input order. *)
 let query_batch ?(config = default) ?traces inv values =
   (* pad/truncate the optional trace list to line up with [values] *)
   let trace_for =
@@ -397,47 +363,8 @@ let query_batch ?(config = default) ?traces inv values =
       let arr = Array.of_list l in
       fun i -> if i < Array.length arr then arr.(i) else None
   in
-  match values with
-  | [] -> []
-  | [ v ] -> [ query ~config ?trace:(trace_for 0) inv v ]
-  | values ->
-    let values =
-      if minimize_applicable config then List.map Minimize.minimize values
-      else values
-    in
-    let qs = List.map Query.of_value values in
-    let atoms = distinct_atoms config qs in
-    let transient = Option.is_none (IF.cache inv) in
-    if transient then
-      IF.attach_cache inv
-        (Invfile.Cache.create Invfile.Cache.Lru
-           ~capacity:(max 1 (List.length atoms)));
-    Fun.protect
-      ~finally:(fun () -> if transient then IF.detach_cache inv)
-      (fun () ->
-        (* the block-wide prefetch belongs to no single query; record it
-           into the first traced one so its I/O stays attributed *)
-        let prefetch_trace =
-          List.find_map Fun.id
-            (List.mapi (fun i _ -> trace_for i) values)
-        in
-        let loaded =
-          Obs.Phase.run ?trace:prefetch_trace Prefetch (fun () ->
-              with_io ?trace:prefetch_trace inv (fun () ->
-                  let loaded = IF.prefetch inv atoms in
-                  Obs.Trace.opt_attr prefetch_trace "batch_size"
-                    (string_of_int (List.length qs));
-                  Obs.Trace.opt_attr prefetch_trace "atoms"
-                    (string_of_int (List.length atoms));
-                  Obs.Trace.opt_attr prefetch_trace "loaded" (string_of_int loaded);
-                  loaded))
-        in
-        Log.debug (fun m ->
-            m "batch of %d queries: %d distinct atom(s), %d list(s) loaded"
-              (List.length qs) (List.length atoms) loaded);
-        List.mapi
-          (fun i q -> query_prepared ~config ?trace:(trace_for i) inv q)
-          qs)
+  IF.with_query inv (fun () ->
+      List.mapi (fun i v -> query ~config ?trace:(trace_for i) inv v) values)
 
 (* Equation 1: the containment join of a whole query collection Q with S. *)
 let containment_join ?config inv queries =
@@ -493,7 +420,6 @@ let config_kvs config =
     ("embedding", Format.asprintf "%a" Semantics.pp_embedding config.embedding);
     ("scope", match config.scope with Roots -> "roots" | Anywhere -> "anywhere");
     ("verify", string_of_bool config.verify);
-    ("preflight", string_of_bool config.preflight);
     ("minimize", string_of_bool config.minimize);
     ("wildcards", string_of_bool config.wildcards);
   ]
@@ -515,15 +441,7 @@ let profile_phases ~record_count ~min_len root =
         ( -1, -1,
           [ ("size_before", string_of_int (geti s "size_before"));
             ("size_after", string_of_int (geti s "size_after")) ] )
-      | Preflight ->
-        let rejected =
-          match List.assoc_opt "rejected" s.Obs.Trace.attrs with
-          | Some "true" -> true
-          | Some _ | None -> false
-        in
-        (-1, -1, [ ("rejected", string_of_bool rejected) ])
       | Prefilter -> (record_count, geti s "survivors", [])
-      | Prefetch -> (geti s "atoms", geti s "loaded", [])
       | Retrieve ->
         let atoms = List.length s.Obs.Trace.children in
         ( atoms, atoms,
@@ -544,7 +462,7 @@ let profile_of_trace ?(config = default) ?(target = "store") inv value root
   let minimized =
     if minimize_applicable config then Minimize.minimize value else value
   in
-  let atoms = distinct_atoms config [ Query.of_value minimized ] in
+  let atoms = distinct_atoms config (Query.of_value minimized) in
   let plans =
     List.map (atom_plan inv) atoms
     |> List.stable_sort (fun a b ->

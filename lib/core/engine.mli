@@ -37,11 +37,6 @@ type config = {
   spill_to : string option;
       (** run the bottom-up stack through {!Storage.Ext_stack} backed by
           this file — the paper's STXXL option (Sec. 5.1, assumption (2)) *)
-  preflight : bool;
-      (** short-circuit containment/equality queries containing an atom
-          absent from the collection, with key-existence probes instead of
-          list retrievals (off by default to keep the paper's measured
-          access pattern) *)
   wildcards : bool;
       (** interpret trailing-['*'] query leaves as atom-prefix patterns
           (containment join only; candidate lists become unions over the
@@ -70,10 +65,10 @@ val query :
 
     When [trace] is given, each evaluation phase records a span into it,
     named by its {!Obs.Phase}:
-    [minimize] (when applied), [preflight] (when enabled, with a
-    [rejected] attr), [prefilter] (when a filter index is set, with
-    [survivors]), [retrieve] (one [atom:a] child per distinct query atom,
-    each with its lookup/hit/miss delta), [eval] (algorithm, candidate
+    [minimize] (when applied), [prefilter] (when a filter index is set,
+    with [survivors]), [retrieve] (for the index algorithms: one [atom:a]
+    child per distinct query atom, each with its lookup/hit/miss delta),
+    [eval] (algorithm, candidate
     count, [filter] true or false, and when true [filter_atom] and
     [filter_records], I/O deltas) and [verify] (checked/kept). Every phase span and
     the enclosing root carry [lookups]/[hits]/[misses] deltas pulled from
@@ -89,6 +84,10 @@ val query :
     from the list header. [eval] reads those sources, so a traced query
     runs the same kernels on the same cursor kinds as an untraced one,
     with one lookup per distinct atom, and looks nothing up itself.
+    Inside an enclosing scope ({!query_batch}, [Join.Engine.join]) an
+    atom that scope already resolved is not looked up again. [Naive_scan]
+    and [Signature_scan] read records, not lists: they have no [retrieve]
+    phase and look no list up.
 
     {b Record filter.} Under the [Containment] and [Equality] joins, with
     [Top_down], [Top_down_paper] or [Bottom_up], every answer lies in a
@@ -100,8 +99,10 @@ val query :
     so the kernels decode only the blocks those records land on; the
     answer is unchanged. An empty shortest list answers empty without
     running the algorithm — also for a combination the algorithm would
-    refuse, as a Bloom prefilter or preflight that eliminates every
-    record already did. There is no knob: the gate decides.
+    refuse, as a Bloom prefilter that eliminates every record already
+    did — and resolves no atom after it, so a query naming an atom absent
+    from the collection reads no list after that atom. There is no knob:
+    the gate decides.
     @raise Invalid_argument if the query is an atom.
     @raise Semantics.Unsupported per {!Semantics.mode_of}. *)
 
@@ -115,18 +116,19 @@ val record_values : Invfile.Inverted_file.t -> result -> Nested.Value.t list
 val query_batch :
   ?config:config -> ?traces:Obs.Trace.t option list ->
   Invfile.Inverted_file.t -> Nested.Value.t list -> result list
-(** Evaluates a block of queries against one handle, amortizing index
-    probes: every distinct atom across the block is fetched from the store
-    once ({!Invfile.Inverted_file.prefetch}) before the queries run
-    against the warmed cache (cf. Bouros et al.'s block processing for set
-    containment joins, PAPERS.md). Handles without an attached cache get a
-    transient batch-scoped one. Results are returned in input order and
-    are identical to running {!query} per value.
+(** Evaluates a block of queries against one handle: {!query} for each
+    value, inside one resolution scope
+    ({!Invfile.Inverted_file.with_query}), so every distinct atom across
+    the block is looked up once, by the first query that names it, with
+    or without an attached cache. Results are returned in input order and
+    are identical to running {!query} per value; the scope leaves no pin
+    and no record filter behind, also when a query raises.
 
     [traces] pairs up positionally with the values (shorter lists are
-    padded with [None]); each query records its phase spans into its own
-    trace, and the block-wide prefetch span lands in the first traced
-    query so its I/O stays attributed.
+    padded with [None]); each query records into its own trace exactly
+    the phases it records alone ([minimize] included). An atom an earlier
+    query of the block resolved shows in a later query's [retrieve] span
+    with no lookup.
 
     A handle is {e not} shareable across domains (separate descriptors per
     domain, as {!Parallel} does), but one handle may interleave prepared

@@ -3,10 +3,9 @@ let scan ?wildcards ?(join = Semantics.Containment) ?(embedding = Semantics.Hom)
   let out = ref [] in
   for record_id = 0 to Invfile.Inverted_file.record_count inv - 1 do
     (* tombstoned (deleted) records are skipped by the scan *)
-    match Invfile.Inverted_file.record_value_opt inv record_id with
+    match Invfile.Inverted_file.record_tree_opt inv record_id with
     | None -> ()
-    | Some _ -> (
-      let tree = Invfile.Inverted_file.record_tree inv record_id in
+    | Some tree -> (
       match scope with
       | `Roots ->
         if Embed.at_node ?wildcards join embedding ~q ~s:tree tree.Nested.Tree.root
@@ -18,15 +17,6 @@ let scan ?wildcards ?(join = Semantics.Containment) ?(embedding = Semantics.Hom)
   done;
   Intset.of_list !out
 
-let matching_records ?(join = Semantics.Containment) ?(embedding = Semantics.Hom)
-    inv q =
-  let out = ref [] in
-  for record_id = 0 to Invfile.Inverted_file.record_count inv - 1 do
-    match Invfile.Inverted_file.record_value_opt inv record_id with
-    | None -> ()
-    | Some _ ->
-      let tree = Invfile.Inverted_file.record_tree inv record_id in
-      if Embed.at_node join embedding ~q ~s:tree tree.Nested.Tree.root then
-        out := record_id :: !out
-  done;
-  List.rev !out
+let matching_records ?join ?embedding inv q =
+  Intset.to_list (scan ?join ?embedding ~scope:`Roots inv q)
+  |> List.map (Invfile.Inverted_file.record_of_root inv)

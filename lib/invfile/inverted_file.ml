@@ -32,12 +32,11 @@ type t = {
   mutable node_count : int;
   mutable all_nodes : Plist.t option;
   mutable cache : Cache.t option;
-  mutable pinned : (string, source) Hashtbl.t option;
-      (* every atom of the enclosing call, resolved once (with_pinned) *)
   pins : (string, source) Hashtbl.t;
-      (* the current query's atoms, resolved once (with_query) *)
+      (* every atom the open scopes resolved, once (with_query) *)
+  mutable scopes : int;  (* open with_query scopes *)
   mutable within : Plist_stream.ranges option;
-      (* the current query's record filter (with_query) *)
+      (* the innermost query's record filter (with_query) *)
   lookup_stats : Storage.Io_stats.t;
 }
 
@@ -82,8 +81,8 @@ let open_store ?(lenient = false) store =
     node_count;
     all_nodes = None;
     cache = None;
-    pinned = None;
     pins = Hashtbl.create 16;
+    scopes = 0;
     within = None;
     lookup_stats = Storage.Io_stats.create ();
   }
@@ -121,30 +120,6 @@ let admit t a =
 
 let lookup t a = match cached t a with Some l -> l | None -> admit t a
 
-(* Block probe for a batch of queries: load every distinct atom's list in
-   one sorted pass and pin the results in the attached cache, so the
-   per-query lookups that follow are all hits. Sorting the probe keys keeps
-   the access pattern sequential on the B+tree backend. Loading stops
-   when the cache is full: a list it would not keep is left for the query
-   to read undecoded. *)
-let prefetch t atoms =
-  match t.cache with
-  | None -> 0
-  | Some c ->
-    let loaded = ref 0 in
-    List.iter
-      (fun a ->
-        match Cache.find c a with
-        | Some _ -> ()
-        | None when Cache.size c >= Cache.capacity c -> ()
-        | None ->
-          Storage.Io_stats.record_lookup t.lookup_stats;
-          Storage.Io_stats.record_miss t.lookup_stats;
-          Cache.preload c [ (a, lookup_from_store t a) ];
-          incr loaded)
-      (List.sort_uniq String.compare atoms);
-    !loaded
-
 (* Where a cursor reads an atom's list from: the decoded list (cached, or
    decoded now because the cache keeps it) or the undecoded payload. *)
 let source t a =
@@ -172,31 +147,22 @@ let length_of_source a = function
     with Storage.Codec.Corrupt m -> raise (malformed_list a m))
 
 let resolved t a =
-  match
-    if Hashtbl.length t.pins = 0 then None else Hashtbl.find_opt t.pins a
-  with
-  | Some _ as s -> s
-  | None -> Option.bind t.pinned (fun tbl -> Hashtbl.find_opt tbl a)
+  if Hashtbl.length t.pins = 0 then None else Hashtbl.find_opt t.pins a
 
 let source_of t a = match resolved t a with Some s -> s | None -> source t a
 let cursor t a = cursor_of_source ?within:t.within a (source_of t a)
 
-let with_pinned t f =
-  let saved = t.pinned in
-  let tbl = Hashtbl.create 16 in
-  t.pinned <- Some tbl;
-  Fun.protect
-    ~finally:(fun () -> t.pinned <- saved)
-    (fun () ->
-      f (fun a -> if not (Hashtbl.mem tbl a) then Hashtbl.replace tbl a (source t a)))
-
-(* The handle's one pin table is emptied, not replaced, between
-   queries (reset shrinks it after a query with many atoms), and no
-   Fun.protect: a query's scope allocates next to nothing. *)
+(* Scopes nest: the handle's one pin table is filled by every open scope
+   and emptied, not replaced, when the outermost one returns (reset
+   shrinks it after a scope with many atoms). Each scope restores the
+   record filter it found. No Fun.protect: a query's scope allocates
+   next to nothing. *)
 let with_query t f =
   let within = t.within in
+  t.scopes <- t.scopes + 1;
   let restore () =
-    Hashtbl.reset t.pins;
+    t.scopes <- t.scopes - 1;
+    if t.scopes = 0 then Hashtbl.reset t.pins;
     t.within <- within
   in
   match f () with
@@ -210,18 +176,16 @@ let with_query t f =
 
 let pinned t a = Hashtbl.mem t.pins a
 
-(* An atom the enclosing call already pinned is read from its table;
-   a new one joins that table, so the call keeps one lookup per atom. *)
 let pin t a =
+  if t.scopes = 0 then invalid_arg "Inverted_file.pin: outside with_query";
   let s =
-    match resolved t a with
+    match Hashtbl.find_opt t.pins a with
     | Some s -> s
     | None ->
       let s = source t a in
-      Option.iter (fun tbl -> Hashtbl.replace tbl a s) t.pinned;
+      Hashtbl.add t.pins a s;
       s
   in
-  Hashtbl.replace t.pins a s;
   length_of_source a s
 
 let mem_atom t a = Storage.Kv.mem t.store (atom_key a)
@@ -441,10 +405,13 @@ let refresh t =
   Dict.reset t.dict;
   match t.cache with None -> () | Some c -> Cache.clear c
 
-let record_tree t record_id =
-  let first_id = t.roots.(record_id) in
-  let value = record_value t record_id in
-  Nested.Tree.of_value (Nested.Tree.allocator_from first_id) ~record_id value
+let tree_of t record_id value =
+  Nested.Tree.of_value (Nested.Tree.allocator_from t.roots.(record_id)) ~record_id value
+
+let record_tree t record_id = tree_of t record_id (record_value t record_id)
+
+let record_tree_opt t record_id =
+  Option.map (tree_of t record_id) (record_value_opt t record_id)
 
 let subtree_value t id =
   let root = root_of_node t id in

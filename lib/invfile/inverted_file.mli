@@ -54,46 +54,40 @@ val cursor : t -> string -> Plist_stream.cursor
     decoded list, with the same admission and hit/miss counting.
     Otherwise it is a cursor over the stored payload that decodes only
     the blocks it lands on (one counted lookup and miss). An atom already
-    resolved by {!pin} or {!with_pinned} is served from that resolution
-    without touching the cache, the counters or the store. While a record
-    filter is set ({!filter_records}), the cursor is restricted to the
-    filtered records' node ids ({!Plist_stream.ranges}).
+    resolved by {!pin} in an open {!with_query} scope is served from that
+    resolution without touching the cache, the counters or the store.
+    While a record filter is set ({!filter_records}), the cursor is
+    restricted to the filtered records' node ids ({!Plist_stream.ranges}).
     @raise Malformed as {!lookup}, for a corrupt payload header. *)
 
-val with_pinned : t -> ((string -> unit) -> 'a) -> 'a
-(** [with_pinned t f] runs [f pin] with a per-call table on the handle:
-    [pin a] resolves [a] once, exactly as {!cursor} would (the cached
-    list, or the undecoded payload), and every {!cursor} call on [a]
-    until [f] returns reads that resolution. [Join.Engine.join] pins
-    every outer atom for the whole call, so its tree and the engine
-    queries it runs share one lookup per distinct atom: a query's own
-    {!pin} reads that table and adds the atoms it lacks. *)
+(** {1 Resolution scopes}
 
-(** {1 One query's scope}
-
-    [Engine.evaluate] resolves each distinct query atom once with {!pin}
-    in its [retrieve] phase, traced or not, and may then narrow every
-    cursor of the query to the records that hold its rarest atom. *)
+    A scope resolves each atom once with {!pin}, into the one pin table
+    the handle owns, and every {!cursor} on that atom reads that
+    resolution until the outermost scope returns. [Engine.evaluate] opens
+    one per query and pins each distinct query atom in its [retrieve]
+    phase, traced or not, and may then narrow every cursor of the query
+    to the records that hold its rarest atom. [Engine.query_batch] and
+    [Join.Engine.join] open one around all their queries, so a batch or
+    a join looks each distinct atom up once. *)
 
 val with_query : t -> (unit -> 'a) -> 'a
-(** [with_query t f] runs [f] and then drops the pins and the record
-    filter [f] set, also when [f] raises. The pins live in one table the
-    handle owns and empties after each query, so a query's scope
-    allocates no table and runs no [Fun.protect]. Queries on one handle
-    do not nest: an inner query empties the outer one's pins (its
-    cursors then resolve their atoms again). *)
+(** [with_query t f] runs [f] in a scope. Scopes nest: an inner scope
+    reads and adds to the pins of the enclosing ones, and the outermost
+    scope empties the table when it returns. Each scope restores the
+    record filter it found, also when [f] raises. A scope allocates no
+    table and runs no [Fun.protect]. *)
 
 val pin : t -> string -> int
-(** [pin t a] resolves [a] once for the query in progress — from the
-    enclosing {!with_pinned} table when that holds it, else as {!cursor}
-    would (one counted lookup), adding it to that table when there is
-    one — and returns its list length, read from the list header: no
-    cursor, no decoded posting. A second [pin] of [a] in the same query
-    looks nothing up. Call it inside {!with_query} only.
+(** [pin t a] resolves [a] once for the open scopes — as {!cursor} would
+    (the cached list, or the undecoded payload; one counted lookup) — and
+    returns its list length, read from the list header: no cursor, no
+    decoded posting. Pinning an atom again looks nothing up.
+    @raise Invalid_argument outside {!with_query}.
     @raise Malformed for a corrupt or retired payload header. *)
 
 val pinned : t -> string -> bool
-(** Whether the query in progress has pinned the atom. *)
+(** Whether an open scope has pinned the atom. *)
 
 val records_of : t -> string -> int array
 (** The ascending ids of the records that hold atom [a], found with one
@@ -105,18 +99,6 @@ val filter_records : t -> int array -> unit
 (** [filter_records t records] (ascending record ids) restricts every
     {!cursor} of the query in progress to [records]' node ids, until the
     enclosing {!with_query} returns. *)
-
-val prefetch : t -> string list -> int
-(** [prefetch t atoms] block-probes the inverted file: every distinct atom
-    not already cached is read from the store in one sorted pass and
-    preloaded into the attached cache (any policy — {!Cache.preload}
-    bypasses admission rules) while the cache has a free slot; atoms it
-    has no room for are not read. Returns the number of lists loaded,
-    i.e. kept; a no-op (0) without an attached cache. The entry point
-    batched query execution ({!Engine.query_batch}, the server's batcher)
-    uses to amortize index probes across a block of queries. Each load
-    counts one lookup + miss in {!lookup_stats}; the per-query lookups
-    that follow then count as hits. *)
 
 val all_nodes : t -> Plist.t
 (** The node table, lazily loaded then memoized. *)
@@ -202,6 +184,9 @@ val internal_put_record : t -> int -> Nested.Value.t -> unit
 val record_tree : t -> int -> Nested.Tree.t
 (** Re-encodes a stored record at its original node-id range (ids are
     deterministic given the canonical value and the record's first id). *)
+
+val record_tree_opt : t -> int -> Nested.Tree.t option
+(** {!record_tree} from one store read; [None] for a tombstoned record. *)
 
 val subtree_value : t -> int -> Nested.Value.t
 (** The value of the subtree rooted at an arbitrary node id of the

@@ -110,7 +110,7 @@ let with_io ?trace inv f =
    root is in every atom's list. That needs the containment join at root
    scope without wildcard patterns. A nested query, or a flat one under
    Homeo_full, may be witnessed at several nodes of one record, so it goes
-   to the per-query engine once the preflight has passed it, as does every
+   to the per-query engine once every atom is known to occur, as does every
    query of any other configuration and every atomless query, whose
    candidate set is the whole collection. The contract [join ≡ naive loop]
    thus holds for every configuration. *)
@@ -160,13 +160,12 @@ let narrow inv cand atoms =
 let pair_compare (o1, r1) (o2, r2) =
   if o1 <> o2 then Int.compare o1 o2 else Int.compare r1 r2
 
-(* Every atom the join touches is resolved once, into the handle's
-   per-call source table ([IF.with_pinned]): its cached list, or its
-   payload left undecoded. Tree nodes and the engine's own cursors then
-   read that resolution with no further lookup. The table belongs to this
-   call on this domain (Router gives each shard its own call); the shared
-   mutable state that outlives a call — [totals] — stays under
-   [totals_mu]. *)
+(* The join is one resolution scope ([IF.with_query]): every atom it
+   touches is pinned once — its cached list, or its payload left
+   undecoded — and tree nodes and the engine queries it runs read that
+   pin with no further lookup. The pins belong to this call on this
+   domain (Router gives each shard its own call); the shared mutable
+   state that outlives a call — [totals] — stays under [totals_mu]. *)
 let join ?(config = default) ?trace inv values =
   let ec = config.engine in
   let vs = Array.of_list values in
@@ -174,26 +173,26 @@ let join ?(config = default) ?trace inv values =
      exactly as Engine.query does *)
   let qs = Array.map Query.of_value vs in
   let n_outer = Array.length vs in
-  IF.with_pinned inv @@ fun pin ->
-  let lengths : (string, int) Hashtbl.t = Hashtbl.create 256 in
-  let length a =
-    match Hashtbl.find_opt lengths a with
-    | Some n -> n
-    | None ->
-      pin a;
-      let n = Stream.remaining (IF.cursor inv a) in
-      Hashtbl.add lengths a n;
-      n
+  IF.with_query inv @@ fun () ->
+  let distinct = ref 0 in
+  (* [atoms] keyed by list length, or [None] at the first empty list *)
+  let rec by_length = function
+    | [] -> Some []
+    | a :: rest ->
+      if not (IF.pinned inv a) then incr distinct;
+      (match IF.pin inv a with
+      | 0 -> None
+      | n -> Option.map (fun l -> (n, a) :: l) (by_length rest))
   in
   let tree = Prefix_tree.create () in
   let sorted_atoms = Array.make (max n_outer 1) [] in
   let engine = ref [] in
   let fast = ref 0 and preflighted = ref 0 in
-  (* Phase 1: resolve each distinct atom once, sort each query's atoms
-     rarest-first (global order: ascending list length, ties by atom) and
-     thread the flat ones into the tree. A query naming an atom the
-     collection has nowhere at all cannot match any record under
-     containment, so it ends here (cf. Engine's preflight). *)
+  (* Phase 1: pin each query's atoms, sort them rarest-first (global
+     order: ascending list length, ties by atom) and thread the flat
+     queries into the tree. A query naming an atom the collection has
+     nowhere at all cannot match any record under containment, so it
+     ends here. *)
   Obs.Phase.run ?trace Build_tree (fun () ->
       with_io ?trace inv @@ fun () ->
       let use_fast = config_fast_path ec in
@@ -202,30 +201,29 @@ let join ?(config = default) ?trace inv values =
           let atoms = Nested.Value.atom_universe v in
           if not (use_fast && query_fast_path ec atoms) then
             engine := qi :: !engine
-          else if not (List.for_all (fun a -> length a > 0) atoms) then begin
-            incr fast;
-            incr preflighted
-          end
-          else if not (tree_answers ec qs.(qi)) then engine := qi :: !engine
-          else begin
-            incr fast;
-            let sorted =
-              List.sort
-                (fun a b ->
-                  let la = length a and lb = length b in
-                  if la <> lb then Int.compare la lb else String.compare a b)
-                atoms
-            in
-            sorted_atoms.(qi) <- sorted;
-            Prefix_tree.insert tree qi sorted
-          end)
+          else
+            match by_length atoms with
+            | None ->
+              incr fast;
+              incr preflighted
+            | Some _ when not (tree_answers ec qs.(qi)) -> engine := qi :: !engine
+            | Some keyed ->
+              incr fast;
+              let sorted =
+                List.sort
+                  (fun (la, a) (lb, b) ->
+                    if la <> lb then Int.compare la lb else String.compare a b)
+                  keyed
+                |> List.map snd
+              in
+              sorted_atoms.(qi) <- sorted;
+              Prefix_tree.insert tree qi sorted)
         vs;
       Obs.Trace.opt_attr trace "outer" (string_of_int n_outer);
       Obs.Trace.opt_attr trace "fast_path" (string_of_int !fast);
       Obs.Trace.opt_attr trace "preflight_rejected" (string_of_int !preflighted);
       Obs.Trace.opt_attr trace "fallback" (string_of_int (List.length !engine));
-      Obs.Trace.opt_attr trace "distinct_atoms"
-        (string_of_int (Hashtbl.length lengths));
+      Obs.Trace.opt_attr trace "distinct_atoms" (string_of_int !distinct);
       Obs.Trace.opt_attr trace "tree_nodes"
         (string_of_int (Prefix_tree.node_count tree)));
   let engine = List.rev !engine in
@@ -380,7 +378,7 @@ let explain ?(config = default) ?(target = "join") inv values =
         | Verify ->
           ( geti s "candidates_checked", geti s "pairs",
             notes s [ "fallback_queries" ] )
-        | Minimize | Preflight | Prefilter | Prefetch | Retrieve | Eval ->
+        | Minimize | Prefilter | Retrieve | Eval ->
           (-1, -1, []))
       root
   in

@@ -2,11 +2,12 @@
     in one pass (PRETTI with an adaptive depth limit — Bouros et al., "Set
     Containment Join Revisited", PAPERS.md).
 
-    The join first resolves each distinct outer atom once
-    ({!Invfile.Inverted_file.with_pinned}): a cached list costs no I/O, any
-    other one store read, and the list length read off a fresh cursor both
-    orders the atoms and rejects, with zero matches, every query naming an
-    atom the collection does not have.
+    The join is one resolution scope ({!Invfile.Inverted_file.with_query}):
+    it pins each distinct outer atom once ({!Invfile.Inverted_file.pin}) —
+    a cached list costs no I/O, any other one store read — and the list
+    length read off the list header both orders the atoms and rejects,
+    with zero matches, every query naming an atom the collection does not
+    have. The engine queries it falls back to read the same pins.
 
     A flat query (one query node) under [Hom], [Iso] or [Homeo] matches a
     record exactly when the record's root carries every query atom as a

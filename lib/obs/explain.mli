@@ -3,7 +3,7 @@
     One value describes both the {e plan} — the atom retrieval order
     with posting-list lengths, payload sizes and codecs the paper's
     cost model ranks by (Sec. 3–4) — and the {e profile}: per phase
-    (minimize / preflight / prefilter / retrieve / eval / verify, or
+    (minimize / prefilter / retrieve / eval / verify, or
     build-tree / intersect / verify for joins) an estimated and a
     measured candidate count plus elapsed time. Layers nest: a live
     store attaches one sub-plan per segment, the router one per shard,

@@ -1,8 +1,6 @@
 type t =
   | Minimize
-  | Preflight
   | Prefilter
-  | Prefetch
   | Retrieve
   | Eval
   | Verify
@@ -10,14 +8,11 @@ type t =
   | Intersect
 
 let all =
-  [ Minimize; Preflight; Prefilter; Prefetch; Retrieve; Eval; Verify;
-    Build_tree; Intersect ]
+  [ Minimize; Prefilter; Retrieve; Eval; Verify; Build_tree; Intersect ]
 
 let name = function
   | Minimize -> "minimize"
-  | Preflight -> "preflight"
   | Prefilter -> "prefilter"
-  | Prefetch -> "prefetch"
   | Retrieve -> "retrieve"
   | Eval -> "eval"
   | Verify -> "verify"

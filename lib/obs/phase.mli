@@ -10,9 +10,7 @@
 
 type t =
   | Minimize  (** query rewriting before evaluation *)
-  | Preflight  (** key-existence probes for absent atoms *)
   | Prefilter  (** Bloom prefilter over record signatures *)
-  | Prefetch  (** block-wide list prefetch of a query batch *)
   | Retrieve  (** per-atom list resolution *)
   | Eval  (** the containment algorithm proper *)
   | Verify  (** scope filtering and oracle re-checks (engine and join) *)
@@ -23,9 +21,8 @@ val all : t list
 (** Every phase, in declaration order. *)
 
 val name : t -> string
-(** The wire name: ["minimize"], ["preflight"], ["prefilter"],
-    ["prefetch"], ["retrieve"], ["eval"], ["verify"], ["build-tree"],
-    ["intersect"]. Pinned by the Trace/Explain wire payloads and the
+(** The wire name: ["minimize"], ["prefilter"], ["retrieve"], ["eval"],
+    ["verify"], ["build-tree"], ["intersect"]. Pinned by the Trace/Explain wire payloads and the
     flight-recorder dump's name table. *)
 
 val of_name : string -> t option

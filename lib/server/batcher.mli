@@ -1,9 +1,9 @@
 (** Request classification and batch formation.
 
-    The scheduler amortizes index probes by running compatible queued
+    The scheduler amortizes index lookups by running compatible queued
     queries as one block against a domain's store handle
-    ({!Containment.Engine.query_batch} — every distinct atom of the block
-    is probed once). Compatible means: plain nested-set literal queries
+    ({!Containment.Engine.query_batch} — one resolution scope, so every
+    distinct atom of the block is looked up once). Compatible means: plain nested-set literal queries
     evaluated under the server's default config. NSCQL statements run
     singly (they carry their own semantics clauses), and mutating
     statements are refused outright — the serving store is read-only, so

@@ -430,7 +430,8 @@ let test_filter_single_store () =
                     | None, _ | _, None ->
                       (* a refused combination answers only when a
                          prefilter proved the answer empty, as Bloom
-                         pruning and the preflight do *)
+                         pruning and the early stop at an empty list
+                         do *)
                       check_records (ctx ^ ": pruned, so empty") [] r.E.records))
                 [ E.Top_down; E.Top_down_paper; E.Bottom_up ])
             [ None; Some fi ])

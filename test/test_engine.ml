@@ -281,9 +281,9 @@ let test_trace_uncached_one_lookup_per_atom () =
       check_bool "eval reads nothing" true (int_attr "reads" (span "eval") = None))
 
 (* Untraced queries resolve each distinct atom once too, and inside an
-   enclosing [with_pinned] call (as a join runs its engine queries) they
-   read that call's table and add what it lacks: a second query over the
-   same atoms looks nothing up. *)
+   enclosing scope (as a batch or a join runs its queries) they read that
+   scope's pins and add what it lacks: a second query over the same atoms
+   looks nothing up. *)
 let test_untraced_one_lookup_per_atom () =
   with_backend `Hash (fun inv ->
       let q = Testutil.v "{{UK, A, {A, motorbike}}, {A}}" in
@@ -295,14 +295,130 @@ let test_untraced_one_lookup_per_atom () =
       in
       let plain, n = lookups (fun () -> (E.query inv q).E.records) in
       check_int "one lookup per distinct atom" 3 n;
-      IF.with_pinned inv (fun pin ->
-          pin "UK";
+      IF.with_query inv (fun () ->
+          ignore (IF.pin inv "UK");
           let r, n = lookups (fun () -> (E.query inv q).E.records) in
           check_records "pinned agrees" plain r;
           check_int "the pinned atom is not looked up" 2 n;
           let r, n = lookups (fun () -> (E.query inv q).E.records) in
           check_records "pinned again agrees" plain r;
           check_int "the query's atoms joined the table" 0 n))
+
+let lookups_of inv f =
+  let l = IF.lookup_stats inv in
+  let before = Storage.Io_stats.lookups l in
+  let r = f () in
+  (r, Storage.Io_stats.lookups l - before)
+
+(* A batch is one scope: n queries over k distinct atoms, with no list
+   cache, look up exactly k lists, and answer as the queries alone. *)
+let test_batch_one_lookup_per_distinct_atom () =
+  with_backend `Hash (fun inv ->
+      check_bool "no cache" true (IF.cache inv = None);
+      let qs =
+        List.map Testutil.v [ q_uk; "{{UK, A}}"; "{{A, motorbike}}"; "{{UK, {A}}}" ]
+      in
+      let singles = List.map (fun q -> (E.query inv q).E.records) qs in
+      let batched, n = lookups_of inv (fun () -> E.query_batch inv qs) in
+      Alcotest.(check (list (list int)))
+        "batch = singles" singles
+        (List.map (fun r -> r.E.records) batched);
+      check_int "one lookup per distinct atom (UK, A, motorbike)" 3 n;
+      check_bool "no pin left behind" false (IF.pinned inv "UK"))
+
+(* Under [minimize], a traced query in a batch records the same phases
+   as the same query run alone. *)
+let test_batch_keeps_minimize_span () =
+  with_backend `Mem (fun inv ->
+      let config = { E.default with E.minimize = true } in
+      let q = Testutil.v "{{UK, {A, motorbike}, {A}}}" in
+      let alone = T.create "query" in
+      ignore (E.query ~config ~trace:alone inv q);
+      let in_batch = T.create "query" in
+      ignore
+        (E.query_batch ~config ~traces:[ None; Some in_batch; None ] inv
+           [ Testutil.v "{{USA}}"; q; Testutil.v "{{FR}}" ]);
+      let alone = span_names (T.finish alone) in
+      check_bool "minimize ran" true (List.mem "minimize" alone);
+      Alcotest.(check (list string))
+        "batched phases = alone" alone (span_names (T.finish in_batch)))
+
+(* 200 records share the stopword s; one holds the rare atom z, so a
+   query naming both narrows its cursors to that record. *)
+let rare_collection () =
+  Testutil.mem_collection
+    (List.init 200 (fun i -> Printf.sprintf "{s, b%d}" i) @ [ "{s, z}" ])
+
+(* A query in a batch weighs every atom, also those an earlier query
+   pinned, so it picks the record filter it picks alone. *)
+let test_batch_filter_as_alone () =
+  let inv = rare_collection () in
+  let filter_atom trace =
+    let root = T.finish trace in
+    attr "filter_atom" (List.find (fun s -> s.T.name = "eval") root.T.children)
+  in
+  let q = Testutil.v "{s, z}" in
+  let alone = T.create "query" in
+  ignore (E.query ~trace:alone inv q);
+  let in_batch = T.create "query" in
+  ignore (E.query_batch ~traces:[ None; Some in_batch ] inv [ Testutil.v "{z}"; q ]);
+  let alone = filter_atom alone in
+  Alcotest.(check (option string)) "alone: the rare atom" (Some "z") alone;
+  Alcotest.(check (option string)) "in a batch: the same" alone (filter_atom in_batch)
+
+(* A query that raises inside a batch scope leaves no pin and no record
+   filter behind: the raising query (top-down-paper refuses [Iso]) first
+   narrows its cursors to the one record holding its rare atom. *)
+let test_raise_in_batch_leaves_nothing () =
+  let inv = rare_collection () in
+  let config = { E.default with E.algorithm = E.Top_down_paper; embedding = S.Iso } in
+  let full = Invfile.Plist.length (IF.lookup inv "s") in
+  (match E.query_batch ~config inv [ Testutil.v "{s, fresh}"; Testutil.v "{s, z}" ] with
+  | _ -> Alcotest.fail "the second query should raise"
+  | exception S.Unsupported _ -> ());
+  List.iter
+    (fun a -> check_bool ("no pin on " ^ a) false (IF.pinned inv a))
+    [ "s"; "z"; "fresh" ];
+  check_int "no filter on the cursors" full
+    (Invfile.Plist.length (Invfile.Plist_stream.inter_many [ IF.cursor inv "s" ]))
+
+(* The naive and signature scans read records, not lists: no retrieve
+   phase and no list lookup. *)
+let test_scans_look_up_no_list () =
+  let inv = Testutil.mem_collection Testutil.licences_strings in
+  let fi = Containment.Filter_index.build inv in
+  List.iter
+    (fun algorithm ->
+      let config = { E.default with E.algorithm; filter_index = Some fi } in
+      let q = Testutil.v "{USA, {UK, {A, motorbike}}}" in
+      let r, n = lookups_of inv (fun () -> (E.query ~config inv q).E.records) in
+      check_records "scan agrees" (E.query inv q).E.records r;
+      check_int "no list lookup" 0 n;
+      let trace = T.create "query" in
+      ignore (E.query ~config ~trace inv q);
+      check_bool "no retrieve phase" false
+        (List.mem "retrieve" (span_names (T.finish trace))))
+    [ E.Naive_scan; E.Signature_scan ]
+
+(* The naive scan reads each record from the store once (the memory
+   store counts one read per get). *)
+let test_naive_reads_each_record_once () =
+  with_backend `Mem (fun inv ->
+      let reads f =
+        let st = (IF.store inv).Storage.Kv.stats in
+        let before = Storage.Io_stats.reads st in
+        ignore (f ());
+        Storage.Io_stats.reads st - before
+      in
+      let n = IF.record_count inv and q = Testutil.v "{USA}" in
+      check_int "scan" n
+        (reads (fun () -> Containment.Naive.scan inv (Containment.Query.of_value q)));
+      check_int "matching_records" n
+        (reads (fun () ->
+             Containment.Naive.matching_records inv (Containment.Query.of_value q)));
+      check_int "engine" n
+        (reads (fun () ->
+             E.query ~config:{ E.default with E.algorithm = E.Naive_scan } inv q)))
 
 let test_trace_batch_positional () =
   with_backend `Mem (fun inv ->
@@ -414,6 +530,16 @@ let () =
             test_trace_absent_records_nothing;
           Alcotest.test_case "uncached: one lookup per atom" `Quick
             test_trace_uncached_one_lookup_per_atom;
+          Alcotest.test_case "batch: one lookup per distinct atom" `Quick
+            test_batch_one_lookup_per_distinct_atom;
+          Alcotest.test_case "batch: minimize span kept" `Quick
+            test_batch_keeps_minimize_span;
+          Alcotest.test_case "batch: filter as alone" `Quick test_batch_filter_as_alone;
+          Alcotest.test_case "batch: a raise leaves nothing" `Quick
+            test_raise_in_batch_leaves_nothing;
+          Alcotest.test_case "scans look up no list" `Quick test_scans_look_up_no_list;
+          Alcotest.test_case "naive reads each record once" `Quick
+            test_naive_reads_each_record_once;
           Alcotest.test_case "untraced and nested: one lookup per atom" `Quick
             test_untraced_one_lookup_per_atom;
           Alcotest.test_case "batch: positional traces" `Quick

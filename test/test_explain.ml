@@ -45,7 +45,6 @@ let int_attr name s = Option.bind (attr name s) int_of_string_opt
 let span_actual (s : T.span) =
   match s.T.name with
   | "prefilter" -> int_attr "survivors" s
-  | "prefetch" -> int_attr "loaded" s
   | "retrieve" -> Some (List.length s.T.children)
   | "eval" -> int_attr "candidates" s
   | "verify" -> int_attr "kept" s

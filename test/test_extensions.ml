@@ -757,16 +757,63 @@ let prop_wildcard_generalizes_exact =
       let wild = (E.query ~config:(wc E.default) inv q_wild).E.records in
       List.for_all (fun i -> List.mem i wild) exact)
 
-let prop_preflight_preserves_results =
-  Testutil.qcheck_case ~count:150 ~name:"preflight preserves results"
-    (QCheck.pair (Testutil.arbitrary_collection ()) Testutil.arbitrary_value)
-    (fun (values, q) ->
+(* A query naming an atom the collection lacks answers empty under every
+   index algorithm and both containment-style joins, as the naive scan
+   does, and its resolution stops at the first empty list: it looks up
+   the distinct atoms up to that list, in resolution order, and none
+   after it. *)
+let prop_fresh_atom_answers_empty =
+  Testutil.qcheck_case ~count:150 ~name:"a fresh atom answers empty, reads no list after it"
+    (QCheck.triple (Testutil.arbitrary_collection ()) Testutil.arbitrary_value QCheck.small_nat)
+    (fun (values, q, k) ->
       QCheck.assume (Nested.Value.is_set q);
       let values = List.filter Nested.Value.is_set values in
       QCheck.assume (values <> []);
       let inv = Containment.Collection.of_values values in
-      (E.query inv q).E.records
-      = (E.query ~config:{ E.default with E.preflight = true } inv q).E.records)
+      (* "zfresh" joins the leaves of q's internal node k mod n, preorder *)
+      let rec nodes = function
+        | Nested.Value.Atom _ -> 0
+        | Nested.Value.Set es -> List.fold_left (fun n e -> n + nodes e) 1 es
+      in
+      let target = k mod nodes q and i = ref (-1) in
+      let rec insert = function
+        | Nested.Value.Atom _ as v -> v
+        | Nested.Value.Set es ->
+          incr i;
+          let here = !i = target in
+          let es = List.map insert es in
+          Nested.Value.set (if here then Nested.Value.atom "zfresh" :: es else es)
+      in
+      let q = insert q in
+      (* the lookups resolution makes: distinct atoms in query order, up
+         to and including the first one with an empty list *)
+      let expected =
+        let seen = Hashtbl.create 8 and stopped = ref false in
+        let visit a =
+          if not (!stopped || Hashtbl.mem seen a) then begin
+            Hashtbl.add seen a ();
+            if Invfile.Plist.length (IF.lookup inv a) = 0 then stopped := true
+          end
+        in
+        let rec walk (n : Containment.Query.node) =
+          Array.iter visit n.Containment.Query.leaves;
+          List.iter walk n.Containment.Query.children
+        in
+        walk (Containment.Query.of_value q);
+        Hashtbl.length seen
+      in
+      let lookups () = Storage.Io_stats.lookups (IF.lookup_stats inv) in
+      List.for_all
+        (fun join ->
+          (E.query ~config:{ E.default with E.algorithm = E.Naive_scan; join } inv q).E.records
+          = []
+          && List.for_all
+               (fun algorithm ->
+                 let before = lookups () in
+                 let r = E.query ~config:{ E.default with E.algorithm; join } inv q in
+                 r.E.records = [] && lookups () - before = expected)
+               [ E.Top_down; E.Top_down_paper; E.Bottom_up ])
+        [ S.Containment; S.Equality ])
 
 (* --- engine APIs --- *)
 
@@ -884,7 +931,7 @@ let () =
           prop_wildcard_algorithms_agree;
           prop_wildcard_generalizes_exact;
         ] );
-      ( "preflight", [ prop_preflight_preserves_results ] );
+      ( "fresh atom", [ prop_fresh_atom_answers_empty ] );
       ( "low-memory modes",
         [
           prop_cached_equals_uncached;

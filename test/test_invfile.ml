@@ -447,32 +447,51 @@ let test_attached_cache_hits () =
   let cached = IF.lookup inv "UK" in
   check_bool "cache transparent" true (direct = cached)
 
-(* prefetch loads only what the cache keeps: a full cache reads nothing
-   from the store, k free slots keep exactly k lists, and the lookups
-   that follow the prefetch hit. *)
-let test_prefetch_respects_capacity () =
+(* Resolution scopes nest over the handle's one pin table: an inner
+   scope reads the outer pins and adds its own, which outlive it until
+   the outermost scope returns; each scope restores the record filter
+   it found, also when it raises; a pin outside every scope is refused. *)
+let test_scopes_nest () =
   let inv = Testutil.mem_collection Testutil.licences_strings in
-  let static = Invfile.Cache.create Invfile.Cache.Static ~capacity:3 in
-  IF.attach_cache inv static;
-  check_int "static cache full after attach" 3 (Invfile.Cache.size static);
-  let reads () = Storage.Io_stats.reads (IF.store inv).Storage.Kv.stats in
-  let r0 = reads () in
-  check_int "full cache loads nothing" 0
-    (IF.prefetch inv [ "Paris"; "London"; "truck"; "UK" ]);
-  check_int "full cache reads nothing" r0 (reads ());
-  let lru = Invfile.Cache.create Invfile.Cache.Lru ~capacity:2 in
-  IF.attach_cache inv lru;
-  check_int "two free slots keep two lists" 2
-    (IF.prefetch inv [ "Paris"; "London"; "truck"; "car" ]);
-  check_int "cache holds them" 2 (Invfile.Cache.size lru);
   let stats = IF.lookup_stats inv in
+  let drain a = R.of_plist (St.inter_many [ IF.cursor inv a ]) in
+  let full = R.of_plist (IF.lookup inv "UK") in
   Storage.Io_stats.reset stats;
-  List.iter (fun a -> ignore (IF.lookup inv a)) (Invfile.Cache.cached_atoms lru);
-  check_int "the kept lists hit" 2 (Storage.Io_stats.hits stats)
+  let lookups () = Storage.Io_stats.lookups stats in
+  IF.with_query inv (fun () ->
+      ignore (IF.pin inv "Paris");
+      check_int "outer pin: one lookup" 1 (lookups ());
+      ignore (IF.pin inv "UK");
+      IF.with_query inv (fun () ->
+          ignore (IF.pin inv "Paris");
+          check_int "inner scope reads the outer pin" 2 (lookups ());
+          ignore (IF.pin inv "London");
+          check_int "a new atom: one lookup" 3 (lookups ());
+          IF.filter_records inv [| 1 |];
+          check_bool "inner filter restricts" true (Array.length (drain "UK") < Array.length full));
+      check_bool "inner pin outlives the inner scope" true (IF.pinned inv "London");
+      check_bool "inner filter dropped" true (drain "UK" = full);
+      (match
+         IF.with_query inv (fun () ->
+             ignore (IF.pin inv "truck");
+             IF.filter_records inv [| 0 |];
+             failwith "boom")
+       with
+      | () -> Alcotest.fail "the scope should raise"
+      | exception Failure _ -> ());
+      check_bool "filter dropped when the scope raises" true (drain "UK" = full);
+      check_bool "pins kept when an inner scope raises" true (IF.pinned inv "truck"));
+  List.iter
+    (fun a -> check_bool ("no pin after the outermost scope: " ^ a) false (IF.pinned inv a))
+    [ "Paris"; "UK"; "London"; "truck" ];
+  check_int "four atoms, four lookups" 4 (lookups ());
+  match IF.pin inv "Paris" with
+  | _ -> Alcotest.fail "pin outside a scope should raise"
+  | exception Invalid_argument _ -> ()
 
 (* Inverted_file.cursor: a list the cache would not keep is read as its
    payload (one counted miss, cache untouched); one it keeps is decoded
-   and admitted; inside with_pinned an atom resolves once. Every cursor
+   and admitted; inside a scope a pinned atom resolves once. Every cursor
    yields the stored list. *)
 let test_cursor_resolution () =
   let inv = Testutil.mem_collection Testutil.licences_strings in
@@ -492,9 +511,9 @@ let test_cursor_resolution () =
   check_bool "lru admits it" true (List.mem "Paris" (Invfile.Cache.cached_atoms lru));
   IF.detach_cache inv;
   Storage.Io_stats.reset stats;
-  IF.with_pinned inv (fun pin ->
-      pin "Paris";
-      pin "Paris";
+  IF.with_query inv (fun () ->
+      ignore (IF.pin inv "Paris");
+      ignore (IF.pin inv "Paris");
       check_bool "pinned cursor yields the list" true (drain "Paris" = want);
       check_bool "and again" true (drain "Paris" = want));
   check_int "one lookup for the pinned atom" 1 (Storage.Io_stats.lookups stats);
@@ -907,8 +926,7 @@ let () =
           Alcotest.test_case "lfu eviction" `Quick test_cache_lfu_eviction;
           Alcotest.test_case "zero capacity" `Quick test_cache_zero_capacity;
           Alcotest.test_case "attached cache hits" `Quick test_attached_cache_hits;
-          Alcotest.test_case "prefetch keeps what fits" `Quick
-            test_prefetch_respects_capacity;
+          Alcotest.test_case "scopes nest" `Quick test_scopes_nest;
           Alcotest.test_case "cursor resolution" `Quick test_cursor_resolution;
           prop_lookup_accounting;
         ] );
